@@ -1,4 +1,8 @@
 //! Micro-benchmarks: workload generation primitives.
+//!
+//! With `SCP_BENCH_BASELINE=1` (or a path) the results are written as
+//! JSON — `BENCH_samplers.json` at the repo root is the committed
+//! trajectory.
 
 use scp_bench::harness::{Criterion, Throughput};
 use scp_bench::{criterion_group, criterion_main};
@@ -7,6 +11,15 @@ use scp_workload::permute::FeistelPermutation;
 use scp_workload::rng::{next_below, Xoshiro256StarStar};
 use scp_workload::zipf::ZipfSampler;
 use std::hint::black_box;
+
+/// Domain of the Feistel benches (`half_bits = 9`, 4 KB round table).
+const FEISTEL_M: u64 = 100_000;
+
+/// Applies after which a fresh `FEISTEL_M` permutation has certainly
+/// armed: the break-even count is `1 << half_bits = 512` passes and every
+/// apply is at least one pass, so the 513th apply finds the count reached
+/// and fills the table.
+const FEISTEL_ARMING_APPLIES: u64 = 513;
 
 fn bench_samplers(c: &mut Criterion) {
     let mut group = c.benchmark_group("workload/sample");
@@ -30,16 +43,50 @@ fn bench_samplers(c: &mut Criterion) {
         b.iter(|| black_box(next_below(&mut rng, 1_000_000)));
     });
 
+    // Steady state: a long-lived permutation, round table armed during
+    // calibration. m = 10^5 is the scale every engine and scp-e2e run at.
     group.bench_function("feistel_apply", |b| {
-        let perm = FeistelPermutation::new(1_000_000, 4).unwrap();
+        let perm = FeistelPermutation::new(FEISTEL_M, 4).unwrap();
         let mut rank = 0u64;
         b.iter(|| {
-            rank = (rank + 1) % 1_000_000;
+            rank = (rank + 1) % FEISTEL_M;
             black_box(perm.apply(black_box(rank)))
         });
     });
 
+    // The oracle-seeding shape that a run's set-up sees: a fresh
+    // permutation and 64 applies, below the break-even count, so every
+    // round is computed and no table is ever built.
+    group.throughput(Throughput::Elements(64));
+    group.bench_function("feistel_apply_unarmed", |b| {
+        let mut seed = 0u64;
+        b.iter(|| {
+            seed += 1;
+            let perm = FeistelPermutation::new(FEISTEL_M, seed).unwrap();
+            (0..64).fold(0, |acc, rank| acc ^ perm.apply(black_box(rank)))
+        });
+    });
+
+    // One whole life up to arming: a fresh permutation driven just past
+    // the break-even count, i.e. the compute-path applies that earn the
+    // table plus the fill itself (the cost a long-lived instance pays once).
+    group.throughput(Throughput::Elements(1));
+    group.bench_function("feistel_build_table", |b| {
+        let mut seed = 0u64;
+        b.iter(|| {
+            seed += 1;
+            let perm = FeistelPermutation::new(FEISTEL_M, seed).unwrap();
+            (0..FEISTEL_ARMING_APPLIES).fold(0, |acc, rank| acc ^ perm.apply(black_box(rank)))
+        });
+    });
+
     group.finish();
+
+    c.write_baseline(
+        std::env::var_os("SCP_BENCH_BASELINE"),
+        "BENCH_samplers.json",
+    )
+    .expect("baseline path is writable");
 }
 
 criterion_group!(benches, bench_samplers);

@@ -110,16 +110,8 @@ fn bench_sweep_grid(c: &mut Criterion) {
         );
     }
 
-    if let Some(dest) = std::env::var_os("SCP_BENCH_BASELINE") {
-        let path = if dest.is_empty() || dest == "1" {
-            concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sweep.json").to_owned()
-        } else {
-            dest.to_string_lossy().into_owned()
-        };
-        let json = c.results_json().to_string();
-        std::fs::write(&path, json + "\n").expect("baseline path is writable");
-        println!("wrote benchmark baseline to {path}");
-    }
+    c.write_baseline(std::env::var_os("SCP_BENCH_BASELINE"), "BENCH_sweep.json")
+        .expect("baseline path is writable");
 }
 
 criterion_group!(sweep_benches, bench_sweep_grid);

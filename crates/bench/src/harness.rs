@@ -205,6 +205,33 @@ impl Criterion {
     pub fn results_json(&self) -> scp_json::Json {
         scp_json::Json::arr(self.results.iter().map(BenchResult::to_json))
     }
+
+    /// Writes [`Self::results_json`] as a committed baseline if the bench
+    /// target was asked to. `requested` is the value of
+    /// `SCP_BENCH_BASELINE`, read by the target so this library stays
+    /// environment-free: unset writes nothing, empty or `1` writes
+    /// `file_name` at the repository root, anything else is the path.
+    ///
+    /// # Errors
+    ///
+    /// Returns the I/O error if the destination is not writable.
+    pub fn write_baseline(
+        &self,
+        requested: Option<std::ffi::OsString>,
+        file_name: &str,
+    ) -> std::io::Result<()> {
+        let Some(dest) = requested else {
+            return Ok(());
+        };
+        let path = if dest.is_empty() || dest == "1" {
+            format!("{}/../../{file_name}", env!("CARGO_MANIFEST_DIR"))
+        } else {
+            dest.to_string_lossy().into_owned()
+        };
+        std::fs::write(&path, self.results_json().to_string() + "\n")?;
+        println!("wrote benchmark baseline to {path}");
+        Ok(())
+    }
 }
 
 /// A group of related benchmarks sharing a name prefix and settings.

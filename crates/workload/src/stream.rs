@@ -1,5 +1,6 @@
 //! Seeded query streams and arrival processes.
 
+use crate::error::WorkloadError;
 use crate::pattern::{AccessPattern, PatternSampler};
 use crate::permute::KeyMapping;
 use crate::rng::{next_exponential, Xoshiro256StarStar};
@@ -15,13 +16,19 @@ const MEMO_SLOTS: u64 = 512;
 /// [`KeyMapping`], so callers observe realistic scattered key ids rather
 /// than `0, 1, 2, ...`.
 ///
-/// Feistel mappings cycle-walk (several `mix` rounds per lookup), which
-/// dominates the cost of drawing a key, so the stream keeps a small
-/// direct-mapped memo of recent rank→key translations: access patterns
-/// are head-heavy by construction (that is the paper's whole premise),
-/// so the hot ranks hit the memo almost always. The memo is invisible in
-/// the output — the mapping is a pure function, a hit returns exactly
-/// what `apply` would.
+/// Feistel mappings cycle-walk (several rounds per lookup), which
+/// dominates the cost of drawing a key, so a rank is translated through
+/// two tiers. The stream keeps a small direct-mapped memo of recent
+/// rank→key translations for the *head*: a working set of up to 512
+/// ranks (an `x = c + 1` attack, the hot end of a Zipf) hits it almost
+/// always, at a few nanoseconds. The *tail* misses it —
+/// a uniform pattern over all `m` keys misses essentially every time —
+/// and falls through to `apply`, where the permutation's own round table
+/// (see [`crate::permute`]; built once the instance has done a table's
+/// worth of work, 4 KB at `m = 10^5`) turns each round into a load.
+/// Both tiers are invisible in the output — the mapping is a pure
+/// function, a memo hit or a table read returns exactly what a computed
+/// `apply` would.
 ///
 /// # Example
 ///
@@ -86,8 +93,19 @@ impl QueryStream {
     ///
     /// # Errors
     ///
-    /// Returns an error if the pattern cannot build a sampler.
+    /// Returns an error if the pattern cannot build a sampler, or if the
+    /// mapping's domain is smaller than the pattern's key space (a sampled
+    /// rank could fall outside it).
     pub fn with_mapping(pattern: &AccessPattern, seed: u64, mapping: KeyMapping) -> Result<Self> {
+        if let Some(domain) = mapping.domain().filter(|&d| d < pattern.key_space()) {
+            return Err(WorkloadError::InvalidParameter {
+                name: "mapping",
+                reason: format!(
+                    "domain {domain} does not cover the pattern's {} keys",
+                    pattern.key_space()
+                ),
+            });
+        }
         Ok(Self {
             sampler: pattern.sampler(seed)?,
             memo: rank_memo(&mapping),
@@ -213,6 +231,32 @@ mod tests {
         for i in 0..20_000 {
             assert_eq!(memoized.next_key(), twin.next_key(), "diverged at {i}");
         }
+    }
+
+    #[test]
+    fn with_mapping_rejects_a_domain_smaller_than_the_key_space() {
+        // Unchecked, `next_key` would panic on the first rank >= 10.
+        let p = AccessPattern::uniform(1000).unwrap();
+        let small = KeyMapping::scattered(10, 1).unwrap();
+        let err = QueryStream::with_mapping(&p, 1, small).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                WorkloadError::InvalidParameter {
+                    name: "mapping",
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        // Exactly covering, larger, and domain-free mappings are accepted
+        // and every key stays inside the mapping's range.
+        for m in [1000, 5000] {
+            let mapping = KeyMapping::scattered(m, 1).unwrap();
+            let mut s = QueryStream::with_mapping(&p, 1, mapping).unwrap();
+            assert!((0..2000).all(|_| s.next_key() < m));
+        }
+        assert!(QueryStream::with_mapping(&p, 1, KeyMapping::Identity).is_ok());
     }
 
     #[test]
