@@ -19,7 +19,7 @@
 //!   segment was a module name);
 //! * `.name(...)` — a method call: candidates are functions named `name`
 //!   in the same crate or an imported crate, *except* names on the
-//!   [`CALL_NAME_NOISE`] list (ubiquitous `std` method names like `len`,
+//!   `CALL_NAME_NOISE` list (ubiquitous `std` method names like `len`,
 //!   `push`, `get` whose receiver is almost always a standard type —
 //!   linking those would connect everything to everything). When the
 //!   surviving candidates include `impl`-associated methods owned by
@@ -68,7 +68,7 @@ pub struct FnNode {
     /// (including its own).
     pub reaches_panic: bool,
     /// Number of nondeterminism source sites
-    /// ([`rules::taint_site_lines`]) lexically inside this function.
+    /// (`rules::taint_site_lines`) lexically inside this function.
     pub taint_sites: usize,
     /// First local source site, as `(line, what)` — used by taint traces.
     pub first_taint: Option<(usize, String)>,

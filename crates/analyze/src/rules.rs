@@ -207,7 +207,7 @@ pub struct Finding {
 /// Runs every line rule over one file, applies its pragmas, and reports
 /// pragma-hygiene findings alongside the code findings. The full
 /// workspace pipeline ([`crate::analyze_workspace`]) instead collects
-/// raw findings from every pass ([`check_file_raw`], the atomics and
+/// raw findings from every pass (`check_file_raw`, the atomics and
 /// taint passes) and applies pragmas once over the merged set, so a
 /// pragma can target any rule's finding and unused-pragma detection sees
 /// everything.

@@ -2,7 +2,7 @@
 //!
 //! The line rules police nondeterminism *sources* where they stand; this
 //! pass follows their **values**. A function is *tainted* when it
-//! lexically contains a source site ([`crate::rules::taint_site_lines`]:
+//! lexically contains a source site (`crate::rules::taint_site_lines`:
 //! wall-clock reads — including whitelisted ones — env entropy,
 //! `HashMap`/`HashSet` iteration, fully-`Relaxed` atomic loads) or calls
 //! a tainted function, transitively along the (overapproximate) call

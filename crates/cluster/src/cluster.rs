@@ -103,19 +103,6 @@ impl Cluster {
             .filtered(|n| self.alive.get(n.index()).copied().unwrap_or(false))
     }
 
-    /// Bulk assignment: the live replica group of every key, in input
-    /// order. Each key is hashed exactly once, so sweep-style consumers
-    /// can fetch the whole rank-to-group table in one call instead of
-    /// re-partitioning per grid point. On a fully-alive cluster every
-    /// returned group is the complete `d`-member group, in partition
-    /// order (the order replica selectors iterate for tie-breaking).
-    pub fn assign_ranks<I>(&self, keys: I) -> Vec<ReplicaGroup>
-    where
-        I: IntoIterator<Item = KeyId>,
-    {
-        keys.into_iter().map(|k| self.live_replicas(k)).collect()
-    }
-
     /// Routes one query of unit cost; returns the serving node.
     ///
     /// # Errors
@@ -133,21 +120,13 @@ impl Cluster {
     ///
     /// Returns [`ClusterError::NoLiveReplica`] if the whole group is down.
     pub fn route_query_with_cost(&mut self, key: KeyId, cost: f64) -> Result<NodeId> {
-        let live = self.live_replicas(key);
-        if live.is_empty() {
-            self.unserved += cost;
-            return Err(ClusterError::NoLiveReplica(key));
-        }
-        let node = self.selector.select(key, live.as_slice(), &self.loads);
-        self.loads[node.index()] += cost;
-        self.queries_served += 1;
-        Ok(node)
+        let group = self.partitioner.replica_group(key);
+        self.route_in_group(key, &group, cost)
     }
 
     /// Routes one unit-cost query whose replica group the caller already
-    /// fetched with [`Cluster::replica_group`]. Batch admission hashes
-    /// keys in unrolled strides (several independent partitioner lookups
-    /// in flight at once), then feeds the groups here one by one — the
+    /// fetched with [`Cluster::replica_group`] — for callers that account
+    /// the partitioner lookup and the selection as separate stages. The
     /// observable outcome is identical to [`Cluster::route_query`] on the
     /// same key sequence, each key partitioned exactly once.
     ///
@@ -156,14 +135,20 @@ impl Cluster {
     /// Returns [`ClusterError::NoLiveReplica`] if the whole group is down
     /// (the query is counted as unserved).
     pub fn route_prefetched(&mut self, key: KeyId, group: &ReplicaGroup) -> Result<NodeId> {
-        let live = group.filtered(|n| self.alive.get(n.index()).copied().unwrap_or(false));
+        self.route_in_group(key, group, 1.0)
+    }
+
+    /// The one routing decision: drop dead members of `group`, let the
+    /// selector pick a live one, charge it `cost`.
+    fn route_in_group(&mut self, key: KeyId, group: &ReplicaGroup, cost: f64) -> Result<NodeId> {
+        let live = group.filtered(|n| self.is_alive(n));
         if live.is_empty() {
-            self.unserved += 1.0;
+            self.unserved += cost;
             return Err(ClusterError::NoLiveReplica(key));
         }
         let node = self.selector.select(key, live.as_slice(), &self.loads);
         if let Some(load) = self.loads.get_mut(node.index()) {
-            *load += 1.0;
+            *load += cost;
         }
         self.queries_served += 1;
         Ok(node)
@@ -348,30 +333,46 @@ mod tests {
     fn route_prefetched_matches_route_query_under_failures() {
         // Twin clusters, same key sequence, one using the prefetched
         // path: every routing decision and counter must agree, including
-        // across node failures and recoveries.
+        // across node failures and recoveries. A third twin pays 2.5 per
+        // query through `route_query_with_cost`: uniform scaling leaves
+        // every least-loaded comparison unchanged, so it must make the
+        // same decisions with every load and the unserved total × 2.5.
         let mut direct = small_cluster(Box::new(LeastLoadedSelector::new()));
         let mut prefetched = small_cluster(Box::new(LeastLoadedSelector::new()));
+        let mut weighted = small_cluster(Box::new(LeastLoadedSelector::new()));
         let victim = NodeId::from_index(3);
-        for round in 0..3u64 {
-            if round == 1 {
-                direct.fail_node(victim).unwrap();
-                prefetched.fail_node(victim).unwrap();
-            }
-            if round == 2 {
-                direct.recover_node(victim).unwrap();
-                prefetched.recover_node(victim).unwrap();
+        let doomed = direct.replica_group(KeyId::new(9));
+        for round in 0..4u64 {
+            for c in [&mut direct, &mut prefetched, &mut weighted] {
+                match round {
+                    1 => c.fail_node(victim).unwrap(),
+                    2 => c.recover_node(victim).unwrap(),
+                    // Whole group of key 9 down: the unserved branch.
+                    3 => doomed
+                        .as_slice()
+                        .iter()
+                        .for_each(|&n| c.fail_node(n).unwrap()),
+                    _ => {}
+                }
             }
             for k in 0..500u64 {
                 let key = KeyId::new(k);
                 let group = prefetched.replica_group(key);
                 let a = direct.route_query(key);
                 let b = prefetched.route_prefetched(key, &group);
-                assert_eq!(a.ok(), b.ok(), "diverged at round {round} key {k}");
+                let w = weighted.route_query_with_cost(key, 2.5);
+                assert_eq!(a, b, "diverged at round {round} key {k}");
+                assert_eq!(a, w, "cost changed a decision at round {round} key {k}");
             }
         }
         assert_eq!(direct.queries_served(), prefetched.queries_served());
-        assert!((direct.unserved() - prefetched.unserved()).abs() < 1e-12);
+        assert_eq!(direct.queries_served(), weighted.queries_served());
+        assert!(direct.unserved() >= 1.0, "key 9 must have gone unserved");
+        assert_eq!(direct.unserved(), prefetched.unserved());
+        assert_eq!(direct.unserved() * 2.5, weighted.unserved());
         assert_eq!(direct.snapshot().loads(), prefetched.snapshot().loads());
+        let scaled: Vec<f64> = direct.loads().iter().map(|l| l * 2.5).collect();
+        assert_eq!(scaled, weighted.loads());
     }
 
     #[test]
@@ -507,29 +508,6 @@ mod tests {
             "reset must clear in place, not reallocate"
         );
         assert_eq!(c.snapshot().total(), 0.0);
-    }
-
-    #[test]
-    fn assign_ranks_matches_per_key_groups() {
-        let c = small_cluster(Box::new(LeastLoadedSelector::new()));
-        let keys: Vec<KeyId> = (0..40).map(KeyId::new).collect();
-        let bulk = c.assign_ranks(keys.iter().copied());
-        assert_eq!(bulk.len(), keys.len());
-        for (key, group) in keys.iter().zip(&bulk) {
-            assert_eq!(group.as_slice(), c.replica_group(*key).as_slice());
-            assert_eq!(group.len(), 3);
-        }
-    }
-
-    #[test]
-    fn assign_ranks_drops_dead_members() {
-        let mut c = small_cluster(Box::new(LeastLoadedSelector::new()));
-        let key = KeyId::new(5);
-        let victim = c.replica_group(key).as_slice()[1];
-        c.fail_node(victim).unwrap();
-        let bulk = c.assign_ranks([key]);
-        assert_eq!(bulk[0].len(), 2);
-        assert!(!bulk[0].contains(victim));
     }
 
     #[test]

@@ -109,11 +109,6 @@ impl SmallCacheAdversary {
     pub fn new() -> Self {
         Self { beta: 1.0 }
     }
-
-    /// Creates the adversary with an explicit deviation coefficient.
-    pub fn with_beta(beta: f64) -> Self {
-        Self { beta }
-    }
 }
 
 impl Default for SmallCacheAdversary {

@@ -1,10 +1,10 @@
 //! A small, dependency-free JSON library.
 //!
-//! The workspace persists run journals, traces and experiment metadata as
-//! JSON. This crate provides the value model ([`Json`]), a serializer
-//! (compact [`Json::to_string`] and indented [`Json::to_pretty_string`])
-//! and a strict recursive-descent parser ([`Json::parse`]), so no external
-//! serialization framework is required.
+//! The workspace persists run journals, reports and experiment metadata
+//! as JSON. This crate provides the value model ([`Json`]), a serializer
+//! (compact through `Display`/`to_string`, indented through
+//! [`Json::to_pretty_string`]) and a strict recursive-descent parser
+//! ([`Json::parse`]), so no external serialization framework is required.
 //!
 //! Numbers are stored as `f64`. Integers up to 2^53 round-trip exactly,
 //! which covers every counter and seed the experiments write (seeds are

@@ -5,8 +5,8 @@
 //! * **Logical time** (arrivals / the offered rate `R`) drives everything
 //!   that affects *results* — token-bucket shedding, capacity accounting,
 //!   the deterministic mode. It is a pure function of the submission
-//!   count and never touches a clock (see
-//!   [`LogicalClock`](crate::engine::LogicalClock) in the engine).
+//!   count and never touches a clock (see "Logical time" in
+//!   [`crate::engine`]).
 //! * **Wall time** is observability metadata only: run durations and
 //!   measured throughput. Every wall-clock read in the crate goes through
 //!   this module, which is the single `scp-serve` entry on the

@@ -311,17 +311,22 @@ impl ServeConfig {
                 reason: "batch sizes must be positive".to_owned(),
             });
         }
-        if self.queue_capacity == 0 {
-            return Err(ServeError::InvalidConfig {
-                field: "queue_capacity",
-                reason: "shard queues need room for at least one batch".to_owned(),
-            });
-        }
-        if self.intake_depth == 0 {
-            return Err(ServeError::InvalidConfig {
-                field: "intake_depth",
-                reason: "client intake rings need room for at least one batch".to_owned(),
-            });
+        // Both rings are sized in batches and allocated (with per-slot
+        // telemetry) before any traffic: bound them where the value
+        // enters, not where the allocation fails.
+        for (field, slots) in [
+            ("queue_capacity", self.queue_capacity),
+            ("intake_depth", self.intake_depth),
+        ] {
+            if slots == 0 || slots > crate::spsc::MAX_CAPACITY {
+                return Err(ServeError::InvalidConfig {
+                    field,
+                    reason: format!(
+                        "ring of {slots} batches outside 1..={}",
+                        crate::spsc::MAX_CAPACITY
+                    ),
+                });
+            }
         }
         if self.total_queries == 0 && self.duration_ms == 0 {
             return Err(ServeError::InvalidConfig {
@@ -420,6 +425,17 @@ mod tests {
 
         let mut cfg = ServeConfig::new(shape());
         cfg.intake_depth = 0;
+        assert!(cfg.validate().is_err());
+
+        // The two CLI values that used to abort in the allocator.
+        let mut cfg = ServeConfig::new(shape());
+        cfg.queue_capacity = 100_000_000_000;
+        assert!(cfg.validate().is_err());
+        cfg.queue_capacity = crate::spsc::MAX_CAPACITY;
+        assert!(cfg.validate().is_ok());
+
+        let mut cfg = ServeConfig::new(shape());
+        cfg.intake_depth = 3_000_000_000;
         assert!(cfg.validate().is_err());
 
         let mut cfg = ServeConfig::new(shape());

@@ -22,7 +22,7 @@
 use crate::config::{MembershipEvent, Result, ServeConfig, ServeError};
 use crate::pow::{PowVerdict, PowVerifier};
 use scp_cache::Cache;
-use scp_cluster::{Cluster, KeyId, NodeId, ReplicaGroup, Topology};
+use scp_cluster::{Cluster, KeyId, NodeId, Topology};
 use scp_sim::SimError;
 use scp_workload::permute::KeyMapping;
 use scp_workload::rng::mix;
@@ -203,19 +203,6 @@ fn bump(counters: &mut [u64], shard: usize) {
     }
 }
 
-/// The outcome of admitting one request (scalar reference path; the
-/// production drivers go through [`Admission::admit_batch`]).
-#[cfg(test)]
-#[derive(Debug)]
-pub(crate) enum Admitted {
-    /// Finished at the front end (cache hit, capacity shed, or
-    /// unserved); the submitter can be acknowledged immediately.
-    Completed,
-    /// Buffered toward a shard; `Some` carries a just-filled batch the
-    /// caller must now dispatch.
-    Buffered(Option<(usize, Vec<Request>)>),
-}
-
 /// The admission stage: cache, routing, capacity, batching.
 ///
 /// Owned by exactly one thread (the calling thread in deterministic
@@ -246,17 +233,8 @@ pub(crate) struct Admission {
     /// In-flight requests displaced by the latest reshard, waiting for
     /// the driver to acknowledge them (see [`Admission::drain_migrated`]).
     migrated_out: Vec<Request>,
-    /// Scratch for [`Admission::admit_batch`]: cache misses of the
-    /// current segment, each with its logical arrival time, waiting for
-    /// the strided routing phase. Always empty between calls.
-    misses: Vec<(Request, f64)>,
     pub stats: AdmitStats,
 }
-
-/// Keys routed per unrolled stride in the batched admission path: wide
-/// enough to overlap the partitioner's independent hash chains, small
-/// enough that the prefetched groups stay in registers/L1.
-const ROUTE_STRIDE: usize = 4;
 
 impl Admission {
     /// Builds the stage for `cfg`, seeding the perfect cache with the
@@ -301,7 +279,6 @@ impl Admission {
             next_event: 0,
             headroom: cfg.capacity_headroom,
             migrated_out: Vec::with_capacity(0),
-            misses: Vec::with_capacity(cfg.submit_batch),
             stats: AdmitStats::sized(shards, cfg.queue_capacity),
         })
     }
@@ -321,19 +298,14 @@ impl Admission {
     }
 
     /// Deterministic-mode client helper: solve the proof the shield will
-    /// demand for the *next* arrival. Returns `None` for attacker
-    /// clients (they decline to work) and when the shield is off; hash
-    /// attempts are accumulated into [`AdmitStats::pow_attempts`].
-    #[cfg(test)]
-    pub fn solve_next(&mut self, client: u32, key: u64) -> Option<u64> {
-        self.solve_at(client, key, 0)
-    }
-
-    /// [`Admission::solve_next`] for the arrival `offset` positions past
-    /// the current submitted count: the batched deterministic driver
-    /// pre-solves a whole batch before admitting it, and the shield's
-    /// challenge is a pure function of the arrival index, so pre-solving
-    /// yields exactly the nonces the interleaved scalar loop would.
+    /// demand for the arrival `offset` positions past the current
+    /// submitted count. The deterministic driver pre-solves a whole
+    /// client batch before admitting it; the shield's challenge is a pure
+    /// function of the arrival index, so pre-solving yields exactly the
+    /// nonces a solve-one-admit-one loop would. Returns `None` for
+    /// attacker clients (they decline to work) and when the shield is
+    /// off; hash attempts are accumulated into
+    /// [`AdmitStats::pow_attempts`].
     pub fn solve_at(&mut self, client: u32, key: u64, offset: u64) -> Option<u64> {
         let pow = self.pow.as_ref()?;
         if (client as usize) < self.attack_clients {
@@ -468,12 +440,29 @@ impl Admission {
         std::mem::take(&mut self.migrated_out)
     }
 
+    /// Admits one client batch request by request, pushing any filled
+    /// shard batches into `ready` and returning how many requests
+    /// finished at the front end (hits, sheds, unserved, shield
+    /// rejections) — the caller owes that many acknowledgements to the
+    /// batch's submitting client. Intake batches are single-client by
+    /// construction, so one acknowledgement count covers the whole batch.
+    ///
+    /// Where a stream is cut into batches changes nothing observable:
+    /// deterministic replay cuts at `submit_batch`, the threaded sweep
+    /// at whatever a client had queued, and both must agree.
+    pub fn admit_batch(&mut self, reqs: &[Request], ready: &mut Vec<(usize, Vec<Request>)>) -> u64 {
+        let mut completed = 0u64;
+        for req in reqs {
+            completed += u64::from(self.admit(*req, ready));
+        }
+        completed
+    }
+
     /// Pushes one request through shield → cache → routing → capacity →
-    /// batching. This is the scalar *reference* implementation: the
-    /// production path is [`Admission::admit_batch`], and an equivalence
-    /// property test pins the two to identical observable behavior.
-    #[cfg(test)]
-    pub fn admit(&mut self, req: Request) -> Admitted {
+    /// batching. Returns `true` if it finished at the front end, `false`
+    /// if it was buffered toward a shard (a batch it filled goes to
+    /// `ready`).
+    fn admit(&mut self, req: Request, ready: &mut Vec<(usize, Vec<Request>)>) -> bool {
         if self.next_event < self.schedule.len() {
             self.apply_membership();
         }
@@ -495,7 +484,7 @@ impl Admission {
                 } else {
                     self.stats.legit.pow_rejected += 1;
                 }
-                return Admitted::Completed;
+                return true;
             }
         }
 
@@ -506,189 +495,20 @@ impl Admission {
             } else {
                 self.stats.legit.hits += 1;
             }
-            return Admitted::Completed;
+            return true;
         }
         let shard = match self.cluster.route_query(KeyId::new(req.key)) {
             Ok(node) => node.index(),
             Err(_) => {
                 self.stats.unserved += 1;
-                return Admitted::Completed;
-            }
-        };
-        let Some(buf) = self.pending.get_mut(shard) else {
-            // Unreachable (the cluster only returns indices < n), but an
-            // unserved count is a safe, conserved answer.
-            self.stats.unserved += 1;
-            return Admitted::Completed;
-        };
-        bump(&mut self.stats.routed, shard);
-        bump(&mut self.window_routed, shard);
-        if let Some(buckets) = &mut self.buckets {
-            if let Some(bucket) = buckets.get_mut(shard) {
-                if !bucket.try_take(now) {
-                    bump(&mut self.stats.shed_capacity, shard);
-                    return Admitted::Completed;
-                }
-            }
-        }
-        buf.push(req);
-        if buf.len() >= self.batch_size {
-            Admitted::Buffered(Some((shard, std::mem::take(buf))))
-        } else {
-            Admitted::Buffered(None)
-        }
-    }
-
-    /// Admits one client batch, pushing any filled shard batches into
-    /// `ready` and returning how many requests finished at the front end
-    /// (hits, sheds, unserved, shield rejections) — the caller owes that
-    /// many acknowledgements to the batch's submitting client. Intake
-    /// batches are single-client by construction, so one acknowledgement
-    /// count covers the whole batch.
-    ///
-    /// Observably identical to calling [`Admission::admit`] per request
-    /// (a property test pins this), but restructured for the hot path:
-    /// the shield/cache front end runs per request, misses are collected,
-    /// and routing then proceeds in [`ROUTE_STRIDE`]-wide strides — the
-    /// partitioner lookups of a stride are independent, so their hash
-    /// chains overlap instead of serializing behind each route's
-    /// bookkeeping. Requests that cross a gain-window or membership
-    /// boundary split the batch into segments, with pending misses
-    /// flushed at each cut, so window accounting and in-flight rerouting
-    /// see exactly the state the scalar interleaving would.
-    pub fn admit_batch(&mut self, reqs: &[Request], ready: &mut Vec<(usize, Vec<Request>)>) -> u64 {
-        let mut completed = 0u64;
-        let mut start = 0usize;
-        while start < reqs.len() {
-            start = self.shield_and_cache(reqs, start, &mut completed);
-            completed += self.route_misses(ready);
-        }
-        completed
-    }
-
-    /// Front-end phase for one segment: windows, shield, and cache for
-    /// each request from `start` on, exactly in scalar order, pushing
-    /// misses onto the scratch list. Stops (returning the next index)
-    /// *before* any request that would roll a gain window or fire a
-    /// membership event — the caller must route the collected misses
-    /// first, because those boundaries read routed counts and reroute
-    /// pending buffers. Always consumes at least one request.
-    fn shield_and_cache(&mut self, reqs: &[Request], start: usize, completed: &mut u64) -> usize {
-        for (i, req) in reqs.iter().enumerate().skip(start) {
-            if i > start && self.boundary_due() {
-                return i;
-            }
-            if self.next_event < self.schedule.len() {
-                self.apply_membership();
-            }
-            let now = self.stats.submitted as f64 * self.inv_rate;
-            self.roll_windows(now);
-            self.stats.submitted += 1;
-            let attack = (req.client as usize) < self.attack_clients;
-            if attack {
-                self.stats.attack.submitted += 1;
-            } else {
-                self.stats.legit.submitted += 1;
-            }
-            if let Some(pow) = &mut self.pow {
-                if pow.verify(now, req.client, req.key, req.pow) != PowVerdict::Accepted {
-                    self.stats.pow_rejected += 1;
-                    if attack {
-                        self.stats.attack.pow_rejected += 1;
-                    } else {
-                        self.stats.legit.pow_rejected += 1;
-                    }
-                    *completed += 1;
-                    continue;
-                }
-            }
-            if self.cache.request(req.key).is_hit() {
-                self.stats.hits += 1;
-                if attack {
-                    self.stats.attack.hits += 1;
-                } else {
-                    self.stats.legit.hits += 1;
-                }
-                *completed += 1;
-                continue;
-            }
-            self.misses.push((*req, now));
-        }
-        reqs.len()
-    }
-
-    /// Whether admitting the next request would cross a boundary that
-    /// reads routing state: a due membership event (reroutes pending
-    /// buffers) or a gain-window roll (snapshots per-window routed
-    /// counts). Mirrors the checks in [`Admission::apply_membership`] and
-    /// [`Admission::roll_windows`] bit for bit.
-    fn boundary_due(&self) -> bool {
-        if self
-            .schedule
-            .get(self.next_event)
-            .is_some_and(|e| e.at_query <= self.stats.submitted)
-        {
-            return true;
-        }
-        if self.gain_window_secs > 0.0 {
-            let now = self.stats.submitted as f64 * self.inv_rate;
-            if (now / self.gain_window_secs) as u64 != self.gain_window_index {
                 return true;
             }
-        }
-        false
-    }
-
-    /// Routing phase: drains the miss scratch in [`ROUTE_STRIDE`]-wide
-    /// strides — first the stride's replica groups back-to-back (the
-    /// independent, expensive part), then each miss's routing bookkeeping
-    /// in order. Returns how many misses completed at the front end
-    /// (unserved or capacity-shed).
-    fn route_misses(&mut self, ready: &mut Vec<(usize, Vec<Request>)>) -> u64 {
-        if self.misses.is_empty() {
-            return 0;
-        }
-        let mut completed = 0u64;
-        let misses = std::mem::take(&mut self.misses);
-        let mut groups = [ReplicaGroup::new(); ROUTE_STRIDE];
-        for chunk in misses.chunks(ROUTE_STRIDE) {
-            for (group, (req, _)) in groups.iter_mut().zip(chunk) {
-                *group = self.cluster.replica_group(KeyId::new(req.key));
-            }
-            for ((req, now), group) in chunk.iter().zip(&groups) {
-                completed += self.finish_route(*req, *now, group, ready);
-            }
-        }
-        // Hand the allocation back to the scratch slot for the next call.
-        self.misses = misses;
-        self.misses.clear();
-        completed
-    }
-
-    /// Routing bookkeeping for one miss, identical to the tail of
-    /// [`Admission::admit`]: select a live replica from the prefetched
-    /// group, enforce the shard's token bucket, buffer toward its batch.
-    /// Returns 1 if the request completed at the front end, 0 if it was
-    /// buffered.
-    fn finish_route(
-        &mut self,
-        req: Request,
-        now: f64,
-        group: &ReplicaGroup,
-        ready: &mut Vec<(usize, Vec<Request>)>,
-    ) -> u64 {
-        let shard = match self.cluster.route_prefetched(KeyId::new(req.key), group) {
-            Ok(node) => node.index(),
-            Err(_) => {
-                self.stats.unserved += 1;
-                return 1;
-            }
         };
         let Some(buf) = self.pending.get_mut(shard) else {
             // Unreachable (the cluster only returns indices < n), but an
             // unserved count is a safe, conserved answer.
             self.stats.unserved += 1;
-            return 1;
+            return true;
         };
         bump(&mut self.stats.routed, shard);
         bump(&mut self.window_routed, shard);
@@ -696,7 +516,7 @@ impl Admission {
             if let Some(bucket) = buckets.get_mut(shard) {
                 if !bucket.try_take(now) {
                     bump(&mut self.stats.shed_capacity, shard);
-                    return 1;
+                    return true;
                 }
             }
         }
@@ -704,7 +524,7 @@ impl Admission {
         if buf.len() >= self.batch_size {
             ready.push((shard, std::mem::take(buf)));
         }
-        0
+        false
     }
 
     /// Drains every non-empty partial batch (shutdown path).
@@ -780,12 +600,6 @@ impl WorkerStats {
     }
 }
 
-/// Builds the shared rank→key mapping for `cfg` (the query engine's
-/// `mix(seed, 3)` derivation, so serve runs see the same key space).
-pub(crate) fn build_mapping(cfg: &ServeConfig) -> Result<KeyMapping> {
-    KeyMapping::scattered(cfg.sim.items, mix(&[cfg.sim.seed, 3])).map_err(ServeError::from)
-}
-
 /// The deterministic mode's query stream: single sampler with the query
 /// engine's `mix(seed, 4)` derivation, so a deterministic serve run draws
 /// the *identical* query sequence as `run_query_simulation`.
@@ -813,7 +627,7 @@ pub fn run_deterministic(cfg: &ServeConfig) -> Result<crate::report::ServeReport
         });
     }
     let stopwatch = crate::clock::Stopwatch::started();
-    let mapping = build_mapping(cfg)?;
+    let mapping = cfg.sim.key_mapping()?;
     let mut stream = deterministic_stream(cfg, &mapping)?;
     let mut admission = Admission::new(cfg, &mapping)?;
     let mut workers: Vec<WorkerStats> = vec![WorkerStats::default(); admission.shard_slots()];
@@ -946,19 +760,20 @@ mod tests {
     }
 
     #[test]
-    fn admit_batch_matches_scalar_admission_exactly() {
-        // The batched path must be observably identical to per-request
-        // `admit` under everything that can fire mid-batch: gain-window
+    fn admit_batch_is_invariant_to_where_the_stream_is_cut() {
+        // Deterministic replay cuts the stream at `submit_batch`, the
+        // threaded sweep wherever a client's intake ring happened to be;
+        // both rely on the cut changing nothing. The scenario fires
+        // everything that could make it matter mid-batch: gain-window
         // rolls, membership events (with pending-buffer rerouting), token
-        // buckets, and the shield with a modeled attacker. The batch size
-        // (7) is deliberately coprime with everything so every boundary
-        // lands mid-batch.
+        // buckets, and the shield with a modeled attacker lane.
         use crate::config::MembershipChange;
         let sim = SimConfig::builder()
             .nodes(12)
             .replication(3)
             .items(5_000)
             .cache_capacity(32)
+            .attack_x(2_000) // x ≫ c: misses reach every shard
             .rate(1e3)
             .seed(77)
             .build()
@@ -989,54 +804,45 @@ mod tests {
             },
         ];
         cfg.validate().unwrap();
-
-        let mapping = build_mapping(&cfg).unwrap();
-        let mut scalar = Admission::new(&cfg, &mapping).unwrap();
-        let mut batched = Admission::new(&cfg, &mapping).unwrap();
-        let mut scalar_stream = deterministic_stream(&cfg, &mapping).unwrap();
-        let mut batched_stream = scalar_stream.clone();
         let total = cfg.total_queries;
-        let client_of = |q: u64| u32::from(!q.is_multiple_of(3)); // 1/3 attacker traffic
 
-        let mut scalar_ready: Vec<(usize, Vec<Request>)> = Vec::new();
-        let mut scalar_completed = 0u64;
-        let mut scalar_migrated: Vec<Request> = Vec::new();
-        for q in 0..total {
-            let key = scalar_stream.next_key();
-            let client = client_of(q);
-            let pow = scalar.solve_next(client, key);
-            match scalar.admit(Request { key, client, pow }) {
-                Admitted::Completed => scalar_completed += 1,
-                Admitted::Buffered(Some(full)) => scalar_ready.push(full),
-                Admitted::Buffered(None) => {}
+        // Everything observable about one pass over the stream, cut
+        // every `cut` requests.
+        let run = |cut: u64| {
+            let mapping = cfg.sim.key_mapping().unwrap();
+            let mut admission = Admission::new(&cfg, &mapping).unwrap();
+            let mut stream = deterministic_stream(&cfg, &mapping).unwrap();
+            let mut ready: Vec<(usize, Vec<Request>)> = Vec::new();
+            let mut completed = 0u64;
+            let mut migrated: Vec<Request> = Vec::new();
+            let mut reqs: Vec<Request> = Vec::new();
+            let mut q = 0u64;
+            while q < total {
+                let take = (total - q).min(cut);
+                reqs.clear();
+                for offset in 0..take {
+                    let key = stream.next_key();
+                    let client = u32::from(!(q + offset).is_multiple_of(3)); // 1/3 attacker traffic
+                    let pow = admission.solve_at(client, key, offset);
+                    reqs.push(Request { key, client, pow });
+                }
+                completed += admission.admit_batch(&reqs, &mut ready);
+                migrated.extend(admission.drain_migrated());
+                q += take;
             }
-            scalar_migrated.extend(scalar.drain_migrated());
-        }
+            let flushed = admission.flush_all();
+            (ready, completed, migrated, flushed, admission.into_stats())
+        };
 
-        let mut batch_ready: Vec<(usize, Vec<Request>)> = Vec::new();
-        let mut batch_completed = 0u64;
-        let mut batch_migrated: Vec<Request> = Vec::new();
-        let mut reqs: Vec<Request> = Vec::new();
-        let mut q = 0u64;
-        while q < total {
-            let take = (total - q).min(7);
-            reqs.clear();
-            for offset in 0..take {
-                let key = batched_stream.next_key();
-                let client = client_of(q + offset);
-                let pow = batched.solve_at(client, key, offset);
-                reqs.push(Request { key, client, pow });
-            }
-            batch_completed += batched.admit_batch(&reqs, &mut batch_ready);
-            batch_migrated.extend(batched.drain_migrated());
-            q += take;
+        let reference = run(1);
+        let (_, completed, migrated, _, stats) = &reference;
+        assert!(*completed > 0 && !migrated.is_empty() && stats.reshards == 4);
+        assert!(stats.pow_rejected > 0 && stats.window_gains.len() > 10);
+        assert!(stats.shed_capacity.iter().sum::<u64>() > 0);
+        assert!(stats.routed.iter().all(|&r| r > 0), "every shard routed");
+        for cut in [7, 64, total] {
+            assert_eq!(run(cut), reference, "diverged at cut {cut}");
         }
-
-        assert_eq!(scalar_completed, batch_completed);
-        assert_eq!(scalar_ready, batch_ready);
-        assert_eq!(scalar_migrated, batch_migrated);
-        assert_eq!(scalar.flush_all(), batched.flush_all());
-        assert_eq!(scalar.into_stats(), batched.into_stats());
     }
 
     #[test]

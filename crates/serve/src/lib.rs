@@ -12,7 +12,7 @@
 //!  clients ──▶ per-client SPSC batch rings ──▶ admission ──▶ SPSC queues ──▶ shard workers
 //!         ◀── freelist rings (recycled bufs) ◀─┘   │    (one per backend node, run-to-completion)
 //!                                                  ├ cache (c entries)
-//!                                                  ├ route (partitioner + selector, 4-wide)
+//!                                                  ├ route (partitioner + selector)
 //!                                                  ├ shed if shard over r_i = h·R/n
 //!                                                  └ batch up to `batch_size`
 //! ```

@@ -36,7 +36,7 @@
 //! after its last send (drop closes too, so a panicking client cannot
 //! wedge the sweep), the admission thread exits only when every intake
 //! is closed *and* drained, and it then pushes a
-//! [`Stop`](crate::engine::ShardMsg) marker *after* the last batch of
+//! `ShardMsg::Stop` marker *after* the last batch of
 //! each shard queue — FIFO order guarantees workers drain everything
 //! ahead of it. [`crate::report::ServeReport::is_drained`] cross-checks
 //! with per-shard work checksums.
@@ -45,7 +45,7 @@ use crate::backoff::Backoff;
 use crate::batch_ring::{intake_channel, BatchReceiver, BatchSender};
 use crate::clock::Stopwatch;
 use crate::config::{Result, ServeConfig, ServeError};
-use crate::engine::{build_mapping, work_token, Admission, Request, ShardMsg, WorkerStats};
+use crate::engine::{work_token, Admission, Request, ShardMsg, WorkerStats};
 use crate::pad::CachePadded;
 use crate::spsc::{self, Consumer, Producer};
 use scp_workload::rng::mix;
@@ -444,7 +444,7 @@ pub fn run_threaded(cfg: &ServeConfig) -> Result<crate::report::ServeReport> {
         });
     }
     let stopwatch = Stopwatch::started();
-    let mapping = build_mapping(cfg)?;
+    let mapping = cfg.sim.key_mapping()?;
     let mut admission = Admission::new(cfg, &mapping)?;
     // One queue + worker per shard *slot* of the largest scheduled
     // epoch: a join mid-run then starts routing to an already-running

@@ -35,10 +35,12 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Largest accepted ring capacity (slots). Far beyond any sane queue
-/// (a ring is sized in batches, not queries), but low enough that the
-/// slot allocation can never approach address-space limits.
-pub const MAX_CAPACITY: u64 = 1 << 32;
+/// Largest accepted ring capacity (slots). A ring is sized in batches,
+/// not queries — every test, bench and default uses at most 64 — and
+/// the engine pre-allocates per-slot state (the queue-depth histogram)
+/// before any traffic, so the bound is also what keeps a mistyped
+/// `--queue-capacity` from becoming a multi-gigabyte allocation.
+pub const MAX_CAPACITY: usize = 1 << 16;
 
 /// An atomic 64-bit counter as the ring algorithm sees it: real
 /// [`AtomicU64`] in production, an instrumented shim under the
@@ -333,50 +335,39 @@ impl std::error::Error for CapacityError {}
 /// Returns [`CapacityError`] when `capacity` is outside
 /// `1..=MAX_CAPACITY`.
 pub fn try_channel<T>(capacity: usize) -> Result<(Producer<T>, Consumer<T>), CapacityError> {
-    if capacity == 0 || capacity as u64 > MAX_CAPACITY {
+    if capacity == 0 || capacity > MAX_CAPACITY {
         return Err(CapacityError {
             requested: capacity,
         });
     }
+    Ok(ring_with(capacity))
+}
+
+/// Creates a bounded SPSC queue holding at most `capacity` elements.
+///
+/// The forgiving construction path: the capacity is clamped into
+/// `1..=MAX_CAPACITY`, so a zero capacity still yields a queue that can
+/// make progress (validated callers should prefer [`try_channel`], which
+/// rejects instead of clamping).
+pub fn channel<T>(capacity: usize) -> (Producer<T>, Consumer<T>) {
+    ring_with(capacity.clamp(1, MAX_CAPACITY))
+}
+
+/// Allocates the ring behind both constructors; `capacity` is already
+/// in `1..=MAX_CAPACITY`.
+fn ring_with<T>(capacity: usize) -> (Producer<T>, Consumer<T>) {
     let slots: Vec<StdSlot<T>> = (0..capacity).map(|_| StdSlot::default()).collect();
     let ring = Arc::new(Ring::from_parts(
         CachePadded::new(AtomicU64::new(0)),
         CachePadded::new(AtomicU64::new(0)),
         slots,
     ));
-    Ok((
+    (
         Producer {
             ring: Arc::clone(&ring),
         },
         Consumer { ring },
-    ))
-}
-
-/// Creates a bounded SPSC queue holding at most `capacity` elements.
-///
-/// The forgiving construction path: a zero capacity is rounded up to one
-/// so the queue can always make progress (validated callers should
-/// prefer [`try_channel`], which rejects instead of clamping).
-pub fn channel<T>(capacity: usize) -> (Producer<T>, Consumer<T>) {
-    let capacity = capacity.clamp(1, usize::try_from(MAX_CAPACITY).unwrap_or(usize::MAX));
-    // The clamp above makes the capacity valid by construction, so the
-    // error arm is unreachable; building directly keeps this infallible.
-    match try_channel(capacity) {
-        Ok(pair) => pair,
-        Err(_) => {
-            let ring = Arc::new(Ring::from_parts(
-                CachePadded::new(AtomicU64::new(0)),
-                CachePadded::new(AtomicU64::new(0)),
-                vec![StdSlot::default()],
-            ));
-            (
-                Producer {
-                    ring: Arc::clone(&ring),
-                },
-                Consumer { ring },
-            )
-        }
-    }
+    )
 }
 
 impl<T> Producer<T> {
@@ -507,13 +498,13 @@ mod tests {
             super::try_channel::<u64>(0).err(),
             Some(CapacityError { requested: 0 })
         );
-        let too_big = usize::try_from(MAX_CAPACITY).map(|m| m + 1);
-        if let Ok(n) = too_big {
-            assert_eq!(
-                super::try_channel::<u64>(n).err(),
-                Some(CapacityError { requested: n })
-            );
-        }
+        assert_eq!(
+            super::try_channel::<u64>(MAX_CAPACITY + 1).err(),
+            Some(CapacityError {
+                requested: MAX_CAPACITY + 1
+            })
+        );
+        assert_eq!(channel::<u64>(usize::MAX).0.capacity(), MAX_CAPACITY);
         let (mut tx, mut rx) = super::try_channel(2).unwrap();
         tx.try_push(1u64).unwrap();
         assert_eq!(rx.try_pop(), Some(1));

@@ -10,8 +10,6 @@ use crate::Result;
 use scp_cluster::rebalance::KeyAssignment;
 use scp_cluster::select::RateAssignment;
 use scp_cluster::KeyId;
-use scp_workload::permute::KeyMapping;
-use scp_workload::rng::mix;
 
 /// Replays the rate engine, returning the pinned assignment of every
 /// uncached key with positive rate.
@@ -27,7 +25,7 @@ pub fn collect_assignments(cfg: &SimConfig, cache_capacity: usize) -> Result<Vec
     cfg.validate()?;
     let partitioner = cfg.build_partitioner()?;
     let mut selector = cfg.build_selector();
-    let mapping = KeyMapping::scattered(cfg.items, mix(&[cfg.seed, 3]))?;
+    let mapping = cfg.key_mapping()?;
     let probs = cfg.pattern.rank_probs();
 
     let mut loads = vec![0.0f64; cfg.nodes];

@@ -12,6 +12,7 @@ use scp_cluster::select::{
     LeastLoadedSelector, PerQueryLeastLoaded, RandomSelector, ReplicaSelector, RoundRobinSelector,
 };
 use scp_core::params::SystemParams;
+use scp_workload::permute::KeyMapping;
 use scp_workload::rng::mix;
 use scp_workload::AccessPattern;
 
@@ -547,6 +548,17 @@ impl SimConfig {
             SelectorKind::LeastLoaded => Box::new(LeastLoadedSelector::new()),
             SelectorKind::PerQueryLeastLoaded => Box::new(PerQueryLeastLoaded::new()),
         }
+    }
+
+    /// The rank→key scatter every engine draws keys through (seed lane 3,
+    /// next to the partitioner's lane 1 and the selector's lane 2), so
+    /// the simulators and `scp-serve` see the same key space.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if `items` is zero.
+    pub fn key_mapping(&self) -> Result<KeyMapping> {
+        Ok(KeyMapping::scattered(self.items, mix(&[self.seed, 3]))?)
     }
 
     /// The cache policy actually instantiated once the admission knob is

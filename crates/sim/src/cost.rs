@@ -13,7 +13,6 @@ use crate::error::SimError;
 use crate::metrics::LoadReport;
 use crate::Result;
 use scp_cluster::{Cluster, KeyId};
-use scp_workload::permute::KeyMapping;
 use scp_workload::rng::{mix, next_f64, Xoshiro256StarStar};
 
 /// A read/write cost model.
@@ -123,7 +122,7 @@ pub fn run_weighted_query_simulation(
         });
     }
 
-    let mapping = KeyMapping::scattered(cfg.items, mix(&[cfg.seed, 3]))?;
+    let mapping = cfg.key_mapping()?;
     let mut sampler = cfg.pattern.sampler(mix(&[cfg.seed, 4]))?;
     let top = (cfg.cache_capacity as u64).min(cfg.items);
     let ranked = (0..top).map(|rank| mapping.apply(rank));

@@ -18,7 +18,7 @@ use crate::error::SimError;
 use crate::runner::repeat;
 use crate::sweep::{effective_capacity, evaluate_many, RunSweep};
 use crate::Result;
-use scp_core::bounds::{optimal_subset_size, KParam};
+use scp_core::bounds::KParam;
 
 /// One probed candidate cache size in a critical-size search.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -191,12 +191,6 @@ pub fn find_critical_cache_size(
         .max(base.nodes);
     let mut sweeps = build_sweeps(base, runs, threads)?;
     bisect_threshold(|c| probe_gain(&mut sweeps, base, c, threads), 0, hi, 1.0)
-}
-
-/// The theory-side worst `x` for reference alongside empirical searches.
-pub fn theoretical_worst_x(cfg: &SimConfig, k: &KParam) -> Result<u64> {
-    let params = cfg.system_params()?;
-    Ok(optimal_subset_size(&params, k).x())
 }
 
 #[cfg(test)]

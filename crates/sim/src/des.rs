@@ -13,10 +13,8 @@ use crate::metrics::LoadReport;
 use crate::stats::{quantile, RunningStats};
 use crate::Result;
 use scp_cluster::{Cluster, KeyId, NodeId};
-use scp_workload::permute::KeyMapping;
 use scp_workload::rng::{mix, next_exponential, Xoshiro256StarStar};
 use scp_workload::stream::QueryStream;
-use scp_workload::temporal::PhasedPattern;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -190,98 +188,14 @@ pub fn run_des_with_events(cfg: &DesConfig, node_events: &[NodeEvent]) -> Result
         }
     }
     let sim = &cfg.sim;
-    let mapping = KeyMapping::scattered(sim.items, mix(&[sim.seed, 3]))?;
+    let mapping = sim.key_mapping()?;
     let top = (sim.cache_capacity as u64).min(sim.items);
     let ranked: Vec<u64> = (0..top).map(|rank| mapping.apply(rank)).collect();
     // Arrivals sample ranks; keys go through the same mapping as the cache.
     let mut stream = QueryStream::with_mapping(&sim.pattern, mix(&[sim.seed, 4]), mapping)?;
-    let mut key_at = move |_t: f64| stream.next_key();
-    let (report, _) = run_des_core(cfg, node_events, ranked, &mut key_at)?;
-    Ok(report)
-}
-
-/// Latency summary of one phase of a timed run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PhaseLatency {
-    /// Index into the timeline's phases.
-    pub phase: usize,
-    /// Back-end completions whose departure fell in this phase.
-    pub completed: u64,
-    /// Mean sojourn time of those completions (0 if none).
-    pub mean_latency: f64,
-    /// 95th-percentile sojourn time (0 if none).
-    pub p95_latency: f64,
-}
-
-/// Runs a discrete-event simulation over a [`PhasedPattern`] timeline
-/// (e.g. organic traffic → attack ramp → mitigation), with optional node
-/// events, returning the aggregate report plus per-phase latency
-/// summaries (bucketed by completion time).
-///
-/// The timeline replaces `cfg.sim.pattern` as the key source; its key
-/// space must match `cfg.sim.items`.
-///
-/// # Errors
-///
-/// Returns an error on invalid configurations or a key-space mismatch.
-pub fn run_des_phased(
-    cfg: &DesConfig,
-    node_events: &[NodeEvent],
-    timeline: &PhasedPattern,
-) -> Result<(DesReport, Vec<PhaseLatency>)> {
-    if timeline.key_space() != cfg.sim.items {
-        return Err(SimError::InvalidConfig {
-            field: "timeline",
-            reason: format!(
-                "timeline key space {} != items {}",
-                timeline.key_space(),
-                cfg.sim.items
-            ),
-        });
-    }
-    let sim = &cfg.sim;
-    let mapping = KeyMapping::scattered(sim.items, mix(&[sim.seed, 3]))?;
-    let top = (sim.cache_capacity as u64).min(sim.items);
-    let ranked: Vec<u64> = (0..top).map(|rank| mapping.apply(rank)).collect();
-    let mut sampler = timeline.sampler(mix(&[sim.seed, 4]))?;
-    let mut key_at = move |t: f64| mapping.apply(sampler.sample_at(t));
-    let (report, samples) = run_des_core(cfg, node_events, ranked, &mut key_at)?;
-
-    let mut buckets: Vec<Vec<f64>> = vec![Vec::new(); timeline.phase_count()];
-    for &(time, latency) in &samples {
-        buckets[timeline.phase_index_at(time)].push(latency);
-    }
-    let phases = buckets
-        .into_iter()
-        .enumerate()
-        .map(|(phase, lats)| {
-            let mut stats = RunningStats::new();
-            stats.extend(lats.iter().copied());
-            PhaseLatency {
-                phase,
-                completed: stats.count(),
-                mean_latency: stats.mean(),
-                p95_latency: if lats.is_empty() {
-                    0.0
-                } else {
-                    quantile(&lats, 0.95)
-                },
-            }
-        })
-        .collect();
-    Ok((report, phases))
-}
-
-fn run_des_core(
-    cfg: &DesConfig,
-    node_events: &[NodeEvent],
-    ranked_keys: Vec<u64>,
-    key_at: &mut dyn FnMut(f64) -> u64,
-) -> Result<(DesReport, Vec<(f64, f64)>)> {
-    let sim = &cfg.sim;
     let n = sim.nodes;
 
-    let mut cache = sim.build_cache(ranked_keys);
+    let mut cache = sim.build_cache(ranked);
     let mut cluster = Cluster::new(sim.build_partitioner()?, sim.build_selector());
     let mut arrival_rng = Xoshiro256StarStar::seed_from_u64(mix(&[sim.seed, 5]));
     let mut service_rng = Xoshiro256StarStar::seed_from_u64(mix(&[sim.seed, 6]));
@@ -307,14 +221,14 @@ fn run_des_core(
         }));
     }
 
-    let mut latencies: Vec<(f64, f64)> = Vec::new();
+    let mut latencies: Vec<f64> = Vec::new();
     let mut cache_hits = 0u64;
     let mut max_queue_depth = 0usize;
 
     while let Some(Reverse(event)) = events.pop() {
         match event.kind {
             EventKind::Arrival => {
-                let key = key_at(event.time);
+                let key = stream.next_key();
                 // Schedule the next arrival (if within the horizon).
                 let next = event.time + next_exponential(&mut arrival_rng, sim.rate);
                 if next <= cfg.duration {
@@ -367,7 +281,7 @@ fn run_des_core(
                 }
                 let q = &mut queues[node as usize];
                 let admitted = q.pop_front().expect("departure from empty queue");
-                latencies.push((event.time, event.time - admitted));
+                latencies.push(event.time - admitted);
                 if !q.is_empty() {
                     let service = next_exponential(&mut service_rng, cfg.service_rate);
                     busy_time[node as usize] += service;
@@ -380,16 +294,15 @@ fn run_des_core(
         }
     }
 
-    let lat_values: Vec<f64> = latencies.iter().map(|&(_, l)| l).collect();
     let mut lat_stats = RunningStats::new();
-    lat_stats.extend(lat_values.iter().copied());
-    let (p50, p95, p99) = if lat_values.is_empty() {
+    lat_stats.extend(latencies.iter().copied());
+    let (p50, p95, p99) = if latencies.is_empty() {
         (0.0, 0.0, 0.0)
     } else {
         (
-            quantile(&lat_values, 0.5),
-            quantile(&lat_values, 0.95),
-            quantile(&lat_values, 0.99),
+            quantile(&latencies, 0.5),
+            quantile(&latencies, 0.95),
+            quantile(&latencies, 0.99),
         )
     };
     let max_utilization = busy_time
@@ -411,22 +324,19 @@ fn run_des_core(
         cache_stats: Some(*cache.stats()),
     };
 
-    Ok((
-        DesReport {
-            completed,
-            cache_hits,
-            unfinished: lost,
-            mean_latency: lat_stats.mean(),
-            p50_latency: p50,
-            p95_latency: p95,
-            p99_latency: p99,
-            max_latency: lat_stats.max(),
-            max_queue_depth,
-            max_utilization,
-            load,
-        },
-        latencies,
-    ))
+    Ok(DesReport {
+        completed,
+        cache_hits,
+        unfinished: lost,
+        mean_latency: lat_stats.mean(),
+        p50_latency: p50,
+        p95_latency: p95,
+        p99_latency: p99,
+        max_latency: lat_stats.max(),
+        max_queue_depth,
+        max_utilization,
+        load,
+    })
 }
 
 #[cfg(test)]
@@ -607,86 +517,6 @@ mod tests {
         }];
         let a = run_des_with_events(&cfg, &events).unwrap();
         let b = run_des_with_events(&cfg, &events).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn phased_timeline_shows_attack_spike_and_recovery() {
-        use scp_workload::temporal::{Phase, PhasedPattern};
-        // Organic (light) -> attack hotspot -> organic again. Service rate
-        // gives comfortable head-room for organic traffic but not for the
-        // concentrated attack phase.
-        let organic = AccessPattern::uniform(1000).unwrap();
-        // One uncached key (x = c+1) carrying R/6 = 100 qps against a
-        // 120 qps/node service: rho ~0.83 during the attack phase vs
-        // ~0.25 organically.
-        let attack = AccessPattern::uniform_subset(6, 1000).unwrap();
-        let timeline = PhasedPattern::new(vec![
-            Phase {
-                duration: 10.0,
-                pattern: organic.clone(),
-            },
-            Phase {
-                duration: 10.0,
-                pattern: attack,
-            },
-            Phase {
-                duration: 10.0,
-                pattern: organic.clone(),
-            },
-        ])
-        .unwrap();
-        let cfg = des_config(600.0, 120.0, organic, 5);
-        let mut des = cfg;
-        des.duration = 30.0;
-        let (report, phases) = run_des_phased(&des, &[], &timeline).unwrap();
-        assert_eq!(phases.len(), 3);
-        assert!(report.completed > 0);
-        // The attack phase must have visibly worse latency than the first.
-        assert!(
-            phases[1].mean_latency > phases[0].mean_latency * 2.0,
-            "attack phase {:?} vs organic {:?}",
-            phases[1],
-            phases[0]
-        );
-        // After the attack stops, the tail drains and latency recovers
-        // (phase 2 better than phase 1).
-        assert!(phases[2].mean_latency < phases[1].mean_latency);
-        for p in &phases {
-            assert!(p.completed > 0, "every phase completes work: {p:?}");
-        }
-    }
-
-    #[test]
-    fn phased_rejects_mismatched_key_space() {
-        use scp_workload::temporal::{Phase, PhasedPattern};
-        let timeline = PhasedPattern::new(vec![Phase {
-            duration: 1.0,
-            pattern: AccessPattern::uniform(99).unwrap(),
-        }])
-        .unwrap();
-        let cfg = des_config(100.0, 100.0, AccessPattern::uniform(1000).unwrap(), 0);
-        assert!(run_des_phased(&cfg, &[], &timeline).is_err());
-    }
-
-    #[test]
-    fn phased_run_is_deterministic() {
-        use scp_workload::temporal::{Phase, PhasedPattern};
-        let timeline = PhasedPattern::new(vec![
-            Phase {
-                duration: 5.0,
-                pattern: AccessPattern::zipf(1.01, 1000).unwrap(),
-            },
-            Phase {
-                duration: 5.0,
-                pattern: AccessPattern::uniform_subset(21, 1000).unwrap(),
-            },
-        ])
-        .unwrap();
-        let mut cfg = des_config(200.0, 80.0, AccessPattern::uniform(1000).unwrap(), 20);
-        cfg.duration = 10.0;
-        let a = run_des_phased(&cfg, &[], &timeline).unwrap();
-        let b = run_des_phased(&cfg, &[], &timeline).unwrap();
         assert_eq!(a, b);
     }
 

@@ -22,7 +22,6 @@ use crate::metrics::LoadReport;
 use crate::Result;
 use scp_cache::Cache;
 use scp_cluster::{Cluster, KeyId};
-use scp_workload::permute::KeyMapping;
 use scp_workload::rng::{mix, next_below, Xoshiro256StarStar};
 
 /// How queries are routed to front-end caches.
@@ -88,7 +87,7 @@ pub fn run_multi_frontend_simulation(
         });
     }
 
-    let mapping = KeyMapping::scattered(cfg.items, mix(&[cfg.seed, 3]))?;
+    let mapping = cfg.key_mapping()?;
     let mut sampler = cfg.pattern.sampler(mix(&[cfg.seed, 4]))?;
     let mut route_rng = Xoshiro256StarStar::seed_from_u64(mix(&[cfg.seed, 8]));
 

@@ -10,7 +10,6 @@ use crate::error::SimError;
 use crate::metrics::LoadReport;
 use crate::Result;
 use scp_cluster::{Cluster, KeyId};
-use scp_workload::permute::KeyMapping;
 use scp_workload::rng::mix;
 
 /// Runs one query-sampling simulation of `queries` requests.
@@ -30,7 +29,7 @@ pub fn run_query_simulation(cfg: &SimConfig, queries: u64) -> Result<LoadReport>
         });
     }
 
-    let mapping = KeyMapping::scattered(cfg.items, mix(&[cfg.seed, 3]))?;
+    let mapping = cfg.key_mapping()?;
     let mut sampler = cfg.pattern.sampler(mix(&[cfg.seed, 4]))?;
     // True popularity order, mapped to concrete key ids, for the oracle.
     let top = cfg.cache_capacity as u64;
@@ -70,59 +69,6 @@ pub fn run_query_simulation(cfg: &SimConfig, queries: u64) -> Result<LoadReport>
         snapshot: cluster.snapshot(),
         cache_load: cache_load as f64,
         offered: queries as f64,
-        unserved: cluster.unserved(),
-        cache_stats: Some(*cache.stats()),
-    })
-}
-
-/// Replays a recorded [`Trace`] through the configured cache and cluster.
-///
-/// Trace keys are used verbatim (no rank mapping); the perfect cache is
-/// seeded with the trace's most frequent keys — the oracle that knows the
-/// workload it is about to serve.
-///
-/// # Errors
-///
-/// Returns an error on invalid configs or an empty trace.
-pub fn run_trace_simulation(
-    cfg: &SimConfig,
-    trace: &scp_workload::trace::Trace,
-) -> Result<LoadReport> {
-    cfg.validate()?;
-    if trace.is_empty() {
-        return Err(SimError::InvalidConfig {
-            field: "trace",
-            reason: "trace holds no queries".to_owned(),
-        });
-    }
-
-    // Popularity ranking of the trace itself for the perfect oracle.
-    let mut counts: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
-    for key in trace.iter() {
-        *counts.entry(key).or_insert(0) += 1;
-    }
-    // scp-allow(hash-iteration): the sort below imposes a total order
-    // (count desc, then key asc), so hash order cannot leak into results
-    // DETERMINISM: the collected pairs are immediately sorted by a total
-    // order (count desc, key asc), erasing hash iteration order.
-    let mut ranked: Vec<(u64, u64)> = counts.into_iter().collect();
-    ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    let mut cache = cfg.build_cache(ranked.into_iter().map(|(k, _)| k));
-    let mut cluster = Cluster::new(cfg.build_partitioner()?, cfg.build_selector());
-
-    let mut cache_load = 0u64;
-    for key in trace.iter() {
-        if cache.request(key).is_hit() {
-            cache_load += 1;
-        } else {
-            let _ = cluster.route_query(KeyId::new(key));
-        }
-    }
-
-    Ok(LoadReport {
-        snapshot: cluster.snapshot(),
-        cache_load: cache_load as f64,
-        offered: trace.len() as f64,
         unserved: cluster.unserved(),
         cache_stats: Some(*cache.stats()),
     })
@@ -245,39 +191,6 @@ mod tests {
         let r = run_query_simulation(&config(CacheKind::None, 0, 100), 10_000).unwrap();
         assert_eq!(r.cache_load, 0.0);
         assert_eq!(r.snapshot.total(), 10_000.0);
-    }
-
-    #[test]
-    fn trace_replay_matches_live_run_distribution() {
-        use scp_workload::stream::QueryStream;
-        use scp_workload::trace::{Trace, TraceMeta};
-        let cfg = config(CacheKind::Perfect, 10, 100);
-        // Record a trace of the same pattern, then replay it.
-        let mut stream = QueryStream::new(&cfg.pattern, 123).unwrap();
-        let trace = Trace::record(&mut stream, 50_000, TraceMeta::default());
-        let replayed = run_trace_simulation(&cfg, &trace).unwrap();
-        assert!(replayed.is_conserved(1e-12));
-        assert_eq!(replayed.offered, 50_000.0);
-        // Uniform over 100 keys with a perfect 10-entry oracle: ~10% hits.
-        let hit = replayed.cache_stats.unwrap().hit_rate();
-        assert!((hit - 0.1).abs() < 0.01, "hit rate {hit}");
-    }
-
-    #[test]
-    fn trace_replay_is_deterministic_and_rejects_empty() {
-        use scp_workload::stream::QueryStream;
-        use scp_workload::trace::{Trace, TraceMeta};
-        let cfg = config(CacheKind::Lru, 10, 100);
-        let mut stream = QueryStream::new(&cfg.pattern, 5).unwrap();
-        let trace = Trace::record(&mut stream, 5_000, TraceMeta::default());
-        let a = run_trace_simulation(&cfg, &trace).unwrap();
-        let b = run_trace_simulation(&cfg, &trace).unwrap();
-        assert_eq!(a, b);
-        let empty = Trace {
-            meta: TraceMeta::default(),
-            keys: vec![],
-        };
-        assert!(run_trace_simulation(&cfg, &empty).is_err());
     }
 
     #[test]

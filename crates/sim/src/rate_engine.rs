@@ -66,7 +66,7 @@ pub fn run_rate_simulation_on(
     cluster: &mut Cluster,
     cache_capacity: usize,
 ) -> Result<LoadReport> {
-    let mapping = KeyMapping::scattered(cfg.items, mix(&[cfg.seed, 3]))?;
+    let mapping = cfg.key_mapping()?;
     run_rate_simulation_with(cfg, cluster, cache_capacity, &mapping)
 }
 
@@ -141,7 +141,7 @@ pub fn run_rate_simulation_with(
 /// and a deployable sketch-driven cache directly measurable.
 fn run_rate_simulation_online(cfg: &SimConfig, cluster: &mut Cluster) -> Result<LoadReport> {
     cluster.reset();
-    let mapping = KeyMapping::scattered(cfg.items, mix(&[cfg.seed, 3]))?;
+    let mapping = cfg.key_mapping()?;
     let probs = cfg.pattern.rank_probs();
     let support = probs.support_bound();
 

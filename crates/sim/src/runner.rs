@@ -197,30 +197,11 @@ impl StopRule {
         self.ci_target > 0.0 && self.min_runs < self.max_runs
     }
 
-    /// The deterministic stop point for a set of per-run values in run
-    /// order: the smallest `k` in `[min_runs, len]` whose prefix CI
-    /// half-width is at most `ci_target`, or `None` if no prefix
-    /// qualifies (or the rule is not adaptive).
-    fn stop_point(&self, values: &[f64]) -> Option<usize> {
-        if !self.is_adaptive() {
-            return None;
-        }
-        let mut rs = RunningStats::new();
-        for (i, &v) in values.iter().enumerate() {
-            rs.push(v);
-            let k = i + 1;
-            if k >= self.min_runs && rs.ci95_half_width() <= self.ci_target {
-                return Some(k);
-            }
-        }
-        None
-    }
-
-    /// The stop point for a **vector-valued** per-run statistic: the
-    /// smallest `k` in `[min_runs, len]` where *every* component's prefix
-    /// CI half-width is at most `ci_target`. Like [`StopRule::stop_point`]
-    /// this is a pure function of the rows in run order, so sweeps stay
-    /// thread-count invariant.
+    /// The deterministic stop point for per-run metric rows in run
+    /// order: the smallest `k` in `[min_runs, len]` where *every*
+    /// component's prefix CI half-width is at most `ci_target`, or `None`
+    /// if no prefix qualifies (or the rule is not adaptive). A pure
+    /// function of the rows, so sweeps stay thread-count invariant.
     fn stop_point_multi(&self, rows: &[Vec<f64>]) -> Option<usize> {
         if !self.is_adaptive() {
             return None;
@@ -267,13 +248,8 @@ pub struct AdaptiveOutcome<T> {
 }
 
 /// Repeats `job` under a [`StopRule`], extracting a scalar statistic per
-/// run with `metric`.
-///
-/// Runs are computed in batches sized to the worker count, but the stop
-/// point is decided purely by prefix-scanning the per-run statistics in
-/// run order — overshoot beyond the stop point is computed and discarded,
-/// never returned. A fixed rule (or `ci_target <= 0`) executes exactly
-/// `max_runs` and keeps them all.
+/// run with `metric`: the width-1 case of
+/// [`repeat_with_stopping_multi`], with the same stop points.
 pub fn repeat_with_stopping<T, F, M>(
     rule: &StopRule,
     threads: usize,
@@ -285,53 +261,12 @@ where
     F: Fn(usize) -> T + Sync,
     M: Fn(&T) -> f64,
 {
-    if !rule.is_adaptive() {
-        let results = repeat(rule.max_runs, threads, &job);
-        let metrics: Vec<f64> = results.iter().map(&metric).collect();
-        let mut rs = RunningStats::new();
-        rs.extend(metrics.iter().copied());
-        return AdaptiveOutcome {
-            results,
-            metrics,
-            stopped_early: false,
-            ci_half_width: rs.ci95_half_width(),
-        };
-    }
-
-    let workers = resolve_threads(threads).min(rule.max_runs).max(1);
-    let mut results: Vec<T> = Vec::with_capacity(rule.min_runs);
-    let mut metrics: Vec<f64> = Vec::with_capacity(rule.min_runs);
-    loop {
-        // First batch jumps straight to the CI floor; later batches grow
-        // by whole worker widths to keep every core busy. Overshoot past
-        // the stop point is discarded below, so batching never changes
-        // the returned prefix.
-        let lo = results.len();
-        let target = if lo == 0 {
-            rule.min_runs.min(rule.max_runs)
-        } else {
-            (lo + workers).min(rule.max_runs)
-        };
-        let mut batch = repeat(target - lo, threads, |i| job(lo + i));
-        metrics.extend(batch.iter().map(&metric));
-        results.append(&mut batch);
-
-        if let Some(stop) = rule.stop_point(&metrics) {
-            results.truncate(stop);
-            metrics.truncate(stop);
-            break;
-        }
-        if results.len() >= rule.max_runs {
-            break;
-        }
-    }
-    let mut rs = RunningStats::new();
-    rs.extend(metrics.iter().copied());
+    let out = repeat_with_stopping_multi(rule, threads, job, |result| vec![metric(result)]);
     AdaptiveOutcome {
-        stopped_early: results.len() < rule.max_runs,
-        ci_half_width: rs.ci95_half_width(),
-        results,
-        metrics,
+        results: out.results,
+        metrics: out.metrics.into_iter().flatten().collect(),
+        stopped_early: out.stopped_early,
+        ci_half_width: out.ci_half_widths.first().copied().unwrap_or(0.0),
     }
 }
 
@@ -353,9 +288,12 @@ pub struct MultiAdaptiveOutcome<T> {
 /// statistic: the batch stops at the smallest prefix where *every*
 /// component's CI half-width reaches `ci_target`.
 ///
-/// All metric rows must have the same length. Like
-/// [`repeat_with_stopping`], the stop point is a pure function of the
-/// rows in run order, so results are thread-count invariant.
+/// Runs are computed in batches sized to the worker count, but the stop
+/// point is decided purely by prefix-scanning the metric rows in run
+/// order — overshoot beyond the stop point is computed and discarded,
+/// never returned — so results are thread-count invariant. A fixed rule
+/// (or `ci_target <= 0`) executes exactly `max_runs` and keeps them all.
+/// All metric rows must have the same length.
 pub fn repeat_with_stopping_multi<T, F, M>(
     rule: &StopRule,
     threads: usize,
@@ -382,6 +320,10 @@ where
     let mut results: Vec<T> = Vec::with_capacity(rule.min_runs);
     let mut metrics: Vec<Vec<f64>> = Vec::with_capacity(rule.min_runs);
     loop {
+        // First batch jumps straight to the CI floor; later batches grow
+        // by whole worker widths to keep every core busy. Overshoot past
+        // the stop point is discarded below, so batching never changes
+        // the returned prefix.
         let lo = results.len();
         let target = if lo == 0 {
             rule.min_runs.min(rule.max_runs)
@@ -644,14 +586,14 @@ mod tests {
     fn stop_point_is_prefix_deterministic() {
         let rule = StopRule::adaptive(3, 100, 0.5);
         // Identical values: CI hits zero as soon as min_runs is reached.
-        let flat = vec![1.0; 50];
-        assert_eq!(rule.stop_point(&flat), Some(3));
+        let flat = vec![vec![1.0]; 50];
+        assert_eq!(rule.stop_point_multi(&flat), Some(3));
         // Wildly varying values never satisfy a tight CI.
-        let noisy: Vec<f64> = (0..50)
-            .map(|i| if i % 2 == 0 { 0.0 } else { 100.0 })
+        let noisy: Vec<Vec<f64>> = (0..50)
+            .map(|i| vec![if i % 2 == 0 { 0.0 } else { 100.0 }])
             .collect();
         let loose = StopRule::adaptive(3, 100, 1e-9);
-        assert_eq!(loose.stop_point(&noisy), None);
+        assert_eq!(loose.stop_point_multi(&noisy), None);
     }
 
     #[test]

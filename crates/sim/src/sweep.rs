@@ -71,8 +71,6 @@ use crate::runner::{
 use crate::Result;
 use scp_cluster::load::LoadSnapshot;
 use scp_cluster::{Cluster, KeyId};
-use scp_workload::permute::KeyMapping;
-use scp_workload::rng::mix;
 use scp_workload::AccessPattern;
 
 /// One run's precomputed routing structure: every rank's replica group,
@@ -137,13 +135,12 @@ impl RunSweep {
             }
         };
         let cluster = Cluster::new(cfg.build_partitioner()?, cfg.build_selector());
-        let mapping = KeyMapping::scattered(cfg.items, mix(&[cfg.seed, 3]))?;
+        let mapping = cfg.key_mapping()?;
         let d = cfg.replication;
         let mut groups = Vec::with_capacity(x_max as usize * d);
-        // Fetch each group straight into the flat buffer (the same
-        // resolution `Cluster::assign_ranks` performs in bulk, minus the
-        // intermediate `Vec<ReplicaGroup>` — at paper scale that vector
-        // alone is several MB per run).
+        // Fetch each group straight into the flat buffer: a
+        // `Vec<ReplicaGroup>` in between would alone be several MB per
+        // run at paper scale.
         for rank in 0..x_max {
             let group = cluster.live_replicas(KeyId::new(mapping.apply(rank)));
             if group.len() != d {
@@ -471,7 +468,7 @@ pub struct SweepRun {
 ///
 /// Rejects stateful cache kinds — including `perfect` demoted to
 /// W-TinyLFU by online admission — which the steady-state oracle walk
-/// cannot model (use [`IncrementalSweep::evaluate_online`] or the rate
+/// cannot model (use [`RunSweep::evaluate_online`] or the rate
 /// engine's online path instead).
 pub fn effective_capacity(base: &SimConfig, cache: usize) -> Result<usize> {
     match base.effective_cache_kind() {

@@ -26,8 +26,6 @@ pub enum WorkloadError {
         /// Human-readable description of the violation.
         reason: String,
     },
-    /// Trace (de)serialization failure.
-    Trace(String),
 }
 
 impl fmt::Display for WorkloadError {
@@ -43,7 +41,6 @@ impl fmt::Display for WorkloadError {
             WorkloadError::InvalidParameter { name, reason } => {
                 write!(f, "invalid parameter `{name}`: {reason}")
             }
-            WorkloadError::Trace(msg) => write!(f, "trace error: {msg}"),
         }
     }
 }

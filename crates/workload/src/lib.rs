@@ -12,7 +12,6 @@
 //!   ranks to key identifiers so simulations never materialize huge tables.
 //! * [`stream::QueryStream`] / [`stream::PoissonArrivals`] — deterministic,
 //!   seeded query sequences for the sampling and discrete-event engines.
-//! * [`trace::Trace`] — record/replay of query sequences.
 //!
 //! Keys are plain `u64` identifiers at this layer; the cluster substrate
 //! wraps them in stronger types.
@@ -39,8 +38,6 @@ pub mod permute;
 pub mod pmf;
 pub mod rng;
 pub mod stream;
-pub mod temporal;
-pub mod trace;
 pub mod zipf;
 
 pub use error::WorkloadError;

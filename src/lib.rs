@@ -20,7 +20,7 @@
 //! * [`cache`] (`scp-cache`) — perfect/LRU/LFU/FIFO/CLOCK/SLRU/TinyLFU
 //!   front-end caches.
 //! * [`workload`] (`scp-workload`) — access patterns, Zipf/alias samplers,
-//!   query streams, traces.
+//!   query streams.
 //! * [`sim`] (`scp-sim`) — rate-propagation, query-sampling and
 //!   discrete-event engines plus the parallel experiment runner.
 //! * [`serve`] (`scp-serve`) — the sharded live-serving engine: admission
