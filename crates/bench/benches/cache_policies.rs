@@ -1,4 +1,8 @@
 //! Micro-benchmarks: one cache request per policy under Zipf traffic.
+//!
+//! With `SCP_BENCH_BASELINE=1` (or a path) the results are written as
+//! JSON — `BENCH_cache.json` at the repo root is the committed
+//! trajectory.
 
 use scp_bench::harness::{Criterion, Throughput};
 use scp_bench::{criterion_group, criterion_main};
@@ -67,6 +71,9 @@ fn bench_caches(c: &mut Criterion) {
         b.iter(|| black_box(drive(&mut cache, &keys)));
     });
     group.finish();
+
+    c.write_baseline(std::env::var_os("SCP_BENCH_BASELINE"), "BENCH_cache.json")
+        .expect("baseline path is writable");
 }
 
 criterion_group!(benches, bench_caches);

@@ -3,6 +3,7 @@
 use crate::lru_core::LruCore;
 use crate::stats::CacheStats;
 use crate::{Cache, CacheOutcome};
+use scp_workload::fasthash::FastBuildHasher;
 use std::hash::Hash;
 
 /// ARC balances a recency list `T1` against a frequency list `T2`,
@@ -28,11 +29,17 @@ impl<K: Copy + Eq + Hash + std::fmt::Debug> ArcCache<K> {
     /// Creates an ARC cache holding at most `capacity` items
     /// (ghost lists remember up to another `capacity` evicted keys).
     pub fn new(capacity: usize) -> Self {
+        Self::with_hasher(capacity, FastBuildHasher::default())
+    }
+
+    /// [`ArcCache::new`] with all four lists keyed by `hasher`.
+    pub fn with_hasher(capacity: usize, hasher: FastBuildHasher) -> Self {
+        let list = || LruCore::with_hasher(capacity.saturating_mul(2), hasher);
         Self {
-            t1: LruCore::new(capacity.saturating_mul(2)),
-            t2: LruCore::new(capacity.saturating_mul(2)),
-            b1: LruCore::new(capacity.saturating_mul(2)),
-            b2: LruCore::new(capacity.saturating_mul(2)),
+            t1: list(),
+            t2: list(),
+            b1: list(),
+            b2: list(),
             p: 0,
             capacity,
             stats: CacheStats::new(),

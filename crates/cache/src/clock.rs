@@ -2,6 +2,7 @@
 
 use crate::stats::CacheStats;
 use crate::{Cache, CacheOutcome};
+use scp_workload::fasthash::FastBuildHasher;
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -18,7 +19,7 @@ struct Frame<K> {
 #[derive(Debug, Clone)]
 pub struct ClockCache<K> {
     frames: Vec<Frame<K>>,
-    index: HashMap<K, usize>,
+    index: HashMap<K, usize, FastBuildHasher>,
     hand: usize,
     capacity: usize,
     stats: CacheStats,
@@ -27,9 +28,14 @@ pub struct ClockCache<K> {
 impl<K: Copy + Eq + Hash> ClockCache<K> {
     /// Creates a CLOCK cache holding at most `capacity` items.
     pub fn new(capacity: usize) -> Self {
+        Self::with_hasher(capacity, FastBuildHasher::default())
+    }
+
+    /// [`ClockCache::new`] with the key index keyed by `hasher`.
+    pub fn with_hasher(capacity: usize, hasher: FastBuildHasher) -> Self {
         Self {
             frames: Vec::with_capacity(capacity.min(1 << 20)),
-            index: HashMap::with_capacity(capacity.min(1 << 20)),
+            index: HashMap::with_capacity_and_hasher(capacity.min(1 << 20), hasher),
             hand: 0,
             capacity,
             stats: CacheStats::new(),

@@ -11,6 +11,7 @@
 use crate::stats::CacheStats;
 use crate::topk::SpaceSaving;
 use crate::{Cache, CacheOutcome};
+use scp_workload::fasthash::FastBuildHasher;
 use std::collections::HashSet;
 use std::hash::Hash;
 
@@ -24,7 +25,7 @@ pub const DEFAULT_REFRESH_INTERVAL: u64 = 1024;
 #[derive(Debug, Clone)]
 pub struct EstimatedOracleCache<K> {
     estimator: SpaceSaving<K>,
-    resident: HashSet<K>,
+    resident: HashSet<K, FastBuildHasher>,
     capacity: usize,
     refresh_interval: u64,
     since_refresh: u64,
@@ -35,17 +36,42 @@ pub struct EstimatedOracleCache<K> {
 impl<K: Copy + Eq + Hash + Ord> EstimatedOracleCache<K> {
     /// Creates the cache with default oversampling and refresh interval.
     pub fn new(capacity: usize) -> Self {
-        Self::with_tuning(capacity, DEFAULT_OVERSAMPLE, DEFAULT_REFRESH_INTERVAL)
+        Self::with_hasher(capacity, FastBuildHasher::default())
+    }
+
+    /// [`EstimatedOracleCache::new`] with the estimator and the resident
+    /// set keyed by `hasher`.
+    pub fn with_hasher(capacity: usize, hasher: FastBuildHasher) -> Self {
+        Self::build(
+            capacity,
+            DEFAULT_OVERSAMPLE,
+            DEFAULT_REFRESH_INTERVAL,
+            hasher,
+        )
     }
 
     /// Creates the cache with explicit tuning: the estimator tracks
     /// `capacity * oversample` keys (min 1) and the resident set is
     /// rebuilt every `refresh_interval` requests (min 1).
     pub fn with_tuning(capacity: usize, oversample: usize, refresh_interval: u64) -> Self {
+        Self::build(
+            capacity,
+            oversample,
+            refresh_interval,
+            FastBuildHasher::default(),
+        )
+    }
+
+    fn build(
+        capacity: usize,
+        oversample: usize,
+        refresh_interval: u64,
+        hasher: FastBuildHasher,
+    ) -> Self {
         let counters = (capacity * oversample.max(1)).max(1);
         Self {
-            estimator: SpaceSaving::new(counters),
-            resident: HashSet::with_capacity(capacity),
+            estimator: SpaceSaving::with_hasher(counters, hasher),
+            resident: HashSet::with_capacity_and_hasher(capacity, hasher),
             capacity,
             refresh_interval: refresh_interval.max(1),
             since_refresh: 0,
@@ -67,7 +93,7 @@ impl<K: Copy + Eq + Hash + Ord> EstimatedOracleCache<K> {
     fn refresh(&mut self) {
         self.refreshes += 1;
         let old_len = self.resident.len();
-        let next: HashSet<K> = self
+        let next: HashSet<K, FastBuildHasher> = self
             .estimator
             .top(self.capacity)
             .into_iter()

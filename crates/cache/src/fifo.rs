@@ -2,6 +2,7 @@
 
 use crate::stats::CacheStats;
 use crate::{Cache, CacheOutcome};
+use scp_workload::fasthash::FastBuildHasher;
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 
@@ -10,7 +11,7 @@ use std::hash::Hash;
 #[derive(Debug, Clone)]
 pub struct FifoCache<K> {
     queue: VecDeque<K>,
-    resident: HashMap<K, ()>,
+    resident: HashMap<K, (), FastBuildHasher>,
     capacity: usize,
     stats: CacheStats,
 }
@@ -18,9 +19,14 @@ pub struct FifoCache<K> {
 impl<K: Copy + Eq + Hash> FifoCache<K> {
     /// Creates a FIFO cache holding at most `capacity` items.
     pub fn new(capacity: usize) -> Self {
+        Self::with_hasher(capacity, FastBuildHasher::default())
+    }
+
+    /// [`FifoCache::new`] with the resident set keyed by `hasher`.
+    pub fn with_hasher(capacity: usize, hasher: FastBuildHasher) -> Self {
         Self {
             queue: VecDeque::with_capacity(capacity.min(1 << 20)),
-            resident: HashMap::with_capacity(capacity.min(1 << 20)),
+            resident: HashMap::with_capacity_and_hasher(capacity.min(1 << 20), hasher),
             capacity,
             stats: CacheStats::new(),
         }

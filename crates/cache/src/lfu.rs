@@ -2,6 +2,7 @@
 
 use crate::stats::CacheStats;
 use crate::{Cache, CacheOutcome};
+use scp_workload::fasthash::FastBuildHasher;
 use std::collections::{BTreeSet, HashMap};
 use std::hash::Hash;
 
@@ -18,8 +19,8 @@ use std::hash::Hash;
 /// accumulate the highest counters and become unevictable.
 #[derive(Debug, Clone)]
 pub struct LfuCache<K> {
-    entries: HashMap<K, (u64, u64)>, // key -> (frequency, tick)
-    order: BTreeSet<(u64, u64, K)>,  // (frequency, tick, key)
+    entries: HashMap<K, (u64, u64), FastBuildHasher>, // key -> (frequency, tick)
+    order: BTreeSet<(u64, u64, K)>,                   // (frequency, tick, key)
     tick: u64,
     capacity: usize,
     stats: CacheStats,
@@ -28,8 +29,13 @@ pub struct LfuCache<K> {
 impl<K: Copy + Eq + Hash + Ord> LfuCache<K> {
     /// Creates an LFU cache holding at most `capacity` items.
     pub fn new(capacity: usize) -> Self {
+        Self::with_hasher(capacity, FastBuildHasher::default())
+    }
+
+    /// [`LfuCache::new`] with the entry table keyed by `hasher`.
+    pub fn with_hasher(capacity: usize, hasher: FastBuildHasher) -> Self {
         Self {
-            entries: HashMap::with_capacity(capacity.min(1 << 20)),
+            entries: HashMap::with_capacity_and_hasher(capacity.min(1 << 20), hasher),
             order: BTreeSet::new(),
             tick: 0,
             capacity,

@@ -31,7 +31,6 @@
 pub mod arc;
 pub mod clock;
 pub mod estimated;
-pub mod fasthash;
 pub mod fifo;
 pub mod lfu;
 pub mod list;

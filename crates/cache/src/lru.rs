@@ -3,6 +3,7 @@
 use crate::lru_core::LruCore;
 use crate::stats::CacheStats;
 use crate::{Cache, CacheOutcome};
+use scp_workload::fasthash::FastBuildHasher;
 use std::hash::Hash;
 
 /// Classic LRU: every miss admits the key at the MRU position, evicting the
@@ -22,8 +23,13 @@ pub struct LruCache<K> {
 impl<K: Copy + Eq + Hash> LruCache<K> {
     /// Creates an LRU cache holding at most `capacity` items.
     pub fn new(capacity: usize) -> Self {
+        Self::with_hasher(capacity, FastBuildHasher::default())
+    }
+
+    /// [`LruCache::new`] with the key table keyed by `hasher`.
+    pub fn with_hasher(capacity: usize, hasher: FastBuildHasher) -> Self {
         Self {
-            core: LruCore::new(capacity),
+            core: LruCore::with_hasher(capacity, hasher),
             stats: CacheStats::new(),
         }
     }

@@ -1,6 +1,7 @@
 //! Reusable LRU bookkeeping shared by LRU, SLRU and TinyLFU segments.
 
 use crate::list::LinkedSlab;
+use scp_workload::fasthash::FastBuildHasher;
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -9,9 +10,13 @@ use std::hash::Hash;
 /// This is a building block, not a [`crate::Cache`]: it has no statistics
 /// and leaves capacity enforcement policy (what to do with the evicted key)
 /// to its caller.
+///
+/// The key→slot map is keyed by a [`FastBuildHasher`]: an online cache
+/// stores what clients ask for, so runs seed it (see
+/// [`scp_workload::fasthash`]).
 #[derive(Debug, Clone)]
 pub struct LruCore<K> {
-    map: HashMap<K, usize>,
+    map: HashMap<K, usize, FastBuildHasher>,
     list: LinkedSlab<K>,
     capacity: usize,
 }
@@ -19,8 +24,13 @@ pub struct LruCore<K> {
 impl<K: Copy + Eq + Hash> LruCore<K> {
     /// Creates an empty set holding at most `capacity` keys.
     pub fn new(capacity: usize) -> Self {
+        Self::with_hasher(capacity, FastBuildHasher::default())
+    }
+
+    /// [`LruCore::new`] with the key→slot map keyed by `hasher`.
+    pub(crate) fn with_hasher(capacity: usize, hasher: FastBuildHasher) -> Self {
         Self {
-            map: HashMap::with_capacity(capacity.min(1 << 20)),
+            map: HashMap::with_capacity_and_hasher(capacity.min(1 << 20), hasher),
             list: LinkedSlab::with_capacity(capacity.min(1 << 20)),
             capacity,
         }

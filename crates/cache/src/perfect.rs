@@ -1,8 +1,8 @@
 //! The paper's perfect popularity cache.
 
-use crate::fasthash::FastBuildHasher;
 use crate::stats::CacheStats;
 use crate::{Cache, CacheOutcome};
+use scp_workload::fasthash::FastBuildHasher;
 use std::collections::HashSet;
 use std::fmt;
 use std::hash::Hash;
@@ -28,10 +28,9 @@ use std::hash::Hash;
 #[derive(Clone)]
 pub struct PerfectCache<K> {
     /// The top-`c` key set. Keyed by [`FastBuildHasher`]: membership is
-    /// the per-query cost of the serving hot path, and the set's contents
-    /// are experiment-chosen (never attacker-controlled), so the
-    /// deterministic three-multiply hash is safe and ~3× cheaper than
-    /// SipHash per lookup.
+    /// the per-query cost of the serving hot path, and the deterministic
+    /// three-multiply hash is ~3× cheaper than SipHash per lookup. Every
+    /// query probes it with an attacker-chosen key, so runs seed it.
     cached: HashSet<K, FastBuildHasher>,
     capacity: usize,
     stats: CacheStats,
@@ -41,7 +40,17 @@ impl<K: Copy + Eq + Hash> PerfectCache<K> {
     /// Builds the cache from keys listed in decreasing popularity order;
     /// only the first `capacity` keys are retained.
     pub fn new<I: IntoIterator<Item = K>>(capacity: usize, ranked_keys: I) -> Self {
-        let cached: HashSet<K, FastBuildHasher> = ranked_keys.into_iter().take(capacity).collect();
+        Self::with_hasher(capacity, ranked_keys, FastBuildHasher::default())
+    }
+
+    /// [`PerfectCache::new`] with the key set keyed by `hasher`.
+    pub fn with_hasher<I: IntoIterator<Item = K>>(
+        capacity: usize,
+        ranked_keys: I,
+        hasher: FastBuildHasher,
+    ) -> Self {
+        let mut cached = HashSet::with_hasher(hasher);
+        cached.extend(ranked_keys.into_iter().take(capacity));
         Self {
             cached,
             capacity,

@@ -1,13 +1,34 @@
 //! Frequency sketches for TinyLFU admission.
+//!
+//! Every count-min row index and doorkeeper probe of a key derives from
+//! one 64-bit base hash, `key_hash`, computed once per access: row `r`
+//! reads `mix(&[h, r ^ 0xC0FF_EE00])` and the doorkeeper
+//! `mix(&[h, 0xD00B_1EE7_0000_1111])`. W-TinyLFU hands the same `h` to
+//! both structures through the `*_hashed` forms; the generic
+//! `estimate`/`increment`/`contains`/`insert` are one-line adapters over
+//! them.
+//!
+//! The base hash is std's default SipHash-1-3 under a fixed all-zero
+//! key, and `mix` is public, so which counters a key touches is a
+//! *public* function of the key: an attacker can search for keys that
+//! share rows with a victim and pollute its estimate. Keying it would
+//! move which keys collide, and so every TinyLFU figure and digest; that
+//! sketch-pollution surface is left to ROADMAP item 5(b).
 
 use scp_workload::rng::mix;
 use std::hash::{Hash, Hasher};
 
-fn hash_key<K: Hash>(key: &K, seed: u64) -> u64 {
-    // FxHash-style accumulation via std hasher, then a strong finalizer.
+/// Per-row domain tag: row `r` hashes with `r ^ ROW_TAG`.
+const ROW_TAG: u64 = 0xC0FF_EE00;
+/// Domain tag of the doorkeeper's probe hash.
+const DOOR_TAG: u64 = 0xD00B_1EE7_0000_1111;
+
+/// The seed-independent base hash every row index and doorkeeper probe
+/// of `key` derives from (SipHash-1-3, fixed zero key).
+pub(crate) fn key_hash<K: Hash>(key: &K) -> u64 {
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
     key.hash(&mut hasher);
-    mix(&[hasher.finish(), seed])
+    hasher.finish()
 }
 
 /// A count-min sketch with 4-bit saturating counters and periodic halving,
@@ -18,10 +39,9 @@ fn hash_key<K: Hash>(key: &K, seed: u64) -> u64 {
 /// "reset" operation), keeping estimates fresh under drifting popularity.
 #[derive(Debug, Clone)]
 pub struct CountMinSketch {
-    /// Packed 4-bit counters: `depth` rows of `width` counters.
+    /// Packed 4-bit counters: `DEPTH` rows of `width` counters.
     table: Vec<u64>,
     width: usize, // counters per row, power of two
-    depth: usize,
     increments: u64,
     sample_size: u64,
     resets: u64,
@@ -44,55 +64,67 @@ impl CountMinSketch {
         Self {
             table: vec![0u64; words_per_row * Self::DEPTH],
             width,
-            depth: Self::DEPTH,
             increments: 0,
             sample_size: (10 * capacity.max(1)) as u64,
             resets: 0,
         }
     }
 
-    fn slot(&self, row: usize, index: usize) -> (usize, usize) {
+    /// Word and bit offset of each row's counter for base hash `h`.
+    fn slots(&self, h: u64) -> [(usize, usize); Self::DEPTH] {
         let words_per_row = self.width / 16;
-        let word = row * words_per_row + index / 16;
-        let shift = (index % 16) * 4;
-        (word, shift)
-    }
-
-    fn get(&self, row: usize, index: usize) -> u8 {
-        let (word, shift) = self.slot(row, index);
-        // The 0xF mask makes the lane fit u8; saturation is unreachable.
-        u8::try_from((self.table[word] >> shift) & 0xF).unwrap_or(Self::MAX_COUNT)
-    }
-
-    fn bump(&mut self, row: usize, index: usize) {
-        let current = self.get(row, index);
-        if current < Self::MAX_COUNT {
-            let (word, shift) = self.slot(row, index);
-            self.table[word] += 1u64 << shift;
+        let mut slots = [(0, 0); Self::DEPTH];
+        for (row, slot) in slots.iter_mut().enumerate() {
+            let index = (mix(&[h, row as u64 ^ ROW_TAG]) as usize) & (self.width - 1);
+            *slot = (row * words_per_row + index / 16, (index % 16) * 4);
         }
+        slots
     }
 
-    fn index_for<K: Hash>(&self, key: &K, row: usize) -> usize {
-        (hash_key(key, row as u64 ^ 0xC0FF_EE00) as usize) & (self.width - 1)
+    /// Minimum counter over `slots` (the count-min estimate).
+    fn min_at(&self, slots: &[(usize, usize); Self::DEPTH]) -> u8 {
+        slots
+            .iter()
+            .map(|&(word, shift)| {
+                // The 0xF mask makes the lane fit u8; saturation is unreachable.
+                self.table.get(word).map_or(0, |w| {
+                    u8::try_from((w >> shift) & 0xF).unwrap_or(Self::MAX_COUNT)
+                })
+            })
+            .min()
+            .unwrap_or(0)
     }
 
     /// Estimated frequency of `key` (minimum over rows).
     pub fn estimate<K: Hash>(&self, key: &K) -> u8 {
-        (0..self.depth)
-            .map(|row| self.get(row, self.index_for(key, row)))
-            .min()
-            .unwrap_or(0)
+        self.estimate_hashed(key_hash(key))
+    }
+
+    /// [`CountMinSketch::estimate`] for a key whose [`key_hash`] is `h`.
+    pub(crate) fn estimate_hashed(&self, h: u64) -> u8 {
+        self.min_at(&self.slots(h))
     }
 
     /// Records one occurrence; returns the updated estimate. Triggers a
     /// halving reset when the sample period elapses.
     pub fn increment<K: Hash>(&mut self, key: &K) -> u8 {
-        for row in 0..self.depth {
-            let index = self.index_for(key, row);
-            self.bump(row, index);
+        self.increment_hashed(key_hash(key))
+    }
+
+    /// [`CountMinSketch::increment`] for a key whose [`key_hash`] is `h`:
+    /// the estimate it returns is read, after any halving, from the slots
+    /// it just bumped.
+    pub(crate) fn increment_hashed(&mut self, h: u64) -> u8 {
+        let slots = self.slots(h);
+        for &(word, shift) in &slots {
+            if let Some(w) = self.table.get_mut(word) {
+                if (*w >> shift) & 0xF < u64::from(Self::MAX_COUNT) {
+                    *w += 1 << shift;
+                }
+            }
         }
         self.note_sample();
-        self.estimate(key)
+        self.min_at(&slots)
     }
 
     /// Advances the sample period without touching any counter.
@@ -157,13 +189,13 @@ impl Doorkeeper {
         }
     }
 
-    fn positions<K: Hash>(&self, key: &K) -> [usize; 3] {
+    fn positions(&self, h: u64) -> [usize; 3] {
         // Kirsch–Mitzenmacher double hashing: probe i is h1 + i·h2 with an
         // odd step so probes stay distinct modulo the power-of-two filter
         // size. Each probe draws on all 64 hash bits; deriving them from
         // overlapping bit ranges of one hash correlates the probes as soon
         // as the mask exceeds the range offset (capacity ≳ 262k).
-        let h = hash_key(key, 0xD00B_1EE7_0000_1111);
+        let h = mix(&[h, DOOR_TAG]);
         let h1 = h as usize;
         let h2 = ((h >> 32) | 1) as usize;
         [
@@ -175,19 +207,32 @@ impl Doorkeeper {
 
     /// Whether the key has (probably) been seen since the last reset.
     pub fn contains<K: Hash>(&self, key: &K) -> bool {
-        self.positions(key)
-            .iter()
-            .all(|&p| self.bits[p / 64] >> (p % 64) & 1 == 1)
+        self.contains_hashed(key_hash(key))
+    }
+
+    /// [`Doorkeeper::contains`] for a key whose [`key_hash`] is `h`.
+    pub(crate) fn contains_hashed(&self, h: u64) -> bool {
+        self.positions(h).iter().all(|&p| {
+            self.bits
+                .get(p / 64)
+                .is_some_and(|word| word >> (p % 64) & 1 == 1)
+        })
     }
 
     /// Marks the key as seen; returns whether it was already present.
     pub fn insert<K: Hash>(&mut self, key: &K) -> bool {
+        self.insert_hashed(key_hash(key))
+    }
+
+    /// [`Doorkeeper::insert`] for a key whose [`key_hash`] is `h`.
+    pub(crate) fn insert_hashed(&mut self, h: u64) -> bool {
         let mut present = true;
-        for p in self.positions(key) {
-            let word = &mut self.bits[p / 64];
-            if *word >> (p % 64) & 1 == 0 {
-                present = false;
-                *word |= 1 << (p % 64);
+        for p in self.positions(h) {
+            if let Some(word) = self.bits.get_mut(p / 64) {
+                if *word >> (p % 64) & 1 == 0 {
+                    present = false;
+                    *word |= 1 << (p % 64);
+                }
             }
         }
         present
@@ -324,6 +369,96 @@ mod tests {
         assert!(
             fp < 220,
             "large-capacity false positive rate too high: {fp}/10000"
+        );
+    }
+
+    /// Row indices (not slots) of base hash `h`, recovered from the slots.
+    fn row_indices(s: &CountMinSketch, h: u64) -> [usize; CountMinSketch::DEPTH] {
+        let words_per_row = s.width / 16;
+        s.slots(h)
+            .map(|(word, shift)| (word % words_per_row) * 16 + shift / 4)
+    }
+
+    #[test]
+    fn single_hash_reproduces_the_per_row_formula() {
+        // Golden vectors computed by the retired per-row formula,
+        // `mix(&[SipHash(key), row ^ 0xC0FF_EE00]) & (width - 1)` and the
+        // doorkeeper's `mix(&[SipHash(key), 0xD00B_1EE7_0000_1111])`
+        // probes, at capacity 2^16 (19-bit indices). Every TinyLFU figure
+        // and digest depends on these staying put.
+        let s = CountMinSketch::for_capacity(1 << 16);
+        let d = Doorkeeper::for_capacity(1 << 16);
+        let u64_keys: [(u64, [usize; 4], [usize; 3]); 5] = [
+            (0, [289803, 175213, 500702, 54354], [501177, 335728, 170279]),
+            (1, [291274, 49401, 309169, 93956], [152511, 331162, 509813]),
+            (
+                42,
+                [459239, 354014, 151695, 65756],
+                [174202, 517529, 336568],
+            ),
+            (
+                0xDEAD_BEEF,
+                [470872, 60666, 73243, 317651],
+                [221493, 26052, 354899],
+            ),
+            (
+                u64::MAX,
+                [521819, 265472, 186249, 50107],
+                [311809, 496806, 157515],
+            ),
+        ];
+        for (key, rows, door) in u64_keys {
+            let h = key_hash(&key);
+            assert_eq!(row_indices(&s, h), rows, "rows of u64 {key:#x}");
+            assert_eq!(d.positions(h), door, "doorkeeper probes of u64 {key:#x}");
+        }
+        let key_ids: [(u64, [usize; 4], [usize; 3]); 3] = [
+            (7, [88142, 360035, 456019, 417560], [42903, 92326, 141749]),
+            (
+                1 << 40,
+                [79246, 382833, 286742, 101338],
+                [93215, 359804, 102105],
+            ),
+            (
+                99_999,
+                [93694, 487176, 496518, 420520],
+                [119045, 174614, 230183],
+            ),
+        ];
+        for (raw, rows, door) in key_ids {
+            let h = key_hash(&scp_cluster::ids::KeyId::new(raw));
+            assert_eq!(row_indices(&s, h), rows, "rows of KeyId {raw:#x}");
+            assert_eq!(d.positions(h), door, "doorkeeper probes of KeyId {raw:#x}");
+        }
+    }
+
+    #[test]
+    fn prop_increment_returns_the_following_estimate() {
+        // Seeded 500-case sweep: the estimate `increment` reads from the
+        // slots it just bumped equals a fresh `estimate`, on every access
+        // and in particular on the ones that trigger a halving (the old
+        // code re-derived all indices after the halving).
+        use scp_workload::rng::{next_below, Xoshiro256StarStar};
+        let mut gen = Xoshiro256StarStar::seed_from_u64(0x5EE7C4);
+        let mut halving_accesses = 0u64;
+        for case in 0..500 {
+            let capacity = 1 + next_below(&mut gen, 8) as usize;
+            let keys = 1 + next_below(&mut gen, 40);
+            let len = 1 + next_below(&mut gen, 300);
+            let mut s = CountMinSketch::for_capacity(capacity);
+            for _ in 0..len {
+                let key = next_below(&mut gen, keys);
+                let resets = s.resets();
+                let got = s.increment(&key);
+                assert_eq!(got, s.estimate(&key), "case {case}: key {key}");
+                if s.resets() != resets {
+                    halving_accesses += 1;
+                }
+            }
+        }
+        assert!(
+            halving_accesses > 500,
+            "only {halving_accesses} halving accesses were checked"
         );
     }
 }

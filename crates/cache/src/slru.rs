@@ -3,6 +3,7 @@
 use crate::lru_core::LruCore;
 use crate::stats::CacheStats;
 use crate::{Cache, CacheOutcome};
+use scp_workload::fasthash::FastBuildHasher;
 use std::hash::Hash;
 
 /// Default fraction of capacity given to the protected segment.
@@ -27,21 +28,30 @@ pub struct SlruCache<K> {
 impl<K: Copy + Eq + Hash + std::fmt::Debug> SlruCache<K> {
     /// Creates an SLRU cache with the default 80% protected split.
     pub fn new(capacity: usize) -> Self {
-        Self::with_protected_fraction(capacity, DEFAULT_PROTECTED_FRACTION)
+        Self::with_hasher(capacity, FastBuildHasher::default())
+    }
+
+    /// [`SlruCache::new`] with both segments keyed by `hasher`.
+    pub fn with_hasher(capacity: usize, hasher: FastBuildHasher) -> Self {
+        Self::build(capacity, DEFAULT_PROTECTED_FRACTION, hasher)
     }
 
     /// Creates an SLRU cache with an explicit protected fraction in
     /// `[0, 1]` (clamped). The protected segment target is strictly less
     /// than `capacity` so probation always has room to admit.
     pub fn with_protected_fraction(capacity: usize, fraction: f64) -> Self {
+        Self::build(capacity, fraction, FastBuildHasher::default())
+    }
+
+    fn build(capacity: usize, fraction: f64, hasher: FastBuildHasher) -> Self {
         let fraction = fraction.clamp(0.0, 1.0);
         let protected_target =
             (((capacity as f64) * fraction).round() as usize).min(capacity.saturating_sub(1));
         Self {
             // Segments are sized at total capacity: the split is enforced
             // by demotion/eviction logic, not by the cores themselves.
-            probation: LruCore::new(capacity),
-            protected: LruCore::new(capacity),
+            probation: LruCore::with_hasher(capacity, hasher),
+            protected: LruCore::with_hasher(capacity, hasher),
             protected_target,
             capacity,
             stats: CacheStats::new(),

@@ -1,10 +1,11 @@
 //! W-TinyLFU: windowed admission-filtered caching.
 
 use crate::lru_core::LruCore;
-use crate::sketch::{CountMinSketch, Doorkeeper};
+use crate::sketch::{key_hash, CountMinSketch, Doorkeeper};
 use crate::slru::SlruCache;
 use crate::stats::CacheStats;
 use crate::{Cache, CacheOutcome};
+use scp_workload::fasthash::FastBuildHasher;
 use std::hash::Hash;
 
 /// Default fraction of capacity given to the admission window.
@@ -21,6 +22,10 @@ pub const DEFAULT_WINDOW_FRACTION: f64 = 0.01;
 /// *adversarial equal-frequency* pattern, no subset is more popular than
 /// another and even TinyLFU cannot beat the `c/x` hit ceiling — which is
 /// exactly the regime where only the cache *size* bound helps.
+///
+/// Each request hashes its key for the sketch and doorkeeper once; the
+/// window and main regions key their tables with the cache's
+/// [`FastBuildHasher`].
 #[derive(Debug, Clone)]
 pub struct TinyLfuCache<K> {
     window: LruCore<K>,
@@ -34,13 +39,23 @@ pub struct TinyLfuCache<K> {
 impl<K: Copy + Eq + Hash + std::fmt::Debug> TinyLfuCache<K> {
     /// Creates a W-TinyLFU cache with a 1% window and 99% SLRU main region.
     pub fn new(capacity: usize) -> Self {
-        Self::with_window_fraction(capacity, DEFAULT_WINDOW_FRACTION)
+        Self::with_hasher(capacity, FastBuildHasher::default())
+    }
+
+    /// [`TinyLfuCache::new`] with the window and main regions keyed by
+    /// `hasher`.
+    pub fn with_hasher(capacity: usize, hasher: FastBuildHasher) -> Self {
+        Self::build(capacity, DEFAULT_WINDOW_FRACTION, hasher)
     }
 
     /// Creates a W-TinyLFU cache with an explicit window fraction in
     /// `[0, 1]` (clamped; the window gets at least one slot when
     /// `capacity > 1`).
     pub fn with_window_fraction(capacity: usize, fraction: f64) -> Self {
+        Self::build(capacity, fraction, FastBuildHasher::default())
+    }
+
+    fn build(capacity: usize, fraction: f64, hasher: FastBuildHasher) -> Self {
         let fraction = fraction.clamp(0.0, 1.0);
         let mut window_cap = ((capacity as f64) * fraction).round() as usize;
         if capacity > 1 {
@@ -49,8 +64,8 @@ impl<K: Copy + Eq + Hash + std::fmt::Debug> TinyLfuCache<K> {
             window_cap = capacity; // capacity 0 or 1: window is everything
         }
         Self {
-            window: LruCore::new(window_cap),
-            main: SlruCache::new(capacity - window_cap),
+            window: LruCore::with_hasher(window_cap, hasher),
+            main: SlruCache::with_hasher(capacity - window_cap, hasher),
             sketch: CountMinSketch::for_capacity(capacity),
             doorkeeper: Doorkeeper::for_capacity(capacity),
             capacity,
@@ -58,7 +73,8 @@ impl<K: Copy + Eq + Hash + std::fmt::Debug> TinyLfuCache<K> {
         }
     }
 
-    fn record_access(&mut self, key: &K) {
+    /// Records one access of the key whose `key_hash` is `h`.
+    fn record_access(&mut self, h: u64) {
         // The doorkeeper absorbs first occurrences; repeat offenders go to
         // the sketch. Both paths advance the sample window, and every
         // halving reset also clears the doorkeeper (per the W-TinyLFU
@@ -66,8 +82,8 @@ impl<K: Copy + Eq + Hash + std::fmt::Debug> TinyLfuCache<K> {
         // the whole run, or the Bloom filter saturates and answers true
         // for every key.
         let resets_before = self.sketch.resets();
-        if self.doorkeeper.insert(key) {
-            self.sketch.increment(key);
+        if self.doorkeeper.insert_hashed(h) {
+            self.sketch.increment_hashed(h);
         } else {
             self.sketch.observe_sample();
         }
@@ -76,14 +92,15 @@ impl<K: Copy + Eq + Hash + std::fmt::Debug> TinyLfuCache<K> {
         }
     }
 
-    fn frequency(&self, key: &K) -> u32 {
-        let base = if self.doorkeeper.contains(key) { 1 } else { 0 };
-        base + u32::from(self.sketch.estimate(key))
+    /// Admission frequency of the key whose `key_hash` is `h`.
+    fn frequency(&self, h: u64) -> u32 {
+        let base = u32::from(self.doorkeeper.contains_hashed(h));
+        base + u32::from(self.sketch.estimate_hashed(h))
     }
 
     /// Estimated popularity of a key as seen by the admission filter.
     pub fn admission_frequency(&self, key: &K) -> u32 {
-        self.frequency(key)
+        self.frequency(key_hash(key))
     }
 
     /// Number of sketch halving resets (each also cleared the doorkeeper).
@@ -99,10 +116,10 @@ impl<K: Copy + Eq + Hash + std::fmt::Debug> TinyLfuCache<K> {
             return;
         }
         let victim_freq = match self.main_probation_victim() {
-            Some(victim) => self.frequency(&victim),
+            Some(victim) => self.frequency(key_hash(&victim)),
             None => 0,
         };
-        if self.frequency(&candidate) > victim_freq {
+        if self.frequency(key_hash(&candidate)) > victim_freq {
             self.main.request(candidate);
         } else {
             self.stats.record_rejection();
@@ -116,7 +133,7 @@ impl<K: Copy + Eq + Hash + std::fmt::Debug> TinyLfuCache<K> {
 
 impl<K: Copy + Eq + Hash + std::fmt::Debug> Cache<K> for TinyLfuCache<K> {
     fn request(&mut self, key: K) -> CacheOutcome {
-        self.record_access(&key);
+        self.record_access(key_hash(&key));
         if self.window.touch(&key) {
             self.stats.record_hit();
             return CacheOutcome::Hit;

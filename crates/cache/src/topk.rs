@@ -8,6 +8,7 @@
 //! `<= N/k` after `N` observations, and every key with true frequency
 //! above `N/k` is guaranteed to be tracked.
 
+use scp_workload::fasthash::FastBuildHasher;
 use std::collections::{BTreeSet, HashMap};
 use std::hash::Hash;
 
@@ -41,7 +42,7 @@ pub struct TopKEntry<K> {
 #[derive(Debug, Clone)]
 pub struct SpaceSaving<K> {
     // key -> (count, error, tick)
-    entries: HashMap<K, (u64, u64, u64)>,
+    entries: HashMap<K, (u64, u64, u64), FastBuildHasher>,
     // (count, tick, key) ordered ascending: first() is the eviction victim.
     order: BTreeSet<(u64, u64, K)>,
     capacity: usize,
@@ -56,9 +57,18 @@ impl<K: Copy + Eq + Hash + Ord> SpaceSaving<K> {
     ///
     /// Panics if `capacity == 0`.
     pub fn new(capacity: usize) -> Self {
+        Self::with_hasher(capacity, FastBuildHasher::default())
+    }
+
+    /// [`SpaceSaving::new`] with the entry table keyed by `hasher`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity == 0`.
+    pub(crate) fn with_hasher(capacity: usize, hasher: FastBuildHasher) -> Self {
         assert!(capacity > 0, "need at least one counter");
         Self {
-            entries: HashMap::with_capacity(capacity),
+            entries: HashMap::with_capacity_and_hasher(capacity, hasher),
             order: BTreeSet::new(),
             capacity,
             tick: 0,

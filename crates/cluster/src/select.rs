@@ -5,8 +5,14 @@
 //! member of its group when first seen (d-choice allocation). The other
 //! selectors implement the "random selection or round-robin" rules the
 //! paper mentions, which spread each key's rate evenly across its group.
+//!
+//! The sticky selectors keep per-key state in tables keyed by a
+//! [`FastBuildHasher`]: the keys are whatever clients query, so runs seed
+//! the hasher (see [`scp_workload::fasthash`]). The tables are never
+//! iterated, so the seed changes their layout, never a decision.
 
 use crate::ids::{KeyId, NodeId};
+use scp_workload::fasthash::FastBuildHasher;
 use scp_workload::rng::{next_below, Xoshiro256StarStar};
 use std::collections::HashMap;
 use std::fmt;
@@ -103,13 +109,21 @@ impl ReplicaSelector for RandomSelector {
 /// Per-key round-robin over the group.
 #[derive(Debug, Clone, Default)]
 pub struct RoundRobinSelector {
-    counters: HashMap<KeyId, u32>,
+    counters: HashMap<KeyId, u32, FastBuildHasher>,
 }
 
 impl RoundRobinSelector {
     /// Creates the selector.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// [`RoundRobinSelector::new`] with the per-key counters keyed by
+    /// `hasher`.
+    pub fn with_hasher(hasher: FastBuildHasher) -> Self {
+        Self {
+            counters: HashMap::with_hasher(hasher),
+        }
     }
 }
 
@@ -150,13 +164,20 @@ impl ReplicaSelector for RoundRobinSelector {
 /// Eq. (5) bound.
 #[derive(Debug, Clone, Default)]
 pub struct LeastLoadedSelector {
-    pins: HashMap<KeyId, NodeId>,
+    pins: HashMap<KeyId, NodeId, FastBuildHasher>,
 }
 
 impl LeastLoadedSelector {
     /// Creates the selector.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// [`LeastLoadedSelector::new`] with the pin table keyed by `hasher`.
+    pub fn with_hasher(hasher: FastBuildHasher) -> Self {
+        Self {
+            pins: HashMap::with_hasher(hasher),
+        }
     }
 
     /// Number of keys currently pinned.
@@ -201,7 +222,7 @@ impl ReplicaSelector for LeastLoadedSelector {
 /// With uniform weights this reduces exactly to [`LeastLoadedSelector`].
 #[derive(Debug, Clone)]
 pub struct WeightedLeastLoadedSelector {
-    pins: HashMap<KeyId, NodeId>,
+    pins: HashMap<KeyId, NodeId, FastBuildHasher>,
     weights: Vec<f64>,
 }
 
@@ -217,7 +238,7 @@ impl WeightedLeastLoadedSelector {
             "capacity weights must be finite and positive"
         );
         Self {
-            pins: HashMap::new(),
+            pins: HashMap::default(),
             weights,
         }
     }
@@ -460,6 +481,39 @@ mod tests {
     #[should_panic(expected = "finite and positive")]
     fn weighted_selector_rejects_bad_weights() {
         let _ = WeightedLeastLoadedSelector::new(vec![1.0, 0.0]);
+    }
+
+    #[test]
+    fn sticky_decisions_do_not_depend_on_the_hasher_seed() {
+        // The pin and counter tables are never iterated, so keying them
+        // with another seed changes their layout and nothing else: the
+        // same stream routes identically, re-pins included.
+        fn route(mut s: Box<dyn ReplicaSelector>) -> Vec<NodeId> {
+            let mut gen = Xoshiro256StarStar::seed_from_u64(0x5E1E);
+            let mut loads = vec![0.0; 16];
+            let mut picks = Vec::new();
+            for step in 0..20_000u64 {
+                let key = next_below(&mut gen, 3_000) * 0x9E37_79B9;
+                let first = (key % 16) as u32;
+                let mut g = group(&[first, (first + 5) % 16, (first + 11) % 16]);
+                if step % 97 == 0 {
+                    g.remove(0); // a member drops out: pinned keys re-pin
+                }
+                let node = s.select(KeyId::new(key), &g, &loads);
+                loads[node.index()] += 1.0;
+                picks.push(node);
+            }
+            picks
+        }
+        let (a, b) = (FastBuildHasher::new(1), FastBuildHasher::new(2));
+        assert_eq!(
+            route(Box::new(LeastLoadedSelector::with_hasher(a))),
+            route(Box::new(LeastLoadedSelector::with_hasher(b)))
+        );
+        assert_eq!(
+            route(Box::new(RoundRobinSelector::with_hasher(a))),
+            route(Box::new(RoundRobinSelector::with_hasher(b)))
+        );
     }
 
     #[test]

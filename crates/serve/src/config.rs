@@ -136,6 +136,18 @@ impl std::str::FromStr for MembershipEvent {
     }
 }
 
+/// Largest accepted `batch_size` and `submit_batch`, in requests. Both
+/// become `Vec::with_capacity` before any traffic (one admission buffer
+/// per shard slot, one submission buffer per client); every test, bench
+/// and default uses at most 256, so the bound only keeps a mistyped
+/// `--batch` / `--submit-batch` from becoming a terabyte allocation.
+pub const MAX_BATCH: usize = 1 << 12;
+
+/// Largest accepted `clients`: each client is an OS thread with its own
+/// intake ring, stream and completion counter, allocated before any
+/// traffic. Tests, benches and `scp-e2e` use at most 4.
+pub const MAX_CLIENTS: usize = 1 << 8;
+
 /// A complete description of one serving run.
 ///
 /// The embedded [`SimConfig`] fixes the *system shape* — `sim.nodes` is
@@ -289,14 +301,18 @@ impl ServeConfig {
     /// # Errors
     ///
     /// Returns an error on an invalid [`SimConfig`] or nonsensical
-    /// live-path parameters (no clients, zero-sized batches or queues, or
+    /// live-path parameters (clients outside `1..=`[`MAX_CLIENTS`],
+    /// batches outside `1..=`[`MAX_BATCH`], empty or oversized rings, or
     /// a run with neither a quota nor a duration).
     pub fn validate(&self) -> Result<()> {
         self.sim.validate().map_err(ServeError::from)?;
-        if self.clients == 0 {
+        if self.clients == 0 || self.clients > MAX_CLIENTS {
             return Err(ServeError::InvalidConfig {
                 field: "clients",
-                reason: "need at least one load-generator client".to_owned(),
+                reason: format!(
+                    "{} load-generator clients outside 1..={MAX_CLIENTS}",
+                    self.clients
+                ),
             });
         }
         if self.client_window == 0 {
@@ -305,15 +321,19 @@ impl ServeConfig {
                 reason: "closed-loop window must be positive".to_owned(),
             });
         }
-        if self.submit_batch == 0 || self.batch_size == 0 {
-            return Err(ServeError::InvalidConfig {
-                field: "batch_size",
-                reason: "batch sizes must be positive".to_owned(),
-            });
+        // Batches and rings are allocated before any traffic: bound them
+        // where the value enters, not where the allocation fails.
+        for (field, requests) in [
+            ("submit_batch", self.submit_batch),
+            ("batch_size", self.batch_size),
+        ] {
+            if requests == 0 || requests > MAX_BATCH {
+                return Err(ServeError::InvalidConfig {
+                    field,
+                    reason: format!("batch of {requests} requests outside 1..={MAX_BATCH}"),
+                });
+            }
         }
-        // Both rings are sized in batches and allocated (with per-slot
-        // telemetry) before any traffic: bound them where the value
-        // enters, not where the allocation fails.
         for (field, slots) in [
             ("queue_capacity", self.queue_capacity),
             ("intake_depth", self.intake_depth),
@@ -427,7 +447,11 @@ mod tests {
         cfg.intake_depth = 0;
         assert!(cfg.validate().is_err());
 
-        // The two CLI values that used to abort in the allocator.
+        let mut cfg = ServeConfig::new(shape());
+        cfg.submit_batch = 0;
+        assert!(cfg.validate().is_err());
+
+        // The CLI values that used to abort in the allocator.
         let mut cfg = ServeConfig::new(shape());
         cfg.queue_capacity = 100_000_000_000;
         assert!(cfg.validate().is_err());
@@ -437,6 +461,28 @@ mod tests {
         let mut cfg = ServeConfig::new(shape());
         cfg.intake_depth = 3_000_000_000;
         assert!(cfg.validate().is_err());
+
+        // `--batch 100000000000` (both modes), `--submit-batch
+        // 100000000000` (deterministic mode) and `--clients 1000000000`
+        // (threaded mode); each bound itself is accepted.
+        let rejected = |cfg: ServeConfig, field: &str| matches!(cfg.validate(), Err(ServeError::InvalidConfig { field: f, .. }) if f == field);
+        let mut cfg = ServeConfig::new(shape());
+        cfg.batch_size = 100_000_000_000;
+        assert!(rejected(cfg.clone(), "batch_size"));
+        cfg.batch_size = MAX_BATCH;
+        assert!(cfg.validate().is_ok());
+
+        let mut cfg = ServeConfig::new(shape());
+        cfg.submit_batch = 100_000_000_000;
+        assert!(rejected(cfg.clone(), "submit_batch"));
+        cfg.submit_batch = MAX_BATCH;
+        assert!(cfg.validate().is_ok());
+
+        let mut cfg = ServeConfig::new(shape());
+        cfg.clients = 1_000_000_000;
+        assert!(rejected(cfg.clone(), "clients"));
+        cfg.clients = MAX_CLIENTS;
+        assert!(cfg.validate().is_ok());
 
         let mut cfg = ServeConfig::new(shape());
         cfg.total_queries = 0;

@@ -20,7 +20,10 @@
 //!   `2 · replay_capacity` entries regardless of attack volume. A full
 //!   window rejects further proofs (fail-closed).
 //! * **Cheap verification.** One or two `mix` evaluations plus a hash-set
-//!   probe per request, on the admission thread.
+//!   probe per request, on the admission thread. The replay sets hash
+//!   with a [`FastBuildHasher`] keyed by the server secret: digests are
+//!   client-steerable, so the bucket function must not be public, and the
+//!   sets are never iterated, so the key changes layout only.
 //!
 //! A client attaches work by finding `nonce` such that
 //! `mix(server_nonce, client, key, nonce)` has at least `difficulty`
@@ -28,6 +31,7 @@
 //! digest to `(client, key)` keeps solutions non-transferable across
 //! clients and queries.
 
+use scp_workload::fasthash::FastBuildHasher;
 use scp_workload::rng::mix;
 use std::collections::HashSet;
 
@@ -134,16 +138,22 @@ pub struct PowVerifier {
     window_secs: f64,
     replay_capacity: usize,
     current_window: u64,
-    seen_current: HashSet<u64>,
-    seen_previous: HashSet<u64>,
+    seen_current: HashSet<u64, FastBuildHasher>,
+    seen_previous: HashSet<u64, FastBuildHasher>,
 }
 
 impl PowVerifier {
     /// Builds the verifier for one run; the secret is derived from the
-    /// run seed so deterministic runs are reproducible.
+    /// run seed so deterministic runs are reproducible, and also keys the
+    /// replay sets.
     pub fn new(shield: &PowShield, seed: u64) -> Self {
+        let secret = mix(&[seed, SECRET_TAG]);
+        Self::with_hasher(shield, secret, FastBuildHasher::new(secret))
+    }
+
+    fn with_hasher(shield: &PowShield, secret: u64, hasher: FastBuildHasher) -> Self {
         Self {
-            secret: mix(&[seed, SECRET_TAG]),
+            secret,
             difficulty: shield.difficulty,
             window_secs: if shield.window_secs > 0.0 {
                 shield.window_secs
@@ -152,8 +162,8 @@ impl PowVerifier {
             },
             replay_capacity: shield.replay_capacity.max(1),
             current_window: 0,
-            seen_current: HashSet::new(),
-            seen_previous: HashSet::new(),
+            seen_current: HashSet::with_hasher(hasher),
+            seen_previous: HashSet::with_hasher(hasher),
         }
     }
 
@@ -343,6 +353,43 @@ mod tests {
         let b = verifier(6);
         assert_eq!(a.server_nonce(3), b.server_nonce(3));
         assert_ne!(a.server_nonce(3), a.server_nonce(4));
+    }
+
+    #[test]
+    fn verdicts_do_not_depend_on_the_replay_set_hasher() {
+        // Replay sets are probed and sized, never iterated: keyed by two
+        // different seeds they must return the same verdict sequence —
+        // accepts, replays, bad work and fail-closed rejections of a full
+        // window alike, across window rolls.
+        let mut shield = PowShield::new(3);
+        shield.replay_capacity = 40;
+        let verdicts = |hasher_seed: u64| {
+            let secret = mix(&[9, SECRET_TAG]);
+            let mut v =
+                PowVerifier::with_hasher(&shield, secret, FastBuildHasher::new(hasher_seed));
+            let mut out = Vec::new();
+            for i in 0..600u64 {
+                let now = i as f64 / 150.0; // four windows
+                let key = i % 50;
+                let nonce = solve_from(v.server_nonce(v.window_at(now)), 1, key, 3, i % 7).0;
+                let proof = match i % 5 {
+                    0 => None,
+                    1 => Some(nonce ^ 1),
+                    _ => Some(nonce),
+                };
+                out.push(v.verify(now, 1, key, proof));
+            }
+            out
+        };
+        let a = verdicts(1);
+        assert_eq!(a, verdicts(2));
+        for kind in [
+            PowVerdict::Accepted,
+            PowVerdict::Replayed,
+            PowVerdict::Missing,
+        ] {
+            assert!(a.contains(&kind), "stream never produced {kind:?}");
+        }
     }
 
     #[test]

@@ -12,6 +12,7 @@ use scp_cluster::select::{
     LeastLoadedSelector, PerQueryLeastLoaded, RandomSelector, ReplicaSelector, RoundRobinSelector,
 };
 use scp_core::params::SystemParams;
+use scp_workload::fasthash::FastBuildHasher;
 use scp_workload::permute::KeyMapping;
 use scp_workload::rng::mix;
 use scp_workload::AccessPattern;
@@ -539,13 +540,16 @@ impl SimConfig {
             .items(self.items)
     }
 
-    /// Builds the configured replica selector.
+    /// Builds the configured replica selector (seed lane 2: the random
+    /// selector's stream, and the key of the sticky selectors' per-key
+    /// tables).
     pub fn build_selector(&self) -> Box<dyn ReplicaSelector> {
         let seed = mix(&[self.seed, 2]);
+        let hasher = FastBuildHasher::new(seed);
         match self.selector {
             SelectorKind::Random => Box::new(RandomSelector::new(seed)),
-            SelectorKind::RoundRobin => Box::new(RoundRobinSelector::new()),
-            SelectorKind::LeastLoaded => Box::new(LeastLoadedSelector::new()),
+            SelectorKind::RoundRobin => Box::new(RoundRobinSelector::with_hasher(hasher)),
+            SelectorKind::LeastLoaded => Box::new(LeastLoadedSelector::with_hasher(hasher)),
             SelectorKind::PerQueryLeastLoaded => Box::new(PerQueryLeastLoaded::new()),
         }
     }
@@ -576,19 +580,23 @@ impl SimConfig {
     /// admission knob (see [`SimConfig::effective_cache_kind`]).
     ///
     /// `ranked_keys` supplies the true popularity order for
-    /// [`CacheKind::Perfect`]; other policies ignore it.
+    /// [`CacheKind::Perfect`]; other policies ignore it. Every policy's
+    /// key tables are keyed from seed lane 9 (see
+    /// [`scp_workload::fasthash`]); the seed changes their layout, never
+    /// an outcome.
     pub fn build_cache<I: IntoIterator<Item = u64>>(&self, ranked_keys: I) -> Box<dyn Cache<u64>> {
         let c = self.cache_capacity;
+        let hasher = FastBuildHasher::new(mix(&[self.seed, 9]));
         match self.effective_cache_kind() {
-            CacheKind::Perfect => Box::new(PerfectCache::new(c, ranked_keys)),
-            CacheKind::Lru => Box::new(LruCache::new(c)),
-            CacheKind::Lfu => Box::new(LfuCache::new(c)),
-            CacheKind::Fifo => Box::new(FifoCache::new(c)),
-            CacheKind::Clock => Box::new(ClockCache::new(c)),
-            CacheKind::Slru => Box::new(SlruCache::new(c)),
-            CacheKind::TinyLfu => Box::new(TinyLfuCache::new(c)),
-            CacheKind::Arc => Box::new(ArcCache::new(c)),
-            CacheKind::EstimatedOracle => Box::new(EstimatedOracleCache::new(c)),
+            CacheKind::Perfect => Box::new(PerfectCache::with_hasher(c, ranked_keys, hasher)),
+            CacheKind::Lru => Box::new(LruCache::with_hasher(c, hasher)),
+            CacheKind::Lfu => Box::new(LfuCache::with_hasher(c, hasher)),
+            CacheKind::Fifo => Box::new(FifoCache::with_hasher(c, hasher)),
+            CacheKind::Clock => Box::new(ClockCache::with_hasher(c, hasher)),
+            CacheKind::Slru => Box::new(SlruCache::with_hasher(c, hasher)),
+            CacheKind::TinyLfu => Box::new(TinyLfuCache::with_hasher(c, hasher)),
+            CacheKind::Arc => Box::new(ArcCache::with_hasher(c, hasher)),
+            CacheKind::EstimatedOracle => Box::new(EstimatedOracleCache::with_hasher(c, hasher)),
             CacheKind::None => Box::new(NoCache::new()),
         }
     }
@@ -687,6 +695,51 @@ mod tests {
                 assert_eq!(cache.capacity(), 0);
             } else {
                 assert_eq!(cache.capacity(), 5, "{}", kind.name());
+            }
+        }
+    }
+
+    #[test]
+    fn cache_outcomes_do_not_depend_on_the_hasher_seed() {
+        // `build_cache` keys every policy's tables from seed lane 9, so
+        // two configs that differ only in `seed` build each policy under
+        // two different hashers. One replayed stream must then give the
+        // same outcome sequence, stats and sketch resets: the hasher
+        // moves table layout, never a decision.
+        use scp_cache::CacheOutcome;
+        let items = 2_000u64;
+        let capacity = 64usize;
+        let mapping = KeyMapping::scattered(items, 3).unwrap();
+        let ranked: Vec<u64> = (0..capacity as u64).map(|r| mapping.apply(r)).collect();
+        for pattern in [
+            AccessPattern::zipf(1.1, items).unwrap(),
+            AccessPattern::rotating_subset(150, items, 500).unwrap(),
+        ] {
+            let mut sampler = pattern.sampler(11).unwrap();
+            let keys: Vec<u64> = (0..20_000)
+                .map(|_| mapping.apply(sampler.sample()))
+                .collect();
+            for kind in CacheKind::ALL {
+                let replay = |seed: u64| {
+                    let cfg = SimConfig::builder()
+                        .nodes(10)
+                        .items(items)
+                        .cache_capacity(capacity)
+                        .cache_kind(kind)
+                        .pattern(pattern.clone())
+                        .seed(seed)
+                        .build()
+                        .unwrap();
+                    let mut cache = cfg.build_cache(ranked.iter().copied());
+                    let outcomes: Vec<CacheOutcome> =
+                        keys.iter().map(|&k| cache.request(k)).collect();
+                    (outcomes, *cache.stats(), cache.sketch_resets())
+                };
+                let (a, b) = (replay(1), replay(2));
+                assert!(a == b, "{kind} under {}", pattern.describe());
+                if kind == CacheKind::TinyLfu {
+                    assert!(a.2 > 0, "the stream must age the sketch");
+                }
             }
         }
     }

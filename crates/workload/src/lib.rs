@@ -12,6 +12,8 @@
 //!   ranks to key identifiers so simulations never materialize huge tables.
 //! * [`stream::QueryStream`] / [`stream::PoissonArrivals`] — deterministic,
 //!   seeded query sequences for the sampling and discrete-event engines.
+//! * [`fasthash::FastBuildHasher`] — the run-seeded hasher under every
+//!   key-indexed table the cache, cluster and serving crates keep.
 //!
 //! Keys are plain `u64` identifiers at this layer; the cluster substrate
 //! wraps them in stronger types.
@@ -32,6 +34,7 @@
 
 pub mod alias;
 pub mod error;
+pub mod fasthash;
 pub mod mixture;
 pub mod pattern;
 pub mod permute;
