@@ -147,40 +147,46 @@ impl Cluster {
             return Err(ClusterError::NoLiveReplica(key));
         }
         let node = self.selector.select(key, live.as_slice(), &self.loads);
-        if let Some(load) = self.loads.get_mut(node.index()) {
-            *load += cost;
-        }
+        self.charge(node, cost);
         self.queries_served += 1;
         Ok(node)
     }
 
+    /// Adds `amount` to a node's load.
+    fn charge(&mut self, node: NodeId, amount: f64) {
+        if let Some(load) = self.loads.get_mut(node.index()) {
+            *load += amount;
+        }
+    }
+
     /// Attributes a steady per-key rate to the cluster (rate-propagation
     /// mode): sticky selectors put the whole rate on the pinned node,
-    /// memoryless selectors split it evenly over the live group.
+    /// memoryless selectors split it evenly over the live group. Returns
+    /// the assignment it applied.
     ///
     /// # Errors
     ///
     /// Returns [`ClusterError::NoLiveReplica`] if the whole group is down
     /// (the rate is counted as unserved).
-    pub fn apply_rate(&mut self, key: KeyId, rate: f64) -> Result<()> {
+    pub fn apply_rate(&mut self, key: KeyId, rate: f64) -> Result<RateAssignment> {
         let live = self.live_replicas(key);
         if live.is_empty() {
             self.unserved += rate;
             return Err(ClusterError::NoLiveReplica(key));
         }
-        match self
+        let assignment = self
             .selector
-            .rate_assignment(key, live.as_slice(), &self.loads)
-        {
-            RateAssignment::Pinned(node) => self.loads[node.index()] += rate,
+            .rate_assignment(key, live.as_slice(), &self.loads);
+        match assignment {
+            RateAssignment::Pinned(node) => self.charge(node, rate),
             RateAssignment::EvenSplit => {
                 let share = rate / live.len() as f64;
                 for &node in live.as_slice() {
-                    self.loads[node.index()] += share;
+                    self.charge(node, share);
                 }
             }
         }
-        Ok(())
+        Ok(assignment)
     }
 
     /// Marks a node as failed; subsequent routing skips it.
@@ -398,16 +404,20 @@ mod tests {
     #[test]
     fn apply_rate_sticky_puts_rate_on_one_node() {
         let mut c = small_cluster(Box::new(LeastLoadedSelector::new()));
-        c.apply_rate(KeyId::new(1), 6.0).unwrap();
+        let RateAssignment::Pinned(node) = c.apply_rate(KeyId::new(1), 6.0).unwrap() else {
+            panic!("a sticky selector pins");
+        };
         let snap = c.snapshot();
         assert!((snap.total() - 6.0).abs() < 1e-12);
         assert_eq!(snap.max(), 6.0, "sticky rate must land on one node");
+        assert_eq!(snap.loads()[node.index()], 6.0, "on the node it reports");
     }
 
     #[test]
     fn apply_rate_memoryless_splits_evenly() {
         let mut c = small_cluster(Box::new(RandomSelector::new(1)));
-        c.apply_rate(KeyId::new(1), 6.0).unwrap();
+        let assignment = c.apply_rate(KeyId::new(1), 6.0).unwrap();
+        assert_eq!(assignment, RateAssignment::EvenSplit);
         let snap = c.snapshot();
         assert!((snap.total() - 6.0).abs() < 1e-12);
         assert!((snap.max() - 2.0).abs() < 1e-12, "rate split over d=3");

@@ -215,87 +215,6 @@ impl ReplicaSelector for LeastLoadedSelector {
     }
 }
 
-/// Sticky least-*relative*-loaded assignment for heterogeneous nodes:
-/// keys pin to the group member with the smallest `load / capacity`
-/// ratio, so a node with twice the capacity attracts twice the keys.
-///
-/// With uniform weights this reduces exactly to [`LeastLoadedSelector`].
-#[derive(Debug, Clone)]
-pub struct WeightedLeastLoadedSelector {
-    pins: HashMap<KeyId, NodeId, FastBuildHasher>,
-    weights: Vec<f64>,
-}
-
-impl WeightedLeastLoadedSelector {
-    /// Creates the selector with per-node capacity weights.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any weight is not finite and positive.
-    pub fn new(weights: Vec<f64>) -> Self {
-        assert!(
-            weights.iter().all(|w| w.is_finite() && *w > 0.0),
-            "capacity weights must be finite and positive"
-        );
-        Self {
-            pins: HashMap::default(),
-            weights,
-        }
-    }
-
-    fn relative_argmin(&self, group: &[NodeId], loads: &[f64]) -> NodeId {
-        debug_assert!(!group.is_empty(), "selector invoked with empty group");
-        // Untracked nodes score infinity (never chosen over a tracked
-        // node); weights are validated positive, so the ratio is finite.
-        let score = |n: NodeId| {
-            let w = self.weights.get(n.index()).copied().unwrap_or(1.0);
-            loads.get(n.index()).copied().unwrap_or(f64::INFINITY) / w
-        };
-        let mut iter = group.iter().copied();
-        let Some(mut best) = iter.next() else {
-            return NodeId::new(0);
-        };
-        let mut best_score = score(best);
-        for n in iter {
-            let s = score(n);
-            if s < best_score {
-                best = n;
-                best_score = s;
-            }
-        }
-        best
-    }
-
-    fn pin(&mut self, key: KeyId, group: &[NodeId], loads: &[f64]) -> NodeId {
-        if let Some(&pinned) = self.pins.get(&key) {
-            if group.contains(&pinned) {
-                return pinned;
-            }
-        }
-        let node = self.relative_argmin(group, loads);
-        self.pins.insert(key, node);
-        node
-    }
-}
-
-impl ReplicaSelector for WeightedLeastLoadedSelector {
-    fn select(&mut self, key: KeyId, group: &[NodeId], loads: &[f64]) -> NodeId {
-        self.pin(key, group, loads)
-    }
-
-    fn rate_assignment(&mut self, key: KeyId, group: &[NodeId], loads: &[f64]) -> RateAssignment {
-        RateAssignment::Pinned(self.pin(key, group, loads))
-    }
-
-    fn reset(&mut self) {
-        self.pins.clear();
-    }
-
-    fn name(&self) -> &'static str {
-        "weighted-least-loaded"
-    }
-}
-
 /// Memoryless join-the-least-loaded: every query independently picks the
 /// currently least-loaded group member (no pinning).
 #[derive(Debug, Clone, Default)]
@@ -435,55 +354,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_selector_prefers_spare_relative_capacity() {
-        let g = group(&[0, 1]);
-        // Node 1 has 4x the capacity; with equal absolute loads it wins.
-        let mut s = WeightedLeastLoadedSelector::new(vec![1.0, 4.0]);
-        assert_eq!(s.select(KeyId::new(1), &g, &[2.0, 2.0]), NodeId::new(1));
-        // Sticky like the unweighted variant.
-        assert_eq!(s.select(KeyId::new(1), &g, &[0.0, 99.0]), NodeId::new(1));
-        s.reset();
-        // A 4x-loaded big node ties a 1x-loaded small node; first wins.
-        assert_eq!(s.select(KeyId::new(2), &g, &[1.0, 4.0]), NodeId::new(0));
-    }
-
-    #[test]
-    fn weighted_selector_balances_proportionally_to_capacity() {
-        // 2 nodes with weights 1:3 inside every group; 4000 unit keys
-        // should split roughly 1:3.
-        let g = group(&[0, 1]);
-        let mut s = WeightedLeastLoadedSelector::new(vec![1.0, 3.0]);
-        let mut loads = vec![0.0, 0.0];
-        for k in 0..4000u64 {
-            let n = s.select(KeyId::new(k), &g, &loads);
-            loads[n.index()] += 1.0;
-        }
-        let ratio = loads[1] / loads[0];
-        assert!(
-            (ratio - 3.0).abs() < 0.1,
-            "split ratio {ratio} should be ~3"
-        );
-    }
-
-    #[test]
-    fn weighted_selector_with_uniform_weights_matches_least_loaded() {
-        let g = group(&[2, 0, 1]);
-        let loads = vec![5.0, 1.0, 3.0];
-        let mut w = WeightedLeastLoadedSelector::new(vec![1.0; 3]);
-        let mut p = LeastLoadedSelector::new();
-        assert_eq!(
-            w.select(KeyId::new(9), &g, &loads),
-            p.select(KeyId::new(9), &g, &loads)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "finite and positive")]
-    fn weighted_selector_rejects_bad_weights() {
-        let _ = WeightedLeastLoadedSelector::new(vec![1.0, 0.0]);
-    }
-
-    #[test]
     fn sticky_decisions_do_not_depend_on_the_hasher_seed() {
         // The pin and counter tables are never iterated, so keying them
         // with another seed changes their layout and nothing else: the
@@ -523,7 +393,6 @@ mod tests {
             RoundRobinSelector::new().name(),
             LeastLoadedSelector::new().name(),
             PerQueryLeastLoaded::new().name(),
-            WeightedLeastLoadedSelector::new(vec![1.0]).name(),
         ];
         let set: std::collections::HashSet<_> = names.iter().collect();
         assert_eq!(set.len(), names.len());

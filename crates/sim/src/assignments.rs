@@ -1,15 +1,15 @@
 //! Extracting per-key serving assignments from a configuration.
 //!
 //! The rebalancing experiments need to know *which key sits where at what
-//! rate*, not just per-node totals. This module replays the
-//! rate-propagation logic while recording a
-//! [`scp_cluster::rebalance::KeyAssignment`] per uncached key.
+//! rate*, not just per-node totals. This module runs the rate engine's
+//! loop while recording a [`scp_cluster::rebalance::KeyAssignment`] per
+//! uncached key.
 
 use crate::config::SimConfig;
+use crate::rate_engine::{oracle_cut, propagate};
 use crate::Result;
 use scp_cluster::rebalance::KeyAssignment;
 use scp_cluster::select::RateAssignment;
-use scp_cluster::KeyId;
 
 /// Replays the rate engine, returning the pinned assignment of every
 /// uncached key with positive rate.
@@ -23,45 +23,36 @@ use scp_cluster::KeyId;
 /// Returns an error on invalid configs.
 pub fn collect_assignments(cfg: &SimConfig, cache_capacity: usize) -> Result<Vec<KeyAssignment>> {
     cfg.validate()?;
-    let partitioner = cfg.build_partitioner()?;
-    let mut selector = cfg.build_selector();
+    let mut cluster = cfg.build_cluster()?;
     let mapping = cfg.key_mapping()?;
-    let probs = cfg.pattern.rank_probs();
-
-    let mut loads = vec![0.0f64; cfg.nodes];
     let mut out = Vec::new();
-    for rank in 0..probs.support_bound() {
-        let p = probs.get(rank);
-        if p <= 0.0 || rank < cache_capacity as u64 {
-            continue;
-        }
-        let rate = cfg.rate * p;
-        let key = KeyId::new(mapping.apply(rank));
-        let group = partitioner.replica_group(key);
-        match selector.rate_assignment(key, group.as_slice(), &loads) {
-            RateAssignment::Pinned(node) => {
-                loads[node.index()] += rate;
-                out.push(KeyAssignment {
+    let hit = oracle_cut(cache_capacity);
+    propagate(
+        cfg,
+        &mut cluster,
+        &mapping,
+        hit,
+        |cluster, key, rate, assignment| {
+            let group = cluster.replica_group(key);
+            match assignment {
+                RateAssignment::Pinned(node) => out.push(KeyAssignment {
                     key,
                     node,
                     rate,
                     group,
-                });
-            }
-            RateAssignment::EvenSplit => {
-                let share = rate / group.len() as f64;
-                for &node in group.as_slice() {
-                    loads[node.index()] += share;
-                    out.push(KeyAssignment {
+                }),
+                RateAssignment::EvenSplit => {
+                    let share = rate / group.len() as f64;
+                    out.extend(group.as_slice().iter().map(|&node| KeyAssignment {
                         key,
                         node,
                         rate: share,
                         group,
-                    });
+                    }));
                 }
             }
-        }
-    }
+        },
+    );
     Ok(out)
 }
 

@@ -11,6 +11,7 @@ use scp_cluster::partition::{Partitioner, PartitionerSpec};
 use scp_cluster::select::{
     LeastLoadedSelector, PerQueryLeastLoaded, RandomSelector, ReplicaSelector, RoundRobinSelector,
 };
+use scp_cluster::Cluster;
 use scp_core::params::SystemParams;
 use scp_workload::fasthash::FastBuildHasher;
 use scp_workload::permute::KeyMapping;
@@ -552,6 +553,15 @@ impl SimConfig {
             SelectorKind::LeastLoaded => Box::new(LeastLoadedSelector::with_hasher(hasher)),
             SelectorKind::PerQueryLeastLoaded => Box::new(PerQueryLeastLoaded::new()),
         }
+    }
+
+    /// The configured cluster: [`SimConfig::build_partitioner`] behind
+    /// [`SimConfig::build_selector`], every node alive.
+    pub(crate) fn build_cluster(&self) -> Result<Cluster> {
+        Ok(Cluster::new(
+            self.build_partitioner()?,
+            self.build_selector(),
+        ))
     }
 
     /// The rank→key scatter every engine draws keys through (seed lane 3,

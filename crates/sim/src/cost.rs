@@ -10,10 +10,10 @@
 
 use crate::config::SimConfig;
 use crate::error::SimError;
+use crate::front_end;
 use crate::metrics::LoadReport;
+use crate::multi_frontend::FrontendRouting;
 use crate::Result;
-use scp_cluster::{Cluster, KeyId};
-use scp_workload::rng::{mix, next_f64, Xoshiro256StarStar};
 
 /// A read/write cost model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -115,50 +115,7 @@ pub fn run_weighted_query_simulation(
 ) -> Result<LoadReport> {
     cfg.validate()?;
     model.validate()?;
-    if queries == 0 {
-        return Err(SimError::InvalidConfig {
-            field: "queries",
-            reason: "need at least one query".to_owned(),
-        });
-    }
-
-    let mapping = cfg.key_mapping()?;
-    let mut sampler = cfg.pattern.sampler(mix(&[cfg.seed, 4]))?;
-    let top = (cfg.cache_capacity as u64).min(cfg.items);
-    let ranked = (0..top).map(|rank| mapping.apply(rank));
-    let mut cache = cfg.build_cache(ranked);
-    let mut cluster = Cluster::new(cfg.build_partitioner()?, cfg.build_selector());
-    let mut op_rng = Xoshiro256StarStar::seed_from_u64(mix(&[cfg.seed, 7]));
-
-    let mut cache_load = 0.0;
-    let mut offered = 0.0;
-    for _ in 0..queries {
-        let key = mapping.apply(sampler.sample());
-        let is_write = next_f64(&mut op_rng) < model.write_fraction;
-        let cost = if is_write {
-            model.write_cost
-        } else {
-            model.read_cost
-        };
-        offered += cost;
-        if is_write && model.writes_bypass_cache {
-            let _ = cluster.route_query_with_cost(KeyId::new(key), cost);
-            continue;
-        }
-        if cache.request(key).is_hit() {
-            cache_load += cost;
-        } else {
-            let _ = cluster.route_query_with_cost(KeyId::new(key), cost);
-        }
-    }
-
-    Ok(LoadReport {
-        snapshot: cluster.snapshot(),
-        cache_load,
-        offered,
-        unserved: cluster.unserved(),
-        cache_stats: Some(*cache.stats()),
-    })
+    Ok(front_end::run(cfg, queries, 1, FrontendRouting::ByClient, model)?.1)
 }
 
 #[cfg(test)]

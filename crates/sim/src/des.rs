@@ -9,12 +9,13 @@
 
 use crate::config::SimConfig;
 use crate::error::SimError;
+use crate::front_end::{FrontEnd, Served};
 use crate::metrics::LoadReport;
+use crate::multi_frontend::FrontendRouting;
 use crate::stats::{quantile, RunningStats};
 use crate::Result;
-use scp_cluster::{Cluster, KeyId, NodeId};
+use scp_cluster::NodeId;
 use scp_workload::rng::{mix, next_exponential, Xoshiro256StarStar};
-use scp_workload::stream::QueryStream;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -152,6 +153,17 @@ impl Ord for Event {
     }
 }
 
+/// One back-end node's M/M/1 queue.
+#[derive(Debug, Default)]
+struct Server {
+    /// Admission times of the queued queries, head in service.
+    queue: VecDeque<f64>,
+    /// Total service time drawn.
+    busy: f64,
+    /// Crash count: departures tagged with an older epoch are stale.
+    epoch: u32,
+}
+
 /// Runs one discrete-event simulation.
 ///
 /// # Errors
@@ -188,20 +200,11 @@ pub fn run_des_with_events(cfg: &DesConfig, node_events: &[NodeEvent]) -> Result
         }
     }
     let sim = &cfg.sim;
-    let mapping = sim.key_mapping()?;
-    let top = (sim.cache_capacity as u64).min(sim.items);
-    let ranked: Vec<u64> = (0..top).map(|rank| mapping.apply(rank)).collect();
-    // Arrivals sample ranks; keys go through the same mapping as the cache.
-    let mut stream = QueryStream::with_mapping(&sim.pattern, mix(&[sim.seed, 4]), mapping)?;
-    let n = sim.nodes;
-
-    let mut cache = sim.build_cache(ranked);
-    let mut cluster = Cluster::new(sim.build_partitioner()?, sim.build_selector());
+    let mut front = FrontEnd::new(sim, 1, FrontendRouting::ByClient)?;
     let mut arrival_rng = Xoshiro256StarStar::seed_from_u64(mix(&[sim.seed, 5]));
     let mut service_rng = Xoshiro256StarStar::seed_from_u64(mix(&[sim.seed, 6]));
 
-    let mut queues: Vec<VecDeque<f64>> = vec![VecDeque::new(); n];
-    let mut busy_time = vec![0.0f64; n];
+    let mut servers: Vec<Server> = (0..sim.nodes).map(|_| Server::default()).collect();
     let mut events: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
     for (i, e) in node_events.iter().enumerate() {
         events.push(Reverse(Event {
@@ -210,7 +213,6 @@ pub fn run_des_with_events(cfg: &DesConfig, node_events: &[NodeEvent]) -> Result
         }));
     }
     let mut lost = 0u64;
-    let mut epochs = vec![0u32; n];
 
     // Seed the first arrival.
     let first = next_exponential(&mut arrival_rng, sim.rate);
@@ -228,7 +230,9 @@ pub fn run_des_with_events(cfg: &DesConfig, node_events: &[NodeEvent]) -> Result
     while let Some(Reverse(event)) = events.pop() {
         match event.kind {
             EventKind::Arrival => {
-                let key = stream.next_key();
+                let mut keys = [0u64];
+                front.draw(&mut keys);
+                let [key] = keys;
                 // Schedule the next arrival (if within the horizon).
                 let next = event.time + next_exponential(&mut arrival_rng, sim.rate);
                 if next <= cfg.duration {
@@ -237,54 +241,66 @@ pub fn run_des_with_events(cfg: &DesConfig, node_events: &[NodeEvent]) -> Result
                         kind: EventKind::Arrival,
                     }));
                 }
-                if cache.request(key).is_hit() {
-                    cache_hits += 1;
-                    continue;
-                }
-                let Ok(node) = cluster.route_query(KeyId::new(key)) else {
-                    continue; // whole group down: accounted as unserved
+                let node = match front.step(key, 1.0) {
+                    Served::Hit => {
+                        cache_hits += 1;
+                        continue;
+                    }
+                    // Whole group down: accounted as unserved.
+                    Served::Unserved => continue,
+                    Served::Routed(node) => node,
                 };
-                let q = &mut queues[node.index()];
-                q.push_back(event.time);
-                max_queue_depth = max_queue_depth.max(q.len());
-                if q.len() == 1 {
+                let Some(server) = servers.get_mut(node.index()) else {
+                    continue;
+                };
+                server.queue.push_back(event.time);
+                max_queue_depth = max_queue_depth.max(server.queue.len());
+                if server.queue.len() == 1 {
                     let service = next_exponential(&mut service_rng, cfg.service_rate);
-                    busy_time[node.index()] += service;
+                    server.busy += service;
                     events.push(Reverse(Event {
                         time: event.time + service,
                         kind: EventKind::Departure {
                             node: node.value(),
-                            epoch: epochs[node.index()],
+                            epoch: server.epoch,
                         },
                     }));
                 }
             }
             EventKind::Admin(idx) => {
-                let e = node_events[idx as usize];
+                let Some(e) = node_events.get(idx as usize) else {
+                    continue;
+                };
                 match e.action {
                     FailAction::Fail => {
-                        let _ = cluster.fail_node(e.node);
+                        let _ = front.cluster_mut().fail_node(e.node);
                         // Queued work dies with the node; bumping the
                         // epoch invalidates any in-flight departure.
-                        lost += queues[e.node.index()].len() as u64;
-                        queues[e.node.index()].clear();
-                        epochs[e.node.index()] += 1;
+                        if let Some(server) = servers.get_mut(e.node.index()) {
+                            lost += server.queue.len() as u64;
+                            server.queue.clear();
+                            server.epoch += 1;
+                        }
                     }
                     FailAction::Recover => {
-                        let _ = cluster.recover_node(e.node);
+                        let _ = front.cluster_mut().recover_node(e.node);
                     }
                 }
             }
             EventKind::Departure { node, epoch } => {
-                if epoch != epochs[node as usize] {
+                let Some(server) = servers.get_mut(node as usize) else {
+                    continue;
+                };
+                if epoch != server.epoch {
                     continue; // scheduled before a crash: stale
                 }
-                let q = &mut queues[node as usize];
-                let admitted = q.pop_front().expect("departure from empty queue");
+                let Some(admitted) = server.queue.pop_front() else {
+                    continue; // unreachable: a departure is scheduled per queued query
+                };
                 latencies.push(event.time - admitted);
-                if !q.is_empty() {
+                if !server.queue.is_empty() {
                     let service = next_exponential(&mut service_rng, cfg.service_rate);
-                    busy_time[node as usize] += service;
+                    server.busy += service;
                     events.push(Reverse(Event {
                         time: event.time + service,
                         kind: EventKind::Departure { node, epoch },
@@ -305,9 +321,9 @@ pub fn run_des_with_events(cfg: &DesConfig, node_events: &[NodeEvent]) -> Result
             quantile(&latencies, 0.99),
         )
     };
-    let max_utilization = busy_time
+    let max_utilization = servers
         .iter()
-        .map(|&b| b / cfg.duration)
+        .map(|server| server.busy / cfg.duration)
         .fold(0.0, f64::max);
 
     let completed = latencies.len() as u64;
@@ -315,14 +331,8 @@ pub fn run_des_with_events(cfg: &DesConfig, node_events: &[NodeEvent]) -> Result
     // work later lost in crashes: completed + lost = snapshot total. The
     // `unserved` channel carries only routing failures (whole group down);
     // crash losses are reported separately as `unfinished`.
-    let snapshot = cluster.snapshot();
-    let load = LoadReport {
-        offered: cache_hits as f64 + snapshot.total() + cluster.unserved(),
-        snapshot,
-        cache_load: cache_hits as f64,
-        unserved: cluster.unserved(),
-        cache_stats: Some(*cache.stats()),
-    };
+    let mut load = front.report(cache_hits as f64, 0.0);
+    load.offered = cache_hits as f64 + load.snapshot.total() + load.unserved;
 
     Ok(DesReport {
         completed,

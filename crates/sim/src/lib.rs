@@ -1,23 +1,31 @@
 //! Simulation engines and experiment infrastructure.
 //!
-//! Three engines reproduce and extend the paper's Section IV validation:
+//! The paper's system is one pipeline: a front-end cache absorbs the most
+//! popular keys, every other key goes to its random `d`-replica group,
+//! and a selector picks the serving node. Four pieces drive it to
+//! reproduce and extend the Section IV validation:
 //!
-//! * [`rate_engine`] — **rate propagation**: pushes exact per-key query
-//!   rates through cache → partitioner → replica selection. The only
+//! * **The front end** — one sampled pipeline (a seeded key stream, `f`
+//!   caches seeded with the top `c` keys they see, the cluster) and one
+//!   sampling loop under [`query_engine`] (real cache policies such as
+//!   LRU and TinyLFU, with multinomial sampling noise), [`cost`]
+//!   (read/write cost mixes) and [`multi_frontend`] (fleets of caches).
+//! * **The rate loop** — [`rate_engine`] pushes each rank's exact rate
+//!   `R·p` through the cache (the oracle's top-`c` cut, or measured
+//!   online hit rates) and the partitioner and selector. The only
 //!   randomness is the partition (and selector tie-breaking), exactly the
 //!   random variable the paper's simulations measure. Fast: O(x) per run.
-//! * [`query_engine`] — **query sampling**: draws individual queries, so
-//!   real cache policies (LRU, TinyLFU, ...) can be evaluated and
-//!   multinomial sampling noise is included.
-//! * [`des`] — **discrete-event simulation**: Poisson arrivals and
-//!   exponential service per node, for latency/saturation questions
+//!   [`assignments`] records where that loop put each key.
+//! * **The sweep** — [`sweep`] evaluates whole `(x, c)` grids against one
+//!   partition per run, bit-identical to the rate loop but an order of
+//!   magnitude faster.
+//! * **The DES** — [`des`] feeds Poisson arrivals through the front end
+//!   into exponential service per node, for latency/saturation questions
 //!   (the `r_i >= E[L_max]` capacity discussion closing Section III).
 //!
-//! [`sweep`] evaluates whole `(x, c)` grids against one partition per
-//! run, bit-identical to the per-point rate engine but an order of
-//! magnitude faster; [`runner`] executes independent repetitions in
-//! parallel with deterministic per-run seeds and CI-driven adaptive
-//! stopping; [`journal`] records one structured observability record per
+//! [`runner`] executes independent repetitions in parallel with
+//! deterministic per-run seeds and CI-driven adaptive stopping;
+//! [`journal`] records one structured observability record per
 //! repetition; [`critical`] locates empirical critical cache sizes by
 //! bisection over per-run sweeps; [`stats`] aggregates.
 //!
@@ -54,6 +62,7 @@ pub mod critical;
 pub mod des;
 pub mod detector;
 pub mod error;
+mod front_end;
 pub mod journal;
 pub mod metrics;
 pub mod multi_frontend;

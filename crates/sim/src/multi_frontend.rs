@@ -17,12 +17,11 @@
 //! this module lets the ablation measure both.
 
 use crate::config::SimConfig;
+use crate::cost::CostModel;
 use crate::error::SimError;
+use crate::front_end;
 use crate::metrics::LoadReport;
 use crate::Result;
-use scp_cache::Cache;
-use scp_cluster::{Cluster, KeyId};
-use scp_workload::rng::{mix, next_below, Xoshiro256StarStar};
 
 /// How queries are routed to front-end caches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -80,67 +79,15 @@ pub fn run_multi_frontend_simulation(
             reason: "need at least one front end".to_owned(),
         });
     }
-    if queries == 0 {
-        return Err(SimError::InvalidConfig {
-            field: "queries",
-            reason: "need at least one query".to_owned(),
-        });
-    }
-
-    let mapping = cfg.key_mapping()?;
-    let mut sampler = cfg.pattern.sampler(mix(&[cfg.seed, 4]))?;
-    let mut route_rng = Xoshiro256StarStar::seed_from_u64(mix(&[cfg.seed, 8]));
-
-    // Seed each perfect cache with the top-c keys of its own traffic.
-    let mut caches: Vec<Box<dyn Cache<u64>>> = (0..frontends)
-        .map(|f| {
-            let ranked: Vec<u64> = match routing {
-                FrontendRouting::ByClient => (0..cfg.items)
-                    .map(|rank| mapping.apply(rank))
-                    .take(cfg.cache_capacity)
-                    .collect(),
-                FrontendRouting::ByKey => (0..cfg.items)
-                    .map(|rank| mapping.apply(rank))
-                    .filter(|key| frontend_for_key(*key, frontends) == f)
-                    .take(cfg.cache_capacity)
-                    .collect(),
-            };
-            cfg.build_cache(ranked)
-        })
-        .collect();
-    let mut cluster = Cluster::new(cfg.build_partitioner()?, cfg.build_selector());
-
-    let mut cache_load = 0u64;
-    for _ in 0..queries {
-        let key = mapping.apply(sampler.sample());
-        let f = match routing {
-            FrontendRouting::ByClient => next_below(&mut route_rng, frontends as u64) as usize,
-            FrontendRouting::ByKey => frontend_for_key(key, frontends),
-        };
-        if caches[f].request(key).is_hit() {
-            cache_load += 1;
-        } else {
-            let _ = cluster.route_query(KeyId::new(key));
-        }
-    }
-
-    let frontend_hit_rates = caches.iter().map(|c| c.stats().hit_rate()).collect();
-    let total_resident = caches.iter().map(|c| c.len()).sum();
+    let (front, mut load) =
+        front_end::run(cfg, queries, frontends, routing, &CostModel::uniform())?;
+    load.cache_stats = None;
+    let caches = front.caches();
     Ok(MultiFrontendReport {
-        load: LoadReport {
-            snapshot: cluster.snapshot(),
-            cache_load: cache_load as f64,
-            offered: queries as f64,
-            unserved: cluster.unserved(),
-            cache_stats: None,
-        },
-        frontend_hit_rates,
-        total_resident,
+        load,
+        frontend_hit_rates: caches.iter().map(|c| c.stats().hit_rate()).collect(),
+        total_resident: caches.iter().map(|c| c.len()).sum(),
     })
-}
-
-fn frontend_for_key(key: u64, frontends: usize) -> usize {
-    (mix(&[key, 0xF407_E4D5]) % frontends as u64) as usize
 }
 
 #[cfg(test)]

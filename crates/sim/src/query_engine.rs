@@ -1,16 +1,17 @@
 //! Per-query sampling engine.
 //!
 //! Draws individual queries from the access pattern and pushes each
-//! through the configured cache policy and the cluster. Slower than the
-//! rate engine but exercises *real* caches (LRU, TinyLFU, ...) and
-//! includes multinomial sampling noise — what a live front end would see.
+//! through the crate's one sampled front end: a cache of the configured
+//! policy, then the cluster. Slower than the rate engine but exercises
+//! *real* caches (LRU, TinyLFU, ...) and includes multinomial sampling
+//! noise — what a live front end would see.
 
 use crate::config::SimConfig;
-use crate::error::SimError;
+use crate::cost::CostModel;
+use crate::front_end;
 use crate::metrics::LoadReport;
+use crate::multi_frontend::FrontendRouting;
 use crate::Result;
-use scp_cluster::{Cluster, KeyId};
-use scp_workload::rng::mix;
 
 /// Runs one query-sampling simulation of `queries` requests.
 ///
@@ -22,56 +23,8 @@ use scp_workload::rng::mix;
 /// Returns an error on invalid configs or `queries == 0`.
 pub fn run_query_simulation(cfg: &SimConfig, queries: u64) -> Result<LoadReport> {
     cfg.validate()?;
-    if queries == 0 {
-        return Err(SimError::InvalidConfig {
-            field: "queries",
-            reason: "need at least one query".to_owned(),
-        });
-    }
-
-    let mapping = cfg.key_mapping()?;
-    let mut sampler = cfg.pattern.sampler(mix(&[cfg.seed, 4]))?;
-    // True popularity order, mapped to concrete key ids, for the oracle.
-    let top = cfg.cache_capacity as u64;
-    let ranked = (0..top.min(cfg.items)).map(|rank| mapping.apply(rank));
-    let mut cache = cfg.build_cache(ranked);
-    let mut cluster = Cluster::new(cfg.build_partitioner()?, cfg.build_selector());
-
-    // Batched hot loop: ranks are sampled (and mapped to key ids) a
-    // fixed-size stack buffer at a time, so the pattern dispatch and the
-    // rank permutation run in tight inner loops instead of per query.
-    // The sample stream is identical to per-call sampling, so results
-    // are unchanged.
-    const BATCH: usize = 1024;
-    let mut keys = [0u64; BATCH];
-    let mut cache_load = 0u64;
-    let mut remaining = queries;
-    while remaining > 0 {
-        let take = remaining.min(BATCH as u64) as usize;
-        let Some(batch) = keys.get_mut(..take) else {
-            break; // unreachable: take <= BATCH by construction
-        };
-        sampler.sample_batch(batch);
-        for slot in batch.iter_mut() {
-            *slot = mapping.apply(*slot);
-        }
-        for &key in batch.iter() {
-            if cache.request(key).is_hit() {
-                cache_load += 1;
-            } else {
-                let _ = cluster.route_query(KeyId::new(key));
-            }
-        }
-        remaining -= take as u64;
-    }
-
-    Ok(LoadReport {
-        snapshot: cluster.snapshot(),
-        cache_load: cache_load as f64,
-        offered: queries as f64,
-        unserved: cluster.unserved(),
-        cache_stats: Some(*cache.stats()),
-    })
+    let uniform = CostModel::uniform();
+    Ok(front_end::run(cfg, queries, 1, FrontendRouting::ByClient, &uniform)?.1)
 }
 
 #[cfg(test)]

@@ -12,6 +12,7 @@ use crate::config::{AdmissionKind, CacheKind, SimConfig};
 use crate::error::SimError;
 use crate::metrics::LoadReport;
 use crate::Result;
+use scp_cluster::select::RateAssignment;
 use scp_cluster::{Cluster, KeyId};
 use scp_workload::permute::KeyMapping;
 use scp_workload::rng::mix;
@@ -32,8 +33,7 @@ use scp_workload::rng::mix;
 pub fn run_rate_simulation(cfg: &SimConfig) -> Result<LoadReport> {
     cfg.validate()?;
     if cfg.admission == AdmissionKind::Online && cfg.effective_cache_kind() != CacheKind::None {
-        let mut cluster = Cluster::new(cfg.build_partitioner()?, cfg.build_selector());
-        return run_rate_simulation_online(cfg, &mut cluster);
+        return run_rate_simulation_online(cfg);
     }
     let cache_capacity = match cfg.cache_kind {
         CacheKind::Perfect => cfg.cache_capacity,
@@ -49,9 +49,7 @@ pub fn run_rate_simulation(cfg: &SimConfig) -> Result<LoadReport> {
             })
         }
     };
-
-    let mut cluster = Cluster::new(cfg.build_partitioner()?, cfg.build_selector());
-    run_rate_simulation_on(cfg, &mut cluster, cache_capacity)
+    run_rate_simulation_on(cfg, &mut cfg.build_cluster()?, cache_capacity)
 }
 
 /// Rate propagation against a caller-prepared cluster (e.g. with failed
@@ -100,33 +98,68 @@ pub fn run_rate_simulation_with(
             ),
         });
     }
-    cluster.reset();
+    Ok(propagate(
+        cfg,
+        cluster,
+        mapping,
+        oracle_cut(cache_capacity),
+        |_, _, _, _| {},
+    ))
+}
 
+/// The oracle's hit rate by rank: a perfect cache holds exactly the
+/// `cache_capacity` most popular ranks.
+pub(crate) fn oracle_cut(cache_capacity: usize) -> impl Fn(u64) -> f64 {
+    move |rank| {
+        if rank < cache_capacity as u64 {
+            1.0
+        } else {
+            0.0
+        }
+    }
+}
+
+/// The one rate loop. Rank `r` carries `R·p(r)`; the cache absorbs
+/// `R·p(r)·hit(r)` and the residual goes to the cluster, where `record`
+/// sees the assignment it got. The oracle's `hit` is 0 or 1, and
+/// multiplying by an exact 1.0 or 0.0 leaves every sum bit-identical to
+/// a plain "cache the top `c`, route the rest" loop.
+///
+/// The cluster's loads, counters and pins are reset first.
+pub(crate) fn propagate(
+    cfg: &SimConfig,
+    cluster: &mut Cluster,
+    mapping: &KeyMapping,
+    hit: impl Fn(u64) -> f64,
+    mut record: impl FnMut(&Cluster, KeyId, f64, RateAssignment),
+) -> LoadReport {
+    cluster.reset();
     let probs = cfg.pattern.rank_probs();
     let mut cache_load = 0.0;
-
     for rank in 0..probs.support_bound() {
         let p = probs.get(rank);
         if p <= 0.0 {
             continue;
         }
         let rate = cfg.rate * p;
-        if rank < cache_capacity as u64 {
-            cache_load += rate;
-        } else {
+        let h = hit(rank);
+        cache_load += rate * h;
+        let residual = rate * (1.0 - h);
+        if residual > 0.0 {
             let key = KeyId::new(mapping.apply(rank));
             // NoLiveReplica is accounted as unserved inside the cluster.
-            let _ = cluster.apply_rate(key, rate);
+            if let Ok(assignment) = cluster.apply_rate(key, residual) {
+                record(cluster, key, residual, assignment);
+            }
         }
     }
-
-    Ok(LoadReport {
+    LoadReport {
         snapshot: cluster.snapshot(),
         cache_load,
         offered: cfg.rate,
         unserved: cluster.unserved(),
         cache_stats: None,
-    })
+    }
 }
 
 /// Steady-state propagation under online admission.
@@ -139,11 +172,10 @@ pub fn run_rate_simulation_with(
 /// `R·p·ĥ(rank)` absorbed by the cache and the residual propagated to
 /// the cluster. This makes the gap between provable oracle provisioning
 /// and a deployable sketch-driven cache directly measurable.
-fn run_rate_simulation_online(cfg: &SimConfig, cluster: &mut Cluster) -> Result<LoadReport> {
-    cluster.reset();
+fn run_rate_simulation_online(cfg: &SimConfig) -> Result<LoadReport> {
+    let mut cluster = cfg.build_cluster()?;
     let mapping = cfg.key_mapping()?;
-    let probs = cfg.pattern.rank_probs();
-    let support = probs.support_bound();
+    let support = cfg.pattern.rank_probs().support_bound();
 
     let mut cache = cfg.build_cache(0..cfg.cache_capacity as u64);
     // Seed lane 5: distinct from the mapping (3) and the query engine's
@@ -162,42 +194,19 @@ fn run_rate_simulation_online(cfg: &SimConfig, cluster: &mut Cluster) -> Result<
     for _ in 0..measured {
         let rank = sampler.sample();
         let hit = cache.request(rank).is_hit();
-        if let Some(d) = draws.get_mut(rank as usize) {
+        if let (Some(d), Some(h)) = (draws.get_mut(rank as usize), hits.get_mut(rank as usize)) {
             *d += 1;
-            if hit {
-                if let Some(h) = hits.get_mut(rank as usize) {
-                    *h += 1;
-                }
-            }
+            *h += u64::from(hit);
         }
     }
 
-    let mut cache_load = 0.0;
-    for rank in 0..support {
-        let p = probs.get(rank);
-        if p <= 0.0 {
-            continue;
-        }
-        let rate = cfg.rate * p;
-        let d = draws.get(rank as usize).copied().unwrap_or(0);
-        let h = hits.get(rank as usize).copied().unwrap_or(0);
-        let hit_prob = if d > 0 { h as f64 / d as f64 } else { 0.0 };
-        cache_load += rate * hit_prob;
-        let residual = rate * (1.0 - hit_prob);
-        if residual > 0.0 {
-            let key = KeyId::new(mapping.apply(rank));
-            // NoLiveReplica is accounted as unserved inside the cluster.
-            let _ = cluster.apply_rate(key, residual);
-        }
-    }
-
-    Ok(LoadReport {
-        snapshot: cluster.snapshot(),
-        cache_load,
-        offered: cfg.rate,
-        unserved: cluster.unserved(),
-        cache_stats: Some(*cache.stats()),
-    })
+    let hit_rate = |rank: u64| match (hits.get(rank as usize), draws.get(rank as usize)) {
+        (Some(&h), Some(&d)) if d > 0 => h as f64 / d as f64,
+        _ => 0.0,
+    };
+    let mut report = propagate(cfg, &mut cluster, &mapping, hit_rate, |_, _, _, _| {});
+    report.cache_stats = Some(*cache.stats());
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -357,7 +366,7 @@ mod tests {
     #[test]
     fn failed_nodes_shift_load_to_survivors() {
         let cfg = config(0, 2000);
-        let mut cluster = Cluster::new(cfg.build_partitioner().unwrap(), cfg.build_selector());
+        let mut cluster = cfg.build_cluster().unwrap();
         for i in 0..10u32 {
             cluster.fail_node(scp_cluster::NodeId::new(i)).unwrap();
         }
@@ -376,7 +385,7 @@ mod tests {
         let mut cfg = config(0, 100);
         cfg.cache_kind = CacheKind::None;
         cfg.partitioner = PartitionerKind::Range;
-        let mut cluster = Cluster::new(cfg.build_partitioner().unwrap(), cfg.build_selector());
+        let mut cluster = cfg.build_cluster().unwrap();
         let contiguous =
             run_rate_simulation_with(&cfg, &mut cluster, 0, &KeyMapping::Identity).unwrap();
         let scattered = run_rate_simulation(&cfg).unwrap();

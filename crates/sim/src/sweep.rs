@@ -70,7 +70,7 @@ use crate::runner::{
 };
 use crate::Result;
 use scp_cluster::load::LoadSnapshot;
-use scp_cluster::{Cluster, KeyId};
+use scp_cluster::KeyId;
 use scp_workload::AccessPattern;
 
 /// One run's precomputed routing structure: every rank's replica group,
@@ -100,8 +100,9 @@ pub struct RunSweep {
 impl RunSweep {
     /// Precomputes the routing structure for one run: builds the
     /// configured partitioner and key mapping from `cfg.seed` (the same
-    /// derivations as the per-point engine) and fetches the replica
-    /// groups of ranks `0..x_max` in one bulk call.
+    /// derivations as the per-point engine) and reads the replica groups
+    /// of ranks `0..x_max` straight from the partitioner (every node is
+    /// alive, so each group is its live group).
     ///
     /// # Errors
     ///
@@ -134,7 +135,7 @@ impl RunSweep {
                 false
             }
         };
-        let cluster = Cluster::new(cfg.build_partitioner()?, cfg.build_selector());
+        let partitioner = cfg.build_partitioner()?;
         let mapping = cfg.key_mapping()?;
         let d = cfg.replication;
         let mut groups = Vec::with_capacity(x_max as usize * d);
@@ -142,7 +143,7 @@ impl RunSweep {
         // `Vec<ReplicaGroup>` in between would alone be several MB per
         // run at paper scale.
         for rank in 0..x_max {
-            let group = cluster.live_replicas(KeyId::new(mapping.apply(rank)));
+            let group = partitioner.replica_group(KeyId::new(mapping.apply(rank)));
             if group.len() != d {
                 return Err(SimError::InvalidConfig {
                     field: "replication",

@@ -10,8 +10,8 @@
 //!   and [`zipf::ZipfSampler`] (Hörmann rejection-inversion).
 //! * [`permute::FeistelPermutation`] — a seeded bijection from popularity
 //!   ranks to key identifiers so simulations never materialize huge tables.
-//! * [`stream::QueryStream`] / [`stream::PoissonArrivals`] — deterministic,
-//!   seeded query sequences for the sampling and discrete-event engines.
+//! * [`stream::QueryStream`] — deterministic, seeded query sequences for
+//!   the sampling and discrete-event engines.
 //! * [`fasthash::FastBuildHasher`] — the run-seeded hasher under every
 //!   key-indexed table the cache, cluster and serving crates keep.
 //!

@@ -1,9 +1,8 @@
-//! Seeded query streams and arrival processes.
+//! Seeded query streams.
 
 use crate::error::WorkloadError;
 use crate::pattern::{AccessPattern, PatternSampler};
 use crate::permute::KeyMapping;
-use crate::rng::{next_exponential, Xoshiro256StarStar};
 use crate::Result;
 
 /// Slots in the rank→key memo (a power of two; direct-mapped).
@@ -140,62 +139,6 @@ impl Iterator for QueryStream {
     }
 }
 
-/// A timestamped query produced by [`PoissonArrivals`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Arrival {
-    /// Arrival time in seconds since the start of the stream.
-    pub time: f64,
-    /// The queried key id.
-    pub key: u64,
-}
-
-/// Poisson arrival process: exponential inter-arrival times at a given
-/// aggregate rate, keys drawn from a [`QueryStream`].
-///
-/// Used by the discrete-event engine to model clients launching `R`
-/// queries per second.
-#[derive(Debug, Clone)]
-pub struct PoissonArrivals {
-    stream: QueryStream,
-    rng: Xoshiro256StarStar,
-    rate: f64,
-    now: f64,
-}
-
-impl PoissonArrivals {
-    /// Creates the process with aggregate rate `rate` (queries/second).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is not strictly positive.
-    pub fn new(stream: QueryStream, rate: f64, seed: u64) -> Self {
-        assert!(rate > 0.0, "rate must be positive");
-        Self {
-            stream,
-            rng: Xoshiro256StarStar::seed_from_u64(seed ^ 0xA55A_A55A),
-            rate,
-            now: 0.0,
-        }
-    }
-
-    /// Aggregate arrival rate in queries per second.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-}
-
-impl Iterator for PoissonArrivals {
-    type Item = Arrival;
-
-    fn next(&mut self) -> Option<Arrival> {
-        self.now += next_exponential(&mut self.rng, self.rate);
-        Some(Arrival {
-            time: self.now,
-            key: self.stream.next_key(),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,32 +210,5 @@ mod tests {
         let c: Vec<u64> = QueryStream::scattered(&p, 43).unwrap().take(50).collect();
         assert_eq!(a, b);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn poisson_times_increase_with_correct_mean_gap() {
-        let p = AccessPattern::uniform(100).unwrap();
-        let stream = QueryStream::new(&p, 9).unwrap();
-        let arrivals: Vec<Arrival> = PoissonArrivals::new(stream, 100.0, 9)
-            .take(20_000)
-            .collect();
-        let mut prev = 0.0;
-        for a in &arrivals {
-            assert!(a.time > prev);
-            prev = a.time;
-        }
-        let mean_gap = arrivals.last().unwrap().time / arrivals.len() as f64;
-        assert!(
-            (mean_gap - 0.01).abs() < 0.001,
-            "mean inter-arrival {mean_gap} should be near 1/100"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "rate must be positive")]
-    fn poisson_rejects_zero_rate() {
-        let p = AccessPattern::uniform(10).unwrap();
-        let stream = QueryStream::new(&p, 1).unwrap();
-        let _ = PoissonArrivals::new(stream, 0.0, 1);
     }
 }
