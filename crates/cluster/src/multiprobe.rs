@@ -11,8 +11,14 @@
 //!
 //! Because membership changes add or remove single points, a join moves
 //! only the keys the new point wins — the `1/(n+1)` minimal-movement
-//! ideal this repo's `reshard` binary measures against — while lookups
-//! stay `O(k log n)`.
+//! ideal this repo's `reshard` binary measures against.
+//!
+//! Lookups cost `O(k)` expected, not `O(k log n)`: [`Partitioner::rebuild`]
+//! also builds a bucket successor index over the sorted points, so each
+//! probe finds its successor with one table load instead of a binary
+//! search. The table has `8 × next_pow2(points)` `u32` slots (32 B per
+//! point, 32 KB at `n = 1000`), so a probe's bucket holds a point below
+//! the probe, which the lookup must scan past, about one time in eight.
 
 use crate::error::ClusterError;
 use crate::ids::{KeyId, NodeId};
@@ -25,6 +31,11 @@ use scp_workload::rng::mix;
 /// partitioners' hash streams under a shared master seed.
 const MULTIPROBE_SALT: u64 = 0x4D50_5F70_726F_6265; // "MP_probe"
 
+/// Successor-index slots per ring point, before the table is rounded up
+/// to a power of two. Fewer slots mean more scan steps; more buy a few
+/// ns per lookup for twice the memory (the probe is in EXPERIMENTS.md).
+const SLOTS_PER_POINT: usize = 8;
+
 /// Multi-probe consistent hashing: one ring point per unit of node
 /// weight, `k` probes per lookup, minimal key movement on membership
 /// change.
@@ -32,6 +43,11 @@ const MULTIPROBE_SALT: u64 = 0x4D50_5F70_726F_6265; // "MP_probe"
 pub struct MultiProbePartitioner {
     // (point, owner), sorted by point. One entry per unit of weight.
     points: Vec<(u64, NodeId)>,
+    // Bucket successor index: `starts[b]` is the number of points whose
+    // top bits (`point >> shift`) are below `b`, i.e. the position of the
+    // first point at or after the start of bucket `b`.
+    starts: Vec<u32>,
+    shift: u32,
     n: usize,
     d: usize,
     probes: usize,
@@ -75,6 +91,8 @@ impl MultiProbePartitioner {
         }
         let mut slf = Self {
             points: Vec::with_capacity(topology.len()),
+            starts: Vec::new(),
+            shift: 0,
             n: topology.len(),
             d,
             probes,
@@ -94,18 +112,58 @@ impl MultiProbePartitioner {
     pub fn point_count(&self) -> usize {
         self.points.len()
     }
+
+    /// Position of the first point at or clockwise after `h`: the sorted
+    /// ring's `partition_point(|p| p < h)`, wrapped to 0 past the last
+    /// point.
+    ///
+    /// Every point of an earlier bucket lies below `h`, so the scan starts
+    /// at the first point of `h`'s bucket and passes only that bucket's
+    /// points still below `h`.
+    #[inline]
+    fn successor(&self, h: u64) -> usize {
+        let bucket = (h >> self.shift) as usize;
+        let mut pos = self.starts.get(bucket).map_or(0, |&s| s as usize);
+        while self.points.get(pos).is_some_and(|&(point, _)| point < h) {
+            pos += 1;
+        }
+        if pos == self.points.len() {
+            0
+        } else {
+            pos
+        }
+    }
+
+    /// Rebuilds the successor index in one pass over the sorted points:
+    /// each point extends the table through its own bucket with its
+    /// position, and the slots past the last point's bucket hold `len`.
+    fn index_points(&mut self) {
+        let slots = SLOTS_PER_POINT * self.points.len().next_power_of_two();
+        self.shift = u64::BITS - slots.trailing_zeros();
+        self.starts.clear();
+        self.starts.reserve(slots);
+        // A position past `u32::MAX` saturates; a start that is too small
+        // costs scan steps, never a wrong successor.
+        let start = |pos: usize| u32::try_from(pos).unwrap_or(u32::MAX);
+        for (pos, &(point, _)) in self.points.iter().enumerate() {
+            let bucket = (point >> self.shift) as usize;
+            if self.starts.len() <= bucket {
+                self.starts.resize(bucket + 1, start(pos));
+            }
+        }
+        self.starts.resize(slots, start(self.points.len()));
+    }
 }
 
 impl Partitioner for MultiProbePartitioner {
     fn replica_group(&self, key: KeyId) -> ReplicaGroup {
         // Probe k times; the owner is the successor with the smallest
         // clockwise distance (wrapping subtraction handles the cycle).
-        let len = self.points.len();
         let mut best_dist = u64::MAX;
         let mut best_pos = 0usize;
         for probe in 0..self.probes {
             let h = mix(&[self.seed, MULTIPROBE_SALT, key.value(), probe as u64]);
-            let pos = self.points.partition_point(|&(p, _)| p < h) % len;
+            let pos = self.successor(h);
             if let Some(&(point, _)) = self.points.get(pos) {
                 let dist = point.wrapping_sub(h);
                 if dist < best_dist {
@@ -117,8 +175,9 @@ impl Partitioner for MultiProbePartitioner {
         // Replicas: the owner plus the next distinct successors, as on a
         // classic ring — successor sets shift minimally on membership
         // change, keeping replica movement near the ideal too.
+        let (before, from_owner) = self.points.split_at(best_pos);
         let mut group = ReplicaGroup::new();
-        for &(_, node) in self.points.iter().cycle().skip(best_pos).take(len) {
+        for &(_, node) in from_owner.iter().chain(before) {
             if !group.contains(node) {
                 group.push_unchecked(node);
                 if group.len() == self.d {
@@ -165,6 +224,7 @@ impl Partitioner for MultiProbePartitioner {
         }
         self.points.sort_unstable();
         self.points.dedup_by_key(|p| p.0);
+        self.index_points();
         self.n = topology.len();
         Ok(())
     }
@@ -173,7 +233,64 @@ impl Partitioner for MultiProbePartitioner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::MAX_REPLICATION;
     use crate::topology::MigrationPlan;
+    use scp_workload::rng::{next_below, Rng, Xoshiro256StarStar};
+
+    /// Asserts that the indexed successor equals a binary search over the
+    /// sorted points, wrapped to 0 past the last point, for hashes below
+    /// the first point, above the last, on, beside and between points,
+    /// and at random.
+    fn assert_successors_match_search(p: &MultiProbePartitioner, gen: &mut dyn Rng, case: u64) {
+        let first = p.points.first().map_or(0, |q| q.0);
+        let last = p.points.last().map_or(0, |q| q.0);
+        let mut hashes = vec![0, u64::MAX, first.saturating_sub(1), last.saturating_add(1)];
+        for &(point, _) in &p.points {
+            hashes.extend([point, point.wrapping_sub(1), point.wrapping_add(1)]);
+        }
+        hashes.extend((0..64).map(|_| gen.next_u64()));
+        for h in hashes {
+            let wrapped = p.points.partition_point(|&(q, _)| q < h) % p.points.len();
+            assert_eq!(
+                p.successor(h),
+                wrapped,
+                "case {case}: h={h:#x}, {} points",
+                p.points.len()
+            );
+        }
+    }
+
+    #[test]
+    fn prop_indexed_successor_equals_binary_search() {
+        let mut gen = Xoshiro256StarStar::seed_from_u64(0x5CC5);
+        for case in 0..500 {
+            let d = 1 + next_below(&mut gen, MAX_REPLICATION as u64) as usize;
+            let n = d + next_below(&mut gen, 301 - d as u64) as usize;
+            let probes = 1 + next_below(&mut gen, 32) as usize;
+            let seed = gen.next_u64();
+            let mut t = Topology::with_nodes(1).unwrap();
+            for id in 1..n {
+                let weight = 1 + next_below(&mut gen, 4) as u32;
+                t.join_weighted(NodeId::from_index(id), weight).unwrap();
+            }
+            let mut p = MultiProbePartitioner::from_topology(&t, d, probes, seed).unwrap();
+            assert_successors_match_search(&p, &mut gen, case);
+
+            let joiner = NodeId::from_index(n + next_below(&mut gen, 50) as usize);
+            t.join_weighted(joiner, 1 + next_below(&mut gen, 4) as u32)
+                .unwrap();
+            p.rebuild(&t).unwrap();
+            assert_successors_match_search(&p, &mut gen, case);
+
+            let leaver = next_below(&mut gen, t.len() as u64) as usize;
+            t.leave(t.members()[leaver].id).unwrap();
+            p.rebuild(&t).unwrap();
+            assert_successors_match_search(&p, &mut gen, case);
+            for key in 0..8 {
+                assert_eq!(p.replica_group(KeyId::new(key)).len(), d, "case {case}");
+            }
+        }
+    }
 
     #[test]
     fn groups_have_d_distinct_in_range_nodes() {
