@@ -1,7 +1,8 @@
 //! Macro-benchmark: replica-group lookup throughput for every
 //! [`PartitionerSpec`] scheme at cluster scale, plus the cost of the
 //! live [`rebuild`] seam (the operation `scp-serve` performs at an
-//! epoch boundary, while queries are waiting).
+//! epoch boundary, while queries are waiting), and of one whole routing
+//! decision through the sticky least-loaded selector.
 //!
 //! With `SCP_BENCH_SMOKE=1` (the CI smoke mode) the bench shrinks its
 //! sample counts and then *enforces* a lookup floor on the multi-probe
@@ -15,7 +16,9 @@
 
 use scp_bench::harness::{Criterion, Throughput};
 use scp_bench::{criterion_group, criterion_main};
-use scp_cluster::{KeyId, NodeId, PartitionerKind, PartitionerSpec, Topology};
+use scp_cluster::select::LeastLoadedSelector;
+use scp_cluster::{Cluster, KeyId, NodeId, PartitionerKind, PartitionerSpec, Topology};
+use scp_workload::fasthash::FastBuildHasher;
 use std::hint::black_box;
 
 /// Lookups per second the multi-probe scheme must sustain in smoke
@@ -32,11 +35,12 @@ fn bench_partition_lookup(c: &mut Criterion) {
     let n = 1000usize;
     let d = 3usize;
 
+    let items = 1_000_000u64;
     let build = |kind: PartitionerKind| {
         PartitionerSpec::new(kind)
             .nodes(n)
             .replication(d)
-            .items(1_000_000)
+            .items(items)
             .seed(7)
             .build()
             .expect("valid spec")
@@ -79,6 +83,52 @@ fn bench_partition_lookup(c: &mut Criterion) {
             });
         });
     }
+    group.finish();
+
+    // `Cluster::route_query` under the selector every serve workload
+    // runs, over the hash partitioner so selection dominates. Keys walk
+    // 0..m by an odd stride that is not a multiple of 5, a permutation
+    // of 0..10⁶. `first_touch` pins a fresh key on every query (the
+    // cluster is reset after each full pass, inside the timing);
+    // `pinned` re-reads the pins a warm-up pass made.
+    let stride = 0x9E37_79B9u64;
+    let route_cluster = || {
+        Cluster::new(
+            build(PartitionerKind::Hash),
+            Box::new(LeastLoadedSelector::for_items(
+                items,
+                FastBuildHasher::new(7),
+            )),
+        )
+    };
+    let mut group = c.benchmark_group("partition_lookup/route_least_loaded");
+    group
+        .sample_size(samples)
+        .throughput(Throughput::Elements(1));
+    group.bench_function("first_touch", |b| {
+        let mut cluster = route_cluster();
+        let mut i = 0u64;
+        b.iter(|| {
+            if i == items {
+                cluster.reset();
+                i = 0;
+            }
+            let key = i * stride % items;
+            i += 1;
+            black_box(cluster.route_query(KeyId::new(black_box(key))))
+        });
+    });
+    group.bench_function("pinned", |b| {
+        let mut cluster = route_cluster();
+        for key in 0..items {
+            cluster.route_query(KeyId::new(key)).expect("live cluster");
+        }
+        let mut key = 0u64;
+        b.iter(|| {
+            key = (key + stride) % items;
+            black_box(cluster.route_query(KeyId::new(black_box(key))))
+        });
+    });
     group.finish();
 
     if smoke() {

@@ -6,10 +6,37 @@
 //! selectors implement the "random selection or round-robin" rules the
 //! paper mentions, which spread each key's rate evenly across its group.
 //!
-//! The sticky selectors keep per-key state in tables keyed by a
-//! [`FastBuildHasher`]: the keys are whatever clients query, so runs seed
-//! the hasher (see [`scp_workload::fasthash`]). The tables are never
-//! iterated, so the seed changes their layout, never a decision.
+//! # Per-key state
+//!
+//! A selector built for a run of `items` keys
+//! ([`LeastLoadedSelector::for_items`], [`RoundRobinSelector::for_items`])
+//! indexes the keys below its *domain*, `min(items, DENSE_KEY_CAP)`,
+//! directly: the keys every engine draws are Feistel images of ranks, so
+//! they are dense in `0..items`. The dense range is a page table of one
+//! `u32` per key, 0 meaning "none": a pin is stored as `node + 1`, a
+//! round-robin counter as itself (an absent counter reads 0). A
+//! directory of `ceil(domain / 1024)` page pointers (784 B at m = 10⁵)
+//! points at 1024-slot pages. The directory is allocated at the first
+//! write and each page at the first write into it, zeroed, so building
+//! a selector allocates nothing; `reset` zeroes the written pages in
+//! place and keeps them. That is 4 B per key at page
+//! granularity, 400 KB at m = 10⁵ once every page is written, and a
+//! lookup hashes nothing.
+//!
+//! Keys at or above the domain — and every key of a selector built with
+//! `new()` — stay in a map keyed by a [`FastBuildHasher`]: those keys
+//! are whatever clients query, so runs seed the hasher (see
+//! [`scp_workload::fasthash`]). The cap, [`DENSE_KEY_CAP`] = 2^24 keys,
+//! bounds the directory at 128 KB (and the pages at 64 MB) whatever
+//! `items` a caller passes; in a run over more keys, the keys from 2^24
+//! up are hashed. A pin to `NodeId(u32::MAX)`, which has no `node + 1`
+//! code, also goes to the map; the map is probed for a key in the dense
+//! range only while such a pin exists.
+//!
+//! Neither table is iterated, and both hold the same state, so the
+//! domain and the seed change where the state lives, never a decision
+//! (the root suite `tests/select_equivalence.rs` checks this against
+//! map-only twins).
 
 use crate::ids::{KeyId, NodeId};
 use scp_workload::fasthash::FastBuildHasher;
@@ -106,22 +133,107 @@ impl ReplicaSelector for RandomSelector {
     }
 }
 
+/// log2 of the slots per page of a [`PageTable`].
+const PAGE_BITS: u32 = 10;
+/// Slots per page: 1024 `u32`, 4 KB.
+const PAGE_SLOTS: usize = 1 << PAGE_BITS;
+/// Masks a key to its slot within its page.
+const SLOT_MASK: usize = PAGE_SLOTS - 1;
+
+/// The largest key domain a sticky selector indexes directly: 2^24 keys,
+/// a directory of 16 384 page pointers (128 KB). Keys at or above it
+/// stay in the keyed map.
+pub const DENSE_KEY_CAP: u64 = 1 << 24;
+
+/// One `u32` per key below `domain`, 0 meaning "none" (module docs).
+#[derive(Clone, Default)]
+struct PageTable {
+    domain: u64,
+    pages: Vec<Option<Box<[u32; PAGE_SLOTS]>>>,
+}
+
+impl PageTable {
+    fn new(items: u64) -> Self {
+        Self {
+            domain: items.min(DENSE_KEY_CAP),
+            pages: Vec::new(),
+        }
+    }
+
+    /// Whether `key` lives in the table rather than the selector's map.
+    #[inline]
+    fn covers(&self, key: KeyId) -> bool {
+        key.value() < self.domain
+    }
+
+    /// The slot of a covered key: 0 while its page is unwritten.
+    #[inline]
+    fn get(&self, key: KeyId) -> u32 {
+        let k = key.value();
+        self.pages
+            .get((k >> PAGE_BITS) as usize)
+            .and_then(Option::as_deref)
+            .and_then(|page| page.get(k as usize & SLOT_MASK))
+            .copied()
+            .unwrap_or(0)
+    }
+
+    /// The slot of a covered key, its page allocated zeroed on first
+    /// write. `None` only for a key the directory does not reach, which
+    /// its sizing rules out for covered keys.
+    #[inline]
+    fn slot_mut(&mut self, key: KeyId) -> Option<&mut u32> {
+        if self.pages.is_empty() {
+            // The directory too waits for the first write, so building a
+            // selector allocates nothing (engines build one per set-up).
+            let len = self.domain.div_ceil(PAGE_SLOTS as u64) as usize;
+            self.pages.resize_with(len, || None);
+        }
+        let k = key.value();
+        self.pages
+            .get_mut((k >> PAGE_BITS) as usize)?
+            .get_or_insert_with(|| Box::new([0; PAGE_SLOTS]))
+            .get_mut(k as usize & SLOT_MASK)
+    }
+
+    /// Zeroes the pages written so far, keeping their allocations.
+    fn reset(&mut self) {
+        for page in self.pages.iter_mut().flatten() {
+            page.fill(0);
+        }
+    }
+}
+
+impl fmt::Debug for PageTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PageTable")
+            .field("domain", &self.domain)
+            .field("pages_written", &self.pages.iter().flatten().count())
+            .finish()
+    }
+}
+
 /// Per-key round-robin over the group.
 #[derive(Debug, Clone, Default)]
 pub struct RoundRobinSelector {
+    /// Counters of the keys below the domain; an absent one reads 0.
+    dense: PageTable,
     counters: HashMap<KeyId, u32, FastBuildHasher>,
 }
 
 impl RoundRobinSelector {
-    /// Creates the selector.
+    /// Creates the selector; every counter lives in the map, keyed with
+    /// seed 0.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// [`RoundRobinSelector::new`] with the per-key counters keyed by
-    /// `hasher`.
-    pub fn with_hasher(hasher: FastBuildHasher) -> Self {
+    /// The selector for a run over keys `0..items`: counters of keys below
+    /// `min(items, DENSE_KEY_CAP)` sit in the page table, the rest in a
+    /// map keyed by `hasher` (module docs).
+    pub fn for_items(items: u64, hasher: FastBuildHasher) -> Self {
         Self {
+            dense: PageTable::new(items),
             counters: HashMap::with_hasher(hasher),
         }
     }
@@ -129,13 +241,19 @@ impl RoundRobinSelector {
 
 impl ReplicaSelector for RoundRobinSelector {
     fn select(&mut self, key: KeyId, group: &[NodeId], _loads: &[f64]) -> NodeId {
-        let counter = self.counters.entry(key).or_insert(0);
-        // `max(1)` keeps the modulus total; the `get` fallback only
-        // covers the contract-violating empty group.
+        let counter = if self.dense.covers(key) {
+            self.dense.slot_mut(key)
+        } else {
+            Some(self.counters.entry(key).or_insert(0))
+        };
+        // `max(1)` keeps the modulus total; the fallbacks only cover the
+        // contract-violating empty group and the unreachable slot.
+        let Some(counter) = counter else {
+            return group.first().copied().unwrap_or(NodeId::new(0));
+        };
         let idx = (*counter as usize) % group.len().max(1);
-        let node = group.get(idx).copied().unwrap_or(NodeId::new(0));
         *counter = counter.wrapping_add(1);
-        node
+        group.get(idx).copied().unwrap_or(NodeId::new(0))
     }
 
     fn rate_assignment(
@@ -148,6 +266,7 @@ impl ReplicaSelector for RoundRobinSelector {
     }
 
     fn reset(&mut self) {
+        self.dense.reset();
         self.counters.clear();
     }
 
@@ -164,35 +283,84 @@ impl ReplicaSelector for RoundRobinSelector {
 /// Eq. (5) bound.
 #[derive(Debug, Clone, Default)]
 pub struct LeastLoadedSelector {
+    /// `node + 1` per pinned key below the domain.
+    dense: PageTable,
+    /// Nonzero slots of `dense`.
+    dense_pins: usize,
+    /// Pins of the keys above the domain, and of the keys below it pinned
+    /// to `NodeId(u32::MAX)`, the one node with no `node + 1` code.
     pins: HashMap<KeyId, NodeId, FastBuildHasher>,
+    /// Keys below the domain held in `pins`; while 0, an empty slot
+    /// means unpinned without a map probe.
+    wide: usize,
 }
 
 impl LeastLoadedSelector {
-    /// Creates the selector.
+    /// Creates the selector; every pin lives in the map, keyed with seed 0.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// [`LeastLoadedSelector::new`] with the pin table keyed by `hasher`.
-    pub fn with_hasher(hasher: FastBuildHasher) -> Self {
+    /// The selector for a run over keys `0..items`: pins of keys below
+    /// `min(items, DENSE_KEY_CAP)` sit in the page table, the rest in a
+    /// map keyed by `hasher` (module docs).
+    pub fn for_items(items: u64, hasher: FastBuildHasher) -> Self {
         Self {
+            dense: PageTable::new(items),
             pins: HashMap::with_hasher(hasher),
+            ..Self::default()
         }
     }
 
     /// Number of keys currently pinned.
     pub fn pinned_keys(&self) -> usize {
-        self.pins.len()
+        self.dense_pins + self.pins.len()
+    }
+
+    fn pin_of(&self, key: KeyId) -> Option<NodeId> {
+        if self.dense.covers(key) {
+            if let Some(node) = self.dense.get(key).checked_sub(1) {
+                return Some(NodeId::new(node));
+            }
+            if self.wide == 0 {
+                return None;
+            }
+        }
+        self.pins.get(&key).copied()
+    }
+
+    fn store(&mut self, key: KeyId, node: NodeId) {
+        if !self.dense.covers(key) {
+            self.pins.insert(key, node);
+            return;
+        }
+        let code = u32::try_from(u64::from(node.value()) + 1).ok();
+        if let Some(slot) = self.dense.slot_mut(key) {
+            let was_pinned = *slot != 0;
+            *slot = code.unwrap_or(0);
+            match (was_pinned, code.is_some()) {
+                (false, true) => self.dense_pins += 1,
+                (true, false) => self.dense_pins -= 1,
+                _ => {}
+            }
+        }
+        if code.is_none() {
+            if self.pins.insert(key, node).is_none() {
+                self.wide += 1;
+            }
+        } else if self.wide > 0 && self.pins.remove(&key).is_some() {
+            self.wide -= 1;
+        }
     }
 
     fn pin(&mut self, key: KeyId, group: &[NodeId], loads: &[f64]) -> NodeId {
-        if let Some(&pinned) = self.pins.get(&key) {
+        if let Some(pinned) = self.pin_of(key) {
             if group.contains(&pinned) {
                 return pinned;
             }
         }
         let node = argmin_load(group, loads);
-        self.pins.insert(key, node);
+        self.store(key, node);
         node
     }
 }
@@ -207,7 +375,10 @@ impl ReplicaSelector for LeastLoadedSelector {
     }
 
     fn reset(&mut self) {
+        self.dense.reset();
+        self.dense_pins = 0;
         self.pins.clear();
+        self.wide = 0;
     }
 
     fn name(&self) -> &'static str {
@@ -377,13 +548,51 @@ mod tests {
         }
         let (a, b) = (FastBuildHasher::new(1), FastBuildHasher::new(2));
         assert_eq!(
-            route(Box::new(LeastLoadedSelector::with_hasher(a))),
-            route(Box::new(LeastLoadedSelector::with_hasher(b)))
+            route(Box::new(LeastLoadedSelector::for_items(0, a))),
+            route(Box::new(LeastLoadedSelector::for_items(0, b)))
         );
         assert_eq!(
-            route(Box::new(RoundRobinSelector::with_hasher(a))),
-            route(Box::new(RoundRobinSelector::with_hasher(b)))
+            route(Box::new(RoundRobinSelector::for_items(0, a))),
+            route(Box::new(RoundRobinSelector::for_items(0, b)))
         );
+    }
+
+    #[test]
+    fn page_directory_is_sized_from_the_capped_domain() {
+        // Nothing until the first write; then 784 B of page pointers at
+        // m = 10⁵. `u64::MAX` items (a CLI value) stops at the cap's
+        // 16 384 pointers instead of aborting.
+        let written = |items: u64, key: u64| {
+            let mut table = PageTable::new(items);
+            assert!(table.pages.is_empty());
+            *table.slot_mut(KeyId::new(key)).expect("covered key") = 1;
+            table
+        };
+        let table = written(100_000, 99_999);
+        assert_eq!(table.pages.len(), 98);
+        assert_eq!(std::mem::size_of_val(table.pages.as_slice()), 784);
+        assert_eq!(table.get(KeyId::new(99_999)), 1);
+        let capped = written(u64::MAX, DENSE_KEY_CAP - 1);
+        assert_eq!(capped.domain, DENSE_KEY_CAP);
+        assert_eq!(capped.pages.len(), 16_384);
+        assert!(!capped.covers(KeyId::new(DENSE_KEY_CAP)));
+        assert!(capped.covers(KeyId::new(DENSE_KEY_CAP - 1)));
+        assert_eq!(written(1025, 0).pages.len(), 2);
+    }
+
+    #[test]
+    fn pages_are_allocated_on_first_write_and_kept_by_reset() {
+        let g = group(&[0, 1]);
+        let mut s = LeastLoadedSelector::for_items(5_000, FastBuildHasher::new(9));
+        assert_eq!(s.dense.pages.iter().flatten().count(), 0);
+        s.select(KeyId::new(4_097), &g, &[0.0, 1.0]);
+        s.select(KeyId::new(5_000), &g, &[0.0, 1.0]); // above the domain
+        assert_eq!(s.dense.pages.iter().flatten().count(), 1);
+        assert_eq!((s.dense_pins, s.pins.len()), (1, 1));
+        s.reset();
+        assert_eq!(s.dense.pages.iter().flatten().count(), 1);
+        assert_eq!(s.pinned_keys(), 0);
+        assert_eq!(s.select(KeyId::new(4_097), &g, &[3.0, 1.0]), NodeId::new(1));
     }
 
     #[test]

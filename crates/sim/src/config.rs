@@ -543,14 +543,18 @@ impl SimConfig {
 
     /// Builds the configured replica selector (seed lane 2: the random
     /// selector's stream, and the key of the sticky selectors' per-key
-    /// tables).
+    /// maps). The sticky selectors index keys below `items` (capped at
+    /// [`DENSE_KEY_CAP`](scp_cluster::select::DENSE_KEY_CAP)) in a page
+    /// table and hash only the keys above it.
     pub fn build_selector(&self) -> Box<dyn ReplicaSelector> {
         let seed = mix(&[self.seed, 2]);
         let hasher = FastBuildHasher::new(seed);
         match self.selector {
             SelectorKind::Random => Box::new(RandomSelector::new(seed)),
-            SelectorKind::RoundRobin => Box::new(RoundRobinSelector::with_hasher(hasher)),
-            SelectorKind::LeastLoaded => Box::new(LeastLoadedSelector::with_hasher(hasher)),
+            SelectorKind::RoundRobin => Box::new(RoundRobinSelector::for_items(self.items, hasher)),
+            SelectorKind::LeastLoaded => {
+                Box::new(LeastLoadedSelector::for_items(self.items, hasher))
+            }
             SelectorKind::PerQueryLeastLoaded => Box::new(PerQueryLeastLoaded::new()),
         }
     }

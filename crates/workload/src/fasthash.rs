@@ -20,7 +20,10 @@
 //! * caches built by `SimConfig::build_cache` — seed lane 9,
 //!   `mix(&[seed, 9])`;
 //! * the sticky selectors built by `SimConfig::build_selector` — the
-//!   lane-2 seed the selector already derives;
+//!   lane-2 seed the selector already derives. Their map holds only the
+//!   keys outside the selector's dense domain (`items`, capped at
+//!   2^24): keys below it sit in a page table indexed by the key itself,
+//!   which has no bucket function to flood;
 //! * the PoW verifier's replay sets — the verifier's secret.
 //!
 //! The seed changes table *layout* only. None of these tables is iterated
