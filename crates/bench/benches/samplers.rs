@@ -54,6 +54,22 @@ fn bench_samplers(c: &mut Criterion) {
         });
     });
 
+    // The same steady state through the batch walk: 256 random ranks
+    // (one `apply_batch` chunk) per iteration, reported per rank.
+    group.throughput(Throughput::Elements(256));
+    group.bench_function("feistel_apply_batch", |b| {
+        let perm = FeistelPermutation::new(FEISTEL_M, 4).unwrap();
+        let mut rng = Xoshiro256StarStar::seed_from_u64(5);
+        let mut lanes = [0u64; 256];
+        b.iter(|| {
+            for lane in &mut lanes {
+                *lane = next_below(&mut rng, FEISTEL_M);
+            }
+            perm.apply_batch(black_box(&mut lanes));
+            black_box(lanes[0])
+        });
+    });
+
     // The oracle-seeding shape that a run's set-up sees: a fresh
     // permutation and 64 applies, below the break-even count, so every
     // round is computed and no table is ever built.

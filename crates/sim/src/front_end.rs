@@ -62,8 +62,9 @@ impl FrontEnd {
         let mapping = cfg.key_mapping()?;
         let caches = (0..frontends)
             .map(|f| {
-                let ranked = (0..cfg.items)
-                    .map(|rank| mapping.apply(rank))
+                // Batches of `c`: by-client routing maps exactly the keys
+                // it seeds.
+                let ranked = RankedKeys::new(&mapping, cfg.items, cfg.cache_capacity)
                     .filter(|&key| {
                         routing == FrontendRouting::ByClient
                             || frontend_for_key(key, frontends) == f
@@ -86,12 +87,11 @@ impl FrontEnd {
     }
 
     /// Draws the next `keys.len()` query keys. Sampling a batch of ranks
-    /// and then mapping the batch lets consecutive draws overlap.
+    /// and then mapping the batch with one `apply_batch` lets the key
+    /// permutation's walks of consecutive draws overlap.
     pub(crate) fn draw(&mut self, keys: &mut [u64]) {
         self.ranks.sample_batch(keys);
-        for key in keys.iter_mut() {
-            *key = self.mapping.apply(*key);
-        }
+        self.mapping.apply_batch(keys);
     }
 
     /// Serves one query of weight `cost`: its front end's cache, and on a
@@ -153,6 +153,60 @@ fn frontend_for_key(key: u64, frontends: usize) -> usize {
 
 /// Keys drawn per batch by [`run`].
 const BATCH: usize = 1024;
+
+/// Most ranks [`RankedKeys`] maps per `apply_batch`.
+pub(crate) const RANK_BATCH: usize = 256;
+
+/// The keys of ranks `0..end` in popularity order, mapped through
+/// [`KeyMapping::apply_batch`] up to `batch` ranks at a time. Lazy: a
+/// consumer that stops early has mapped fewer than `batch` ranks past
+/// the last key it read.
+pub(crate) struct RankedKeys<'a> {
+    mapping: &'a KeyMapping,
+    /// Next rank to map.
+    rank: u64,
+    end: u64,
+    batch: usize,
+    keys: [u64; RANK_BATCH],
+    /// Mapped keys in `keys`, and how many of them were read.
+    len: usize,
+    read: usize,
+}
+
+impl<'a> RankedKeys<'a> {
+    /// `batch` is clamped to `1..=RANK_BATCH`.
+    pub(crate) fn new(mapping: &'a KeyMapping, end: u64, batch: usize) -> Self {
+        Self {
+            mapping,
+            rank: 0,
+            end,
+            batch: batch.clamp(1, RANK_BATCH),
+            keys: [0; RANK_BATCH],
+            len: 0,
+            read: 0,
+        }
+    }
+}
+
+impl Iterator for RankedKeys<'_> {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        if self.read == self.len {
+            let len = self.end.saturating_sub(self.rank).min(self.batch as u64) as usize;
+            let chunk = self.keys.get_mut(..len).filter(|chunk| !chunk.is_empty())?;
+            for (key, rank) in chunk.iter_mut().zip(self.rank..) {
+                *key = rank;
+            }
+            self.mapping.apply_batch(chunk);
+            self.rank += len as u64;
+            (self.len, self.read) = (len, 0);
+        }
+        let key = self.keys.get(self.read).copied();
+        self.read += 1;
+        key
+    }
+}
 
 /// The one sampling loop: `queries` draws through a fresh [`FrontEnd`],
 /// each a read or a write per `model`. Loads, cache load and `offered`

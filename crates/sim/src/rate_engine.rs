@@ -10,6 +10,7 @@
 
 use crate::config::{AdmissionKind, CacheKind, SimConfig};
 use crate::error::SimError;
+use crate::front_end::RANK_BATCH;
 use crate::metrics::LoadReport;
 use crate::Result;
 use scp_cluster::select::RateAssignment;
@@ -136,6 +137,21 @@ pub(crate) fn propagate(
     cluster.reset();
     let probs = cfg.pattern.rank_probs();
     let mut cache_load = 0.0;
+    // Routed ranks and their residuals, mapped and routed a batch at a
+    // time in rank order.
+    let mut ranks = [0u64; RANK_BATCH];
+    let mut residuals = [0.0f64; RANK_BATCH];
+    let mut pending = 0;
+    let mut route_pending = |ranks: &mut [u64], residuals: &[f64]| {
+        mapping.apply_batch(ranks);
+        for (&key, &residual) in ranks.iter().zip(residuals) {
+            let key = KeyId::new(key);
+            // NoLiveReplica is accounted as unserved inside the cluster.
+            if let Ok(assignment) = cluster.apply_rate(key, residual) {
+                record(cluster, key, residual, assignment);
+            }
+        }
+    };
     for rank in 0..probs.support_bound() {
         let p = probs.get(rank);
         if p <= 0.0 {
@@ -146,12 +162,19 @@ pub(crate) fn propagate(
         cache_load += rate * h;
         let residual = rate * (1.0 - h);
         if residual > 0.0 {
-            let key = KeyId::new(mapping.apply(rank));
-            // NoLiveReplica is accounted as unserved inside the cluster.
-            if let Ok(assignment) = cluster.apply_rate(key, residual) {
-                record(cluster, key, residual, assignment);
+            if let (Some(slot), Some(share)) = (ranks.get_mut(pending), residuals.get_mut(pending))
+            {
+                (*slot, *share) = (rank, residual);
+                pending += 1;
+            }
+            if pending == RANK_BATCH {
+                route_pending(&mut ranks, &residuals);
+                pending = 0;
             }
         }
+    }
+    if let (Some(ranks), Some(residuals)) = (ranks.get_mut(..pending), residuals.get(..pending)) {
+        route_pending(ranks, residuals);
     }
     LoadReport {
         snapshot: cluster.snapshot(),

@@ -63,6 +63,7 @@
 
 use crate::config::{CacheKind, SelectorKind, SimConfig};
 use crate::error::SimError;
+use crate::front_end::{RankedKeys, RANK_BATCH};
 use crate::journal::RunJournal;
 use crate::metrics::LoadReport;
 use crate::runner::{
@@ -142,8 +143,8 @@ impl RunSweep {
         // Fetch each group straight into the flat buffer: a
         // `Vec<ReplicaGroup>` in between would alone be several MB per
         // run at paper scale.
-        for rank in 0..x_max {
-            let group = partitioner.replica_group(KeyId::new(mapping.apply(rank)));
+        for key in RankedKeys::new(&mapping, x_max, RANK_BATCH) {
+            let group = partitioner.replica_group(KeyId::new(key));
             if group.len() != d {
                 return Err(SimError::InvalidConfig {
                     field: "replication",

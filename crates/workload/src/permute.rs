@@ -27,6 +27,26 @@
 //! `m = 10^5`, 16 KB at `m = 10^6`, capped at 512 KB for `m = 2^32`.
 //! Domains above `2^32` (`half_bits > 16`) never build a table and stay
 //! O(1) memory.
+//!
+//! A single `apply` is one dependent chain: pass after pass of table
+//! loads, ended by an unpredictable `v >= m` exit after 2.6 passes on
+//! average at `m = 10^5` (up to ~27). Ranks are independent, so
+//! [`FeistelPermutation::apply_batch`] walks a slice in chunks of
+//! `BATCH_CHUNK` lanes: one pass over every lane, then passes over a
+//! compacted index list of only the lanes still `>= m`. Each lane's
+//! index is written unconditionally and the list length advances by the
+//! comparison, so the compaction has no branch. Every rank walks exactly
+//! its own length, and the chunk's table loads overlap: about a third of
+//! `apply`'s time a rank at `m = 10^5` (`feistel_apply_batch` against
+//! `feistel_apply` in `BENCH_samplers.json`). Walking the lanes in
+//! lockstep is slower than `apply` (≈70 ns a rank measured), because
+//! every lane waits for the chunk's longest walk, 6–7 passes against the
+//! mean of 2.6.
+//!
+//! Until the table arms, `apply_batch` maps one rank at a time through
+//! `apply`'s own walk, so the table arms before exactly the rank where a
+//! run of `apply` calls would arm it. Above `2^32`, where no table is
+//! built, the batch adds its passes to the same counter `apply` does.
 
 use crate::error::WorkloadError;
 use crate::rng::mix;
@@ -38,6 +58,11 @@ const ROUNDS: usize = 4;
 
 /// Widest half for which round outputs fit the table's `u16` entries.
 const TABLE_MAX_HALF_BITS: u32 = 16;
+
+/// Lanes `apply_batch` walks together: enough independent walks to
+/// hide the table's load latency, few enough that the lane list stays a
+/// small stack array.
+const BATCH_CHUNK: usize = 256;
 
 /// A seeded bijection on `[0, m)`.
 ///
@@ -214,6 +239,44 @@ impl FeistelPermutation {
         self.walk(rank, Self::encrypt_once)
     }
 
+    /// Maps every rank of `ranks` to its key id in place: the same keys
+    /// as [`apply`](Self::apply) on each rank in order, with the walks
+    /// of independent ranks overlapped (see the module docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if any rank is `>= m`, before mapping any.
+    pub fn apply_batch(&self, ranks: &mut [u64]) {
+        for &rank in ranks.iter() {
+            assert!(rank < self.m, "rank {rank} out of domain [0, {})", self.m);
+        }
+        if self.m == 1 {
+            return;
+        }
+        // One rank at a time until the table arms, so it arms before
+        // the same rank as under `apply`.
+        let mut rest = ranks;
+        while self.half_bits <= TABLE_MAX_HALF_BITS && self.table.get().is_none() {
+            let Some((rank, tail)) = rest.split_first_mut() else {
+                return;
+            };
+            *rank = self.walk(*rank, Self::encrypt_once);
+            rest = tail;
+        }
+        let table = self.round_table();
+        if table.is_empty() {
+            // m > 2^32: every round is computed.
+            let passes = walk_chunks(rest, self.m, |v| self.encrypt_once(table, v));
+            self.slow_passes
+                .set(self.slow_passes.get().saturating_add(passes));
+        } else {
+            let (half_bits, half_mask) = (self.half_bits, self.half_mask);
+            walk_chunks(rest, self.m, |v| {
+                encrypt_armed(table, half_bits, half_mask, v)
+            });
+        }
+    }
+
     /// Inverse mapping: key id back to rank.
     ///
     /// # Panics
@@ -229,6 +292,63 @@ impl FeistelPermutation {
     fn is_armed(&self) -> bool {
         self.table.get().is_some()
     }
+}
+
+/// `encrypt_once` on an armed table, with every round one load. Small
+/// enough to inline into the lane loops, and it takes the network's
+/// shape by value so nothing is re-read from the permutation. The table
+/// holds all `ROUNDS << half_bits` slots, so the `0` is never read.
+#[inline]
+fn encrypt_armed(table: &[u16], half_bits: u32, half_mask: u64, value: u64) -> u64 {
+    let mut left = (value >> half_bits) & half_mask;
+    let mut right = value & half_mask;
+    for r in 0..ROUNDS {
+        let f = table
+            .get((r << half_bits) | right as usize)
+            .map_or(0, |&f| u64::from(f));
+        let new_right = left ^ f;
+        left = right;
+        right = new_right;
+    }
+    (left << half_bits) | right
+}
+
+/// Cycle-walks `values` in place, `BATCH_CHUNK` lanes at a time, until
+/// every lane is below `m`, and returns the passes taken (the lane
+/// compaction is described in the module docs).
+fn walk_chunks(values: &mut [u64], m: u64, pass: impl Fn(u64) -> u64) -> usize {
+    let mut passes = 0usize;
+    let mut pending = [0usize; BATCH_CHUNK];
+    for chunk in values.chunks_mut(BATCH_CHUNK) {
+        let mut live = 0;
+        for (lane, v) in chunk.iter_mut().enumerate() {
+            *v = pass(*v);
+            if let Some(slot) = pending.get_mut(live) {
+                *slot = lane;
+            }
+            live += usize::from(*v >= m);
+        }
+        passes = passes.saturating_add(chunk.len());
+        while live > 0 {
+            passes = passes.saturating_add(live);
+            let mut still = 0;
+            for next in 0..live {
+                let Some(&lane) = pending.get(next) else {
+                    break;
+                };
+                let Some(v) = chunk.get_mut(lane) else {
+                    break;
+                };
+                *v = pass(*v);
+                if let Some(slot) = pending.get_mut(still) {
+                    *slot = lane;
+                }
+                still += usize::from(*v >= m);
+            }
+            live = still;
+        }
+    }
+    passes
 }
 
 /// The identity mapping, for experiments where rank == key id
@@ -276,6 +396,20 @@ impl KeyMapping {
         match self {
             KeyMapping::Identity => rank,
             KeyMapping::Feistel(p) => p.apply(rank),
+        }
+    }
+
+    /// Maps every rank of `ranks` to its key id in place, equal to
+    /// [`apply`](Self::apply) on each (the identity leaves them as they
+    /// are).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a Feistel mapping is given a rank at or above its
+    /// domain.
+    pub fn apply_batch(&self, ranks: &mut [u64]) {
+        if let KeyMapping::Feistel(p) = self {
+            p.apply_batch(ranks);
         }
     }
 }
@@ -574,6 +708,122 @@ mod tests {
         assert!(a.contains("m: 100000") && a.contains("armed: true"), "{a}");
         assert!(f.contains("armed: false"), "{f}");
         assert!(a.len() < 200, "{} bytes: {a}", a.len());
+    }
+
+    // The batch walk: same keys, same pass count, same arming point.
+
+    /// Warms `p` with `applies` scalar applies of seeded ranks.
+    fn warm(p: &FeistelPermutation, applies: u64, seed: u64) {
+        let mut gen = Xoshiro256StarStar::seed_from_u64(seed);
+        for _ in 0..applies {
+            p.apply(next_below(&mut gen, p.domain()));
+        }
+    }
+
+    #[test]
+    fn prop_apply_batch_equals_apply() {
+        const LENS: [usize; 6] = [
+            0,
+            1,
+            BATCH_CHUNK - 1,
+            BATCH_CHUNK,
+            BATCH_CHUNK + 1,
+            3 * BATCH_CHUNK + 7,
+        ];
+        let mut gen = Xoshiro256StarStar::seed_from_u64(0xBA7C);
+        // Cases that start unarmed, start armed, and arm inside the batch.
+        let (mut states, mut arming) = ([0usize; 2], 0);
+        for case in 0..500u64 {
+            let k = 1 + next_below(&mut gen, 20);
+            let m = match case % 8 {
+                0 => 1 + case / 8 % 3,
+                1 => 1 << k,
+                2 => (1 << k) - 1,
+                3 => (1 << k) + 1,
+                4 => 100_000,
+                5 => (1u64 << 32) + 1 + next_below(&mut gen, 1 << 20),
+                _ => 1 + next_below(&mut gen, 1 << 20),
+            };
+            let seed = gen.next_u64();
+            let len = LENS[(case as usize / 8) % LENS.len()];
+            let scalar = FeistelPermutation::new(m, seed).unwrap();
+            let batched = FeistelPermutation::new(m, seed).unwrap();
+            // Anywhere from a fresh instance to well past arming, on
+            // both instances alike.
+            let warm_up = next_below(&mut gen, 3 << scalar.half_bits.min(11));
+            warm(&scalar, warm_up, seed);
+            warm(&batched, warm_up, seed);
+            let was_armed = scalar.is_armed();
+            states[usize::from(was_armed)] += 1;
+
+            let mut ranks: Vec<u64> = (0..len).map(|_| next_below(&mut gen, m)).collect();
+            // The domain's ends, and duplicates of earlier lanes.
+            if let Some(first) = ranks.first_mut() {
+                *first = 0;
+            }
+            if let Some(last) = ranks.last_mut() {
+                *last = m - 1;
+            }
+            for lane in (2..len).step_by(5) {
+                ranks[lane] = ranks[lane / 2];
+            }
+            let want: Vec<u64> = ranks.iter().map(|&r| scalar.apply(r)).collect();
+            batched.apply_batch(&mut ranks);
+            let ctx = format!("case {case}: m={m} seed={seed} len={len} warm={warm_up}");
+            assert_eq!(ranks, want, "{ctx}");
+            assert_eq!(batched.slow_passes.get(), scalar.slow_passes.get(), "{ctx}");
+            assert_eq!(batched.is_armed(), scalar.is_armed(), "{ctx}");
+            arming += usize::from(!was_armed && batched.is_armed());
+        }
+        assert!(
+            states.iter().all(|&n| n > 50),
+            "unarmed/armed cases: {states:?}"
+        );
+        assert!(arming > 10, "{arming} cases armed inside the batch");
+    }
+
+    #[test]
+    fn apply_batch_arms_after_the_same_work_as_apply() {
+        for batch in [1usize, 7, BATCH_CHUNK, 1000] {
+            for seed in [1u64, mix(&[1, 3])] {
+                let scalar = FeistelPermutation::new(100_000, seed).unwrap();
+                let batched = FeistelPermutation::new(100_000, seed).unwrap();
+                let mut gen = Xoshiro256StarStar::seed_from_u64(seed);
+                let mut ranks = vec![0u64; batch];
+                for round in 0..2000 / batch + 1 {
+                    ranks.fill_with(|| next_below(&mut gen, 100_000));
+                    for &r in &ranks {
+                        scalar.apply(r);
+                    }
+                    batched.apply_batch(&mut ranks);
+                    let ctx = format!("batch {batch} seed {seed} round {round}");
+                    assert_eq!(batched.slow_passes.get(), scalar.slow_passes.get(), "{ctx}");
+                    assert_eq!(batched.is_armed(), scalar.is_armed(), "{ctx}");
+                }
+                // Both armed, after the same counted work, which is at
+                // least the break-even count.
+                assert!(batched.is_armed(), "batch {batch}");
+                assert!(batched.slow_passes.get() >= 1 << batched.half_bits);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of domain")]
+    fn apply_batch_rejects_out_of_domain() {
+        let p = FeistelPermutation::new(10, 1).unwrap();
+        p.apply_batch(&mut [3, 9, 10]);
+    }
+
+    #[test]
+    fn key_mapping_apply_batch_forwards() {
+        let mut ranks = [5u64, 0, 499, 5];
+        KeyMapping::Identity.apply_batch(&mut ranks);
+        assert_eq!(ranks, [5, 0, 499, 5]);
+        let map = KeyMapping::scattered(500, 9).unwrap();
+        let want = ranks.map(|r| map.apply(r));
+        map.apply_batch(&mut ranks);
+        assert_eq!(ranks, want);
     }
 
     // Seeded randomized sweeps (stand-ins for property tests; the case

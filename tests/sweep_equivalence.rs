@@ -158,3 +158,27 @@ fn journal_seeds_replay_through_the_per_point_engine() {
         }
     }
 }
+
+#[test]
+fn batched_key_mapping_equals_scalar_apply_at_paper_scale() {
+    // `RunSweep::new`, the sampled front end and the rate loop map ranks
+    // with `apply_batch`; each rank must get the key `apply` gives it on
+    // the lane-3 mapping of m = 10^5, through the round table's arming
+    // point (the 4096-rank prefix) and across the whole domain.
+    for seed in [1u64, 2, 3001] {
+        let cfg = SimConfig::builder()
+            .items(100_000)
+            .seed(seed)
+            .build()
+            .unwrap();
+        let scalar = cfg.key_mapping().unwrap();
+        let batched = cfg.key_mapping().unwrap();
+        let mut ranks: Vec<u64> = (0..4096).chain((0..100_000).step_by(89)).collect();
+        ranks.push(99_999);
+        let want: Vec<u64> = ranks.iter().map(|&r| scalar.apply(r)).collect();
+        for chunk in ranks.chunks_mut(1000) {
+            batched.apply_batch(chunk);
+        }
+        assert_eq!(ranks, want, "seed {seed}");
+    }
+}
