@@ -86,12 +86,17 @@ impl FrontEnd {
         })
     }
 
-    /// Draws the next `keys.len()` query keys. Sampling a batch of ranks
-    /// and then mapping the batch with one `apply_batch` lets the key
-    /// permutation's walks of consecutive draws overlap.
+    /// Draws the next `keys.len()` query keys: a batch of ranks, each
+    /// mapped with `apply`. Mapping the batch with `apply_batch` is
+    /// faster on average, but it widened the run-to-run spread of
+    /// `sim_query` throughput past the benchmark's bound (EXPERIMENTS.md):
+    /// CPU time jitters by about the same nanoseconds either way, and
+    /// that moves the rate of the faster path more.
     pub(crate) fn draw(&mut self, keys: &mut [u64]) {
         self.ranks.sample_batch(keys);
-        self.mapping.apply_batch(keys);
+        for key in keys.iter_mut() {
+            *key = self.mapping.apply(*key);
+        }
     }
 
     /// Serves one query of weight `cost`: its front end's cache, and on a
