@@ -1,10 +1,10 @@
 //! A slab-backed intrusive doubly-linked list.
 //!
-//! The recency lists inside [`crate::lru`], [`crate::slru`] and
-//! [`crate::tinylfu`] need O(1) "move this known entry to the front" and
-//! "pop the back" without per-node allocation. `LinkedSlab` stores nodes in
-//! a `Vec`, reuses freed slots through a free list, and hands out stable
-//! `usize` slot handles.
+//! The recency lists inside [`crate::lru_core::LruCore`] (and so the LRU,
+//! SLRU and ARC policies built on it) need O(1) "move this known entry to
+//! the front" and "pop the back" without per-node allocation.
+//! `LinkedSlab` stores nodes in a `Vec`, reuses freed slots through a free
+//! list, and hands out stable `usize` slot handles.
 
 /// Sentinel meaning "no slot".
 const NIL: usize = usize::MAX;

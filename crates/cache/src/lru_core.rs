@@ -1,4 +1,4 @@
-//! Reusable LRU bookkeeping shared by LRU, SLRU and TinyLFU segments.
+//! Reusable LRU bookkeeping shared by the LRU, SLRU and ARC policies.
 
 use crate::list::LinkedSlab;
 use scp_workload::fasthash::FastBuildHasher;

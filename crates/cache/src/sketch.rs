@@ -1,19 +1,22 @@
 //! Frequency sketches for TinyLFU admission.
 //!
 //! Every count-min row index and doorkeeper probe of a key derives from
-//! one 64-bit base hash, `key_hash`, computed once per access: row `r`
-//! reads `mix(&[h, r ^ 0xC0FF_EE00])` and the doorkeeper
-//! `mix(&[h, 0xD00B_1EE7_0000_1111])`. W-TinyLFU hands the same `h` to
-//! both structures through the `*_hashed` forms; the generic
-//! `estimate`/`increment`/`contains`/`insert` are one-line adapters over
-//! them.
+//! one 64-bit base hash, `key_hash`: row `r` reads
+//! `mix(&[h, r ^ 0xC0FF_EE00])` and the doorkeeper
+//! `mix(&[h, 0xD00B_1EE7_0000_1111])`. `CountMinSketch::slots` and
+//! `Doorkeeper::positions` turn `h` into the counters and bits a key
+//! touches, and the `*_at` forms read and write those directly: W-TinyLFU
+//! derives them once when a key enters the cache and keeps them with the
+//! resident. The `*_hashed` forms are adapters over the `*_at` ones, and
+//! the generic `estimate`/`increment`/`contains`/`insert` adapters over
+//! the `*_hashed` ones.
 //!
 //! The base hash is std's default SipHash-1-3 under a fixed all-zero
 //! key, and `mix` is public, so which counters a key touches is a
 //! *public* function of the key: an attacker can search for keys that
 //! share rows with a victim and pollute its estimate. Keying it would
 //! move which keys collide, and so every TinyLFU figure and digest; that
-//! sketch-pollution surface is left to ROADMAP item 5(b).
+//! sketch-pollution surface is left to ROADMAP item 3.
 
 use scp_workload::rng::mix;
 use std::hash::{Hash, Hasher};
@@ -30,6 +33,12 @@ pub(crate) fn key_hash<K: Hash>(key: &K) -> u64 {
     key.hash(&mut hasher);
     hasher.finish()
 }
+
+/// Word and bit offset of a key's counter in each count-min row.
+pub(crate) type CounterSlots = [(usize, usize); CountMinSketch::DEPTH];
+
+/// A key's three doorkeeper bit positions.
+pub(crate) type DoorSlots = [usize; 3];
 
 /// A count-min sketch with 4-bit saturating counters and periodic halving,
 /// as used by W-TinyLFU's frequency filter.
@@ -71,7 +80,7 @@ impl CountMinSketch {
     }
 
     /// Word and bit offset of each row's counter for base hash `h`.
-    fn slots(&self, h: u64) -> [(usize, usize); Self::DEPTH] {
+    pub(crate) fn slots(&self, h: u64) -> CounterSlots {
         let words_per_row = self.width / 16;
         let mut slots = [(0, 0); Self::DEPTH];
         for (row, slot) in slots.iter_mut().enumerate() {
@@ -81,8 +90,9 @@ impl CountMinSketch {
         slots
     }
 
-    /// Minimum counter over `slots` (the count-min estimate).
-    fn min_at(&self, slots: &[(usize, usize); Self::DEPTH]) -> u8 {
+    /// Estimated frequency of the key whose counters are `slots` (minimum
+    /// over rows).
+    pub(crate) fn estimate_at(&self, slots: &CounterSlots) -> u8 {
         slots
             .iter()
             .map(|&(word, shift)| {
@@ -102,7 +112,7 @@ impl CountMinSketch {
 
     /// [`CountMinSketch::estimate`] for a key whose [`key_hash`] is `h`.
     pub(crate) fn estimate_hashed(&self, h: u64) -> u8 {
-        self.min_at(&self.slots(h))
+        self.estimate_at(&self.slots(h))
     }
 
     /// Records one occurrence; returns the updated estimate. Triggers a
@@ -111,12 +121,17 @@ impl CountMinSketch {
         self.increment_hashed(key_hash(key))
     }
 
-    /// [`CountMinSketch::increment`] for a key whose [`key_hash`] is `h`:
-    /// the estimate it returns is read, after any halving, from the slots
-    /// it just bumped.
+    /// [`CountMinSketch::increment`] for a key whose [`key_hash`] is `h`.
     pub(crate) fn increment_hashed(&mut self, h: u64) -> u8 {
         let slots = self.slots(h);
-        for &(word, shift) in &slots {
+        self.increment_at(&slots)
+    }
+
+    /// [`CountMinSketch::increment`] for the key whose counters are
+    /// `slots`: the estimate it returns is read, after any halving, from
+    /// the slots it just bumped.
+    pub(crate) fn increment_at(&mut self, slots: &CounterSlots) -> u8 {
+        for &(word, shift) in slots {
             if let Some(w) = self.table.get_mut(word) {
                 if (*w >> shift) & 0xF < u64::from(Self::MAX_COUNT) {
                     *w += 1 << shift;
@@ -124,7 +139,7 @@ impl CountMinSketch {
             }
         }
         self.note_sample();
-        self.min_at(&slots)
+        self.estimate_at(slots)
     }
 
     /// Advances the sample period without touching any counter.
@@ -189,7 +204,8 @@ impl Doorkeeper {
         }
     }
 
-    fn positions(&self, h: u64) -> [usize; 3] {
+    /// The bits probed for the key whose [`key_hash`] is `h`.
+    pub(crate) fn positions(&self, h: u64) -> DoorSlots {
         // Kirsch–Mitzenmacher double hashing: probe i is h1 + i·h2 with an
         // odd step so probes stay distinct modulo the power-of-two filter
         // size. Each probe draws on all 64 hash bits; deriving them from
@@ -212,7 +228,12 @@ impl Doorkeeper {
 
     /// [`Doorkeeper::contains`] for a key whose [`key_hash`] is `h`.
     pub(crate) fn contains_hashed(&self, h: u64) -> bool {
-        self.positions(h).iter().all(|&p| {
+        self.contains_at(&self.positions(h))
+    }
+
+    /// [`Doorkeeper::contains`] for the key whose bits are `positions`.
+    pub(crate) fn contains_at(&self, positions: &DoorSlots) -> bool {
+        positions.iter().all(|&p| {
             self.bits
                 .get(p / 64)
                 .is_some_and(|word| word >> (p % 64) & 1 == 1)
@@ -226,8 +247,14 @@ impl Doorkeeper {
 
     /// [`Doorkeeper::insert`] for a key whose [`key_hash`] is `h`.
     pub(crate) fn insert_hashed(&mut self, h: u64) -> bool {
+        let positions = self.positions(h);
+        self.insert_at(&positions)
+    }
+
+    /// [`Doorkeeper::insert`] for the key whose bits are `positions`.
+    pub(crate) fn insert_at(&mut self, positions: &DoorSlots) -> bool {
         let mut present = true;
-        for p in self.positions(h) {
+        for &p in positions {
             if let Some(word) = self.bits.get_mut(p / 64) {
                 if *word >> (p % 64) & 1 == 0 {
                     present = false;

@@ -73,16 +73,6 @@ impl<K: Copy + Eq + Hash + std::fmt::Debug> SlruCache<K> {
         self.protected_target
     }
 
-    /// The key that would be evicted by the next overflowing admission:
-    /// the probation LRU victim, falling back to the protected LRU when
-    /// probation is empty. Used by TinyLFU's admission duel.
-    pub fn peek_eviction_candidate(&self) -> Option<K> {
-        self.probation
-            .peek_lru()
-            .or_else(|| self.protected.peek_lru())
-            .copied()
-    }
-
     fn promote(&mut self, key: K) {
         self.probation.remove(&key);
         self.protected.insert(key);
@@ -251,22 +241,6 @@ mod tests {
             c.request(k % 17);
             assert!(c.len() <= 5, "len {} over capacity", c.len());
         }
-    }
-
-    #[test]
-    fn eviction_candidate_prefers_probation() {
-        let mut c = SlruCache::new(4);
-        c.request(1);
-        c.request(1); // protected
-        c.request(2); // probation
-        assert_eq!(c.peek_eviction_candidate(), Some(2));
-        // Empty probation: falls back to protected.
-        let mut c = SlruCache::new(4);
-        c.request(1);
-        c.request(1);
-        assert_eq!(c.peek_eviction_candidate(), Some(1));
-        let c: SlruCache<u32> = SlruCache::new(4);
-        assert_eq!(c.peek_eviction_candidate(), None);
     }
 
     #[test]

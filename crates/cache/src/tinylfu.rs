@@ -1,20 +1,23 @@
 //! W-TinyLFU: windowed admission-filtered caching.
 
-use crate::lru_core::LruCore;
-use crate::sketch::{key_hash, CountMinSketch, Doorkeeper};
-use crate::slru::SlruCache;
+use crate::sketch::{key_hash, CountMinSketch, CounterSlots, DoorSlots, Doorkeeper};
+use crate::slru::DEFAULT_PROTECTED_FRACTION;
 use crate::stats::CacheStats;
 use crate::{Cache, CacheOutcome};
 use scp_workload::fasthash::FastBuildHasher;
+use std::collections::HashMap;
 use std::hash::Hash;
 
 /// Default fraction of capacity given to the admission window.
 pub const DEFAULT_WINDOW_FRACTION: f64 = 0.01;
 
+/// "No node" link.
+const NIL: usize = usize::MAX;
+
 /// W-TinyLFU (Einziger, Friedman & Manes): a small LRU *window* in front of
-/// an SLRU main region, with a count-min frequency sketch deciding whether
-/// a window-evicted candidate may displace the main region's probation
-/// victim.
+/// a segmented-LRU main region, with a count-min frequency sketch deciding
+/// whether a window-evicted candidate may displace the main region's
+/// probation victim.
 ///
 /// TinyLFU approximates the paper's perfect popularity cache without an
 /// oracle: admission compares estimated frequencies, so under a stationary
@@ -23,17 +26,149 @@ pub const DEFAULT_WINDOW_FRACTION: f64 = 0.01;
 /// another and even TinyLFU cannot beat the `c/x` hit ceiling — which is
 /// exactly the regime where only the cache *size* bound helps.
 ///
-/// Each request hashes its key for the sketch and doorkeeper once; the
-/// window and main regions key their tables with the cache's
-/// [`FastBuildHasher`].
+/// The main region behaves as an [`crate::slru::SlruCache`] with the
+/// default 80 % protected split: admissions enter *probation*, a hit there
+/// promotes to *protected*, and protected overflow demotes its LRU entry
+/// back to the front of probation.
+///
+/// All three regions share one residency table: a single key→node map
+/// (keyed by the cache's [`FastBuildHasher`]) over a node slab threaded by
+/// three intrusive LRU lists. Each node keeps its key's sketch counters
+/// and doorkeeper bits, derived from the key's hash once when it enters
+/// the window, so a hit costs one map probe and the admission duel reads
+/// both contenders' frequencies without hashing either again.
 #[derive(Debug, Clone)]
 pub struct TinyLfuCache<K> {
-    window: LruCore<K>,
-    main: SlruCache<K>,
-    sketch: CountMinSketch,
-    doorkeeper: Doorkeeper,
+    map: HashMap<K, usize, FastBuildHasher>,
+    nodes: Vec<Node<K>>,
+    free: Vec<usize>,
+    lists: Lists,
+    window_cap: usize,
+    main_cap: usize,
+    protected_target: usize,
+    filter: Filter,
     capacity: usize,
     stats: CacheStats,
+}
+
+/// Which list a resident is on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Region {
+    Window,
+    Probation,
+    Protected,
+}
+
+/// One resident: its key, where its accesses land in the admission
+/// filter, and its links in its region's list.
+#[derive(Debug, Clone)]
+struct Node<K> {
+    key: K,
+    slots: FilterSlots,
+    region: Region,
+    prev: usize,
+    next: usize,
+}
+
+/// One intrusive list over the node slab: front = most recently used.
+#[derive(Debug, Clone, Copy)]
+struct List {
+    head: usize,
+    tail: usize,
+    len: usize,
+}
+
+/// The window, probation and protected lists.
+#[derive(Debug, Clone, Copy)]
+struct Lists {
+    window: List,
+    probation: List,
+    protected: List,
+}
+
+impl Lists {
+    const EMPTY: Self = {
+        let empty = List {
+            head: NIL,
+            tail: NIL,
+            len: 0,
+        };
+        Self {
+            window: empty,
+            probation: empty,
+            protected: empty,
+        }
+    };
+
+    fn get(&self, region: Region) -> &List {
+        match region {
+            Region::Window => &self.window,
+            Region::Probation => &self.probation,
+            Region::Protected => &self.protected,
+        }
+    }
+
+    fn get_mut(&mut self, region: Region) -> &mut List {
+        match region {
+            Region::Window => &mut self.window,
+            Region::Probation => &mut self.probation,
+            Region::Protected => &mut self.protected,
+        }
+    }
+}
+
+/// A key's sketch counters and doorkeeper bits.
+#[derive(Debug, Clone, Copy)]
+struct FilterSlots {
+    counters: CounterSlots,
+    door: DoorSlots,
+}
+
+/// The admission filter: a doorkeeper in front of a count-min sketch.
+#[derive(Debug, Clone)]
+struct Filter {
+    sketch: CountMinSketch,
+    doorkeeper: Doorkeeper,
+}
+
+impl Filter {
+    /// Where the key whose `key_hash` is `h` lands in both structures.
+    fn slots(&self, h: u64) -> FilterSlots {
+        FilterSlots {
+            counters: self.sketch.slots(h),
+            door: self.doorkeeper.positions(h),
+        }
+    }
+
+    /// Records one access of the key at `slots`.
+    fn record(&mut self, slots: &FilterSlots) {
+        // The doorkeeper absorbs first occurrences; repeat offenders go to
+        // the sketch. Both paths advance the sample window, and every
+        // halving reset also clears the doorkeeper (per the W-TinyLFU
+        // paper): "seen once" is scoped to the current sample period, not
+        // the whole run, or the Bloom filter saturates and answers true
+        // for every key.
+        let resets_before = self.sketch.resets();
+        if self.doorkeeper.insert_at(&slots.door) {
+            self.sketch.increment_at(&slots.counters);
+        } else {
+            self.sketch.observe_sample();
+        }
+        if self.sketch.resets() != resets_before {
+            self.doorkeeper.clear();
+        }
+    }
+
+    /// Admission frequency of the key at `slots`.
+    fn frequency(&self, slots: &FilterSlots) -> u32 {
+        let base = u32::from(self.doorkeeper.contains_at(&slots.door));
+        base + u32::from(self.sketch.estimate_at(&slots.counters))
+    }
+
+    fn clear(&mut self) {
+        self.sketch.clear();
+        self.doorkeeper.clear();
+    }
 }
 
 impl<K: Copy + Eq + Hash + std::fmt::Debug> TinyLfuCache<K> {
@@ -42,8 +177,7 @@ impl<K: Copy + Eq + Hash + std::fmt::Debug> TinyLfuCache<K> {
         Self::with_hasher(capacity, FastBuildHasher::default())
     }
 
-    /// [`TinyLfuCache::new`] with the window and main regions keyed by
-    /// `hasher`.
+    /// [`TinyLfuCache::new`] with the residency table keyed by `hasher`.
     pub fn with_hasher(capacity: usize, hasher: FastBuildHasher) -> Self {
         Self::build(capacity, DEFAULT_WINDOW_FRACTION, hasher)
     }
@@ -63,101 +197,186 @@ impl<K: Copy + Eq + Hash + std::fmt::Debug> TinyLfuCache<K> {
         } else {
             window_cap = capacity; // capacity 0 or 1: window is everything
         }
+        let main_cap = capacity - window_cap;
+        // Protected stays strictly below the main capacity, so a full main
+        // region always has a probation victim.
+        let protected_target = (((main_cap as f64) * DEFAULT_PROTECTED_FRACTION).round() as usize)
+            .min(main_cap.saturating_sub(1));
+        // A miss holds one key beyond capacity until the duel settles. The
+        // node slab grows on demand: reserved up front, its 120 B nodes
+        // made a short run's set-up several microseconds slower at
+        // c = 1000.
+        let reserve = capacity.min(1 << 20) + 1;
         Self {
-            window: LruCore::with_hasher(window_cap, hasher),
-            main: SlruCache::with_hasher(capacity - window_cap, hasher),
-            sketch: CountMinSketch::for_capacity(capacity),
-            doorkeeper: Doorkeeper::for_capacity(capacity),
+            map: HashMap::with_capacity_and_hasher(reserve, hasher),
+            nodes: Vec::new(),
+            free: Vec::new(),
+            lists: Lists::EMPTY,
+            window_cap,
+            main_cap,
+            protected_target,
+            filter: Filter {
+                sketch: CountMinSketch::for_capacity(capacity),
+                doorkeeper: Doorkeeper::for_capacity(capacity),
+            },
             capacity,
             stats: CacheStats::new(),
         }
     }
 
-    /// Records one access of the key whose `key_hash` is `h`.
-    fn record_access(&mut self, h: u64) {
-        // The doorkeeper absorbs first occurrences; repeat offenders go to
-        // the sketch. Both paths advance the sample window, and every
-        // halving reset also clears the doorkeeper (per the W-TinyLFU
-        // paper): "seen once" is scoped to the current sample period, not
-        // the whole run, or the Bloom filter saturates and answers true
-        // for every key.
-        let resets_before = self.sketch.resets();
-        if self.doorkeeper.insert_hashed(h) {
-            self.sketch.increment_hashed(h);
-        } else {
-            self.sketch.observe_sample();
-        }
-        if self.sketch.resets() != resets_before {
-            self.doorkeeper.clear();
-        }
-    }
-
-    /// Admission frequency of the key whose `key_hash` is `h`.
-    fn frequency(&self, h: u64) -> u32 {
-        let base = u32::from(self.doorkeeper.contains_hashed(h));
-        base + u32::from(self.sketch.estimate_hashed(h))
-    }
-
     /// Estimated popularity of a key as seen by the admission filter.
     pub fn admission_frequency(&self, key: &K) -> u32 {
-        self.frequency(key_hash(key))
+        self.filter.frequency(&self.filter.slots(key_hash(key)))
     }
 
     /// Number of sketch halving resets (each also cleared the doorkeeper).
     pub fn sketch_resets(&self) -> u64 {
-        self.sketch.resets()
+        self.filter.sketch.resets()
     }
 
-    fn try_admit(&mut self, candidate: K) {
-        // The main region's probation victim defends its slot.
-        let main = &mut self.main;
-        if main.len() < main.capacity() {
-            main.request(candidate); // miss path admits into probation
+    /// Admission frequency of the resident at `slot` (0 for `NIL`).
+    fn frequency_at(&self, slot: usize) -> u32 {
+        self.nodes
+            .get(slot)
+            .map_or(0, |node| self.filter.frequency(&node.slots))
+    }
+
+    /// Takes `slot` off its region's list.
+    fn unlink(&mut self, slot: usize) {
+        let Some(node) = self.nodes.get(slot) else {
+            return;
+        };
+        let (prev, next) = (node.prev, node.next);
+        let list = self.lists.get_mut(node.region);
+        match self.nodes.get_mut(prev) {
+            Some(p) => p.next = next,
+            None => list.head = next,
+        }
+        match self.nodes.get_mut(next) {
+            Some(n) => n.prev = prev,
+            None => list.tail = prev,
+        }
+        list.len -= 1;
+    }
+
+    /// Puts the unlinked `slot` at the front of `region`'s list.
+    fn push_front(&mut self, slot: usize, region: Region) {
+        let list = self.lists.get_mut(region);
+        let head = list.head;
+        if let Some(node) = self.nodes.get_mut(slot) {
+            node.region = region;
+            node.prev = NIL;
+            node.next = head;
+        }
+        match self.nodes.get_mut(head) {
+            Some(h) => h.prev = slot,
+            None => list.tail = slot,
+        }
+        list.head = slot;
+        list.len += 1;
+    }
+
+    /// Moves `slot` to the front of `region`'s list.
+    fn relink(&mut self, slot: usize, region: Region) {
+        if self.lists.get(region).head != slot {
+            self.unlink(slot);
+            self.push_front(slot, region);
+        }
+    }
+
+    /// Drops the resident at `slot` from the cache.
+    fn remove(&mut self, slot: usize) {
+        self.unlink(slot);
+        if let Some(node) = self.nodes.get(slot) {
+            self.map.remove(&node.key);
+            self.free.push(slot);
+        }
+    }
+
+    /// Stores `node` in a free slot and returns the slot.
+    fn alloc(&mut self, node: Node<K>) -> usize {
+        if let Some(slot) = self.free.pop() {
+            if let Some(vacant) = self.nodes.get_mut(slot) {
+                *vacant = node;
+                return slot;
+            }
+        }
+        self.nodes.push(node);
+        self.nodes.len() - 1
+    }
+
+    /// A hit on the resident at `slot`: window and protected residents
+    /// move to the front of their list; a probation resident is promoted
+    /// to protected, whose overflow demotes its LRU entry to the front of
+    /// probation.
+    fn touch(&mut self, slot: usize, region: Region) {
+        if region != Region::Probation {
+            self.relink(slot, region);
             return;
         }
-        let victim_freq = match self.main_probation_victim() {
-            Some(victim) => self.frequency(key_hash(&victim)),
-            None => 0,
-        };
-        if self.frequency(key_hash(&candidate)) > victim_freq {
-            self.main.request(candidate);
-        } else {
-            self.stats.record_rejection();
+        self.relink(slot, Region::Protected);
+        if self.lists.protected.len > self.protected_target {
+            self.relink(self.lists.protected.tail, Region::Probation);
         }
     }
 
-    fn main_probation_victim(&self) -> Option<K> {
-        self.main.peek_eviction_candidate()
+    /// Settles the window's overflow: `candidate`, its LRU entry, enters
+    /// probation if the main region has room; otherwise it must beat the
+    /// probation LRU victim's frequency to take that slot.
+    fn admit(&mut self, candidate: usize) {
+        if self.lists.probation.len + self.lists.protected.len < self.main_cap {
+            self.relink(candidate, Region::Probation);
+            return;
+        }
+        let victim = self.lists.probation.tail;
+        if self.frequency_at(candidate) <= self.frequency_at(victim) {
+            self.stats.record_rejection();
+            self.remove(candidate);
+        } else if victim != NIL {
+            self.remove(victim);
+            self.relink(candidate, Region::Probation);
+        } else {
+            // No main region (capacity 1): nowhere to admit to.
+            self.remove(candidate);
+        }
     }
 }
 
 impl<K: Copy + Eq + Hash + std::fmt::Debug> Cache<K> for TinyLfuCache<K> {
     fn request(&mut self, key: K) -> CacheOutcome {
-        self.record_access(key_hash(&key));
-        if self.window.touch(&key) {
+        if let Some(&slot) = self.map.get(&key) {
+            if let Some(node) = self.nodes.get(slot) {
+                let region = node.region;
+                self.filter.record(&node.slots);
+                self.touch(slot, region);
+            }
             self.stats.record_hit();
             return CacheOutcome::Hit;
         }
-        if self.main.contains(&key) {
-            // Delegate recency update to the main SLRU (its own stats are
-            // internal bookkeeping; ours are authoritative).
-            self.main.request(key);
-            self.stats.record_hit();
-            return CacheOutcome::Hit;
-        }
+        let slots = self.filter.slots(key_hash(&key));
+        self.filter.record(&slots);
         self.stats.record_miss();
         if self.capacity == 0 {
             return CacheOutcome::Miss;
         }
         self.stats.record_insertion();
-        if let Some(evicted_from_window) = self.window.insert(key) {
-            self.try_admit(evicted_from_window);
+        let slot = self.alloc(Node {
+            key,
+            slots,
+            region: Region::Window,
+            prev: NIL,
+            next: NIL,
+        });
+        self.map.insert(key, slot);
+        self.push_front(slot, Region::Window);
+        if self.lists.window.len > self.window_cap {
+            self.admit(self.lists.window.tail);
         }
         CacheOutcome::Miss
     }
 
     fn contains(&self, key: &K) -> bool {
-        self.window.contains(key) || self.main.contains(key)
+        self.map.contains_key(key)
     }
 
     fn capacity(&self) -> usize {
@@ -165,14 +384,15 @@ impl<K: Copy + Eq + Hash + std::fmt::Debug> Cache<K> for TinyLfuCache<K> {
     }
 
     fn len(&self) -> usize {
-        self.window.len() + self.main.len()
+        self.map.len()
     }
 
     fn clear(&mut self) {
-        self.window.clear();
-        self.main.clear();
-        self.sketch.clear();
-        self.doorkeeper.clear();
+        self.map.clear();
+        self.nodes.clear();
+        self.free.clear();
+        self.lists = Lists::EMPTY;
+        self.filter.clear();
     }
 
     fn stats(&self) -> &CacheStats {
@@ -188,7 +408,7 @@ impl<K: Copy + Eq + Hash + std::fmt::Debug> Cache<K> for TinyLfuCache<K> {
     }
 
     fn sketch_resets(&self) -> u64 {
-        self.sketch.resets()
+        self.filter.sketch.resets()
     }
 }
 

@@ -8,8 +8,9 @@
 //! * **Deterministic time-windowed server nonces.** The server never
 //!   stores issued challenges. The nonce for window `w` is
 //!   `mix(secret, w)`; any thread that knows the secret can re-derive it,
-//!   so verification needs no issuance table. Windows are slices of the
-//!   serve path's *logical* clock (`submitted / R` seconds) — the
+//!   so verification needs no issuance table. The verifier derives each
+//!   live window's nonce once, when the window opens. Windows are slices
+//!   of the serve path's *logical* clock (`submitted / R` seconds) — the
 //!   wall-clock deny rule stays intact and deterministic runs stay
 //!   bit-reproducible.
 //! * **Grace of one window.** A solution is checked against the current
@@ -47,6 +48,11 @@ const START_TAG: u64 = 0x7075_7A5A_6C65_5CA0; // "puzzle scan"
 /// solutions (see [`solve_from`]).
 pub fn scan_start(client: u32, sequence: u64) -> u64 {
     mix(&[u64::from(client), sequence, START_TAG])
+}
+
+/// The server nonce of `window` under `secret`.
+fn derive_nonce(secret: u64, window: u64) -> u64 {
+    mix(&[secret, window, WINDOW_TAG])
 }
 
 /// Configuration of the proof-of-work shield.
@@ -138,6 +144,10 @@ pub struct PowVerifier {
     window_secs: f64,
     replay_capacity: usize,
     current_window: u64,
+    /// `server_nonce` of the current window.
+    current_nonce: u64,
+    /// `server_nonce` of the previous window (unused in window 0).
+    previous_nonce: u64,
     seen_current: HashSet<u64, FastBuildHasher>,
     seen_previous: HashSet<u64, FastBuildHasher>,
 }
@@ -162,6 +172,8 @@ impl PowVerifier {
             },
             replay_capacity: shield.replay_capacity.max(1),
             current_window: 0,
+            current_nonce: derive_nonce(secret, 0),
+            previous_nonce: 0,
             seen_current: HashSet::with_hasher(hasher),
             seen_previous: HashSet::with_hasher(hasher),
         }
@@ -182,9 +194,16 @@ impl PowVerifier {
     }
 
     /// The deterministic server nonce for a window — what rspow's
-    /// `GetNonce` would hand a client during that window.
+    /// `GetNonce` would hand a client during that window. The two live
+    /// windows' nonces are stored; any other window's is derived.
     pub fn server_nonce(&self, window: u64) -> u64 {
-        mix(&[self.secret, window, WINDOW_TAG])
+        if window == self.current_window {
+            self.current_nonce
+        } else if self.current_window.checked_sub(1) == Some(window) {
+            self.previous_nonce
+        } else {
+            derive_nonce(self.secret, window)
+        }
     }
 
     /// Rolls the live windows forward to `window`; returns whether the
@@ -196,11 +215,14 @@ impl PowVerifier {
         if window == self.current_window + 1 {
             std::mem::swap(&mut self.seen_previous, &mut self.seen_current);
             self.seen_current.clear();
+            self.previous_nonce = self.current_nonce;
         } else {
             self.seen_previous.clear();
             self.seen_current.clear();
+            self.previous_nonce = derive_nonce(self.secret, window - 1);
         }
         self.current_window = window;
+        self.current_nonce = derive_nonce(self.secret, window);
         true
     }
 
@@ -214,17 +236,12 @@ impl PowVerifier {
         let Some(nonce) = proof else {
             return PowVerdict::Missing;
         };
-        let digest = pow_digest(self.server_nonce(self.current_window), client, key, nonce);
+        let digest = pow_digest(self.current_nonce, client, key, nonce);
         if meets_difficulty(digest, self.difficulty) {
             return self.record(digest, false);
         }
         if self.current_window > 0 {
-            let prev = pow_digest(
-                self.server_nonce(self.current_window - 1),
-                client,
-                key,
-                nonce,
-            );
+            let prev = pow_digest(self.previous_nonce, client, key, nonce);
             if meets_difficulty(prev, self.difficulty) {
                 return self.record(prev, true);
             }
@@ -345,6 +362,55 @@ mod tests {
         // nonce anyway; the old acceptance is forgotten.
         v.advance_to(10);
         assert!(v.seen_current.is_empty() && v.seen_previous.is_empty());
+    }
+
+    #[test]
+    fn stored_nonces_equal_the_derived_ones_across_window_rolls() {
+        // +1 steps (the swap path), multi-window jumps (both nonces
+        // re-derived), stale and repeated windows (no roll), and window
+        // 0, which has no previous window.
+        let mut v = verifier(4);
+        let secret = v.secret;
+        let derived = |w: u64| mix(&[secret, w, WINDOW_TAG]);
+        let check = |v: &PowVerifier| {
+            let now = v.current_window;
+            let probes = [
+                0,
+                1,
+                2,
+                now.saturating_sub(2),
+                now.saturating_sub(1),
+                now,
+                now.wrapping_add(1),
+                now.wrapping_add(2),
+                u64::MAX,
+            ];
+            for w in probes {
+                assert_eq!(v.server_nonce(w), derived(w), "window {w} at window {now}");
+            }
+        };
+        check(&v);
+        for window in [
+            0,
+            1,
+            2,
+            5,
+            6,
+            6,
+            4,
+            7,
+            100,
+            101,
+            1_000,
+            1_001,
+            1_002,
+            u64::MAX - 1,
+            u64::MAX,
+        ] {
+            v.advance_to(window);
+            check(&v);
+        }
+        assert_eq!(v.current_window, u64::MAX);
     }
 
     #[test]
