@@ -7,9 +7,11 @@
 use scp_bench::harness::{Criterion, Throughput};
 use scp_bench::{criterion_group, criterion_main};
 use scp_workload::alias::AliasSampler;
-use scp_workload::permute::FeistelPermutation;
+use scp_workload::permute::{FeistelPermutation, KeyMapping};
 use scp_workload::rng::{next_below, Xoshiro256StarStar};
+use scp_workload::stream::QueryStream;
 use scp_workload::zipf::ZipfSampler;
+use scp_workload::AccessPattern;
 use std::hint::black_box;
 
 /// Domain of the Feistel benches (`half_bits = 9`, 4 KB round table).
@@ -53,6 +55,26 @@ fn bench_samplers(c: &mut Criterion) {
             black_box(perm.apply(black_box(rank)))
         });
     });
+
+    // A serving stream's key generation: a sampled rank pushed through a
+    // long-lived scattered mapping, after calibration has warmed the
+    // stream and armed the permutation's round table.
+    for (name, pattern) in [
+        (
+            "stream_next_key_zipf",
+            AccessPattern::zipf(0.99, FEISTEL_M).unwrap(),
+        ),
+        (
+            "stream_next_key_uniform",
+            AccessPattern::uniform(FEISTEL_M).unwrap(),
+        ),
+    ] {
+        group.bench_function(name, |b| {
+            let mapping = KeyMapping::scattered(FEISTEL_M, 4).unwrap();
+            let mut stream = QueryStream::with_mapping(&pattern, 6, mapping).unwrap();
+            b.iter(|| black_box(stream.next_key()));
+        });
+    }
 
     // The same steady state through the batch walk: 256 random ranks
     // (one `apply_batch` chunk) per iteration, reported per rank.

@@ -590,13 +590,16 @@ pub(crate) struct WorkerStats {
 
 impl WorkerStats {
     /// Processes one batch, acknowledging nobody (the caller owns
-    /// completion accounting).
-    pub fn process(&mut self, batch: &[Request]) {
+    /// completion accounting). Returns the batch's fold of
+    /// [`work_token`].
+    pub fn process(&mut self, batch: &[Request]) -> u64 {
         self.batches += 1;
-        for req in batch {
-            self.checksum = self.checksum.wrapping_add(work_token(req.key));
-            self.processed += 1;
-        }
+        let sum = batch
+            .iter()
+            .fold(0u64, |acc, r| acc.wrapping_add(work_token(r.key)));
+        self.checksum = self.checksum.wrapping_add(sum);
+        self.processed += batch.len() as u64;
+        sum
     }
 }
 
@@ -636,14 +639,11 @@ pub fn run_deterministic(cfg: &ServeConfig) -> Result<crate::report::ServeReport
                           workers: &mut [WorkerStats],
                           shard: usize,
                           batch: Vec<Request>| {
-        let sum = batch
-            .iter()
-            .fold(0u64, |acc, r| acc.wrapping_add(work_token(r.key)));
+        // One fold serves both sides of the conservation check: the
+        // inline worker's checksum and the dispatch's expected one.
+        let sum = workers.get_mut(shard).map_or(0, |w| w.process(&batch));
         admission.note_enqueued(shard, batch.len() as u64, sum);
         admission.note_depth(shard, 0);
-        if let Some(w) = workers.get_mut(shard) {
-            w.process(&batch);
-        }
     };
 
     // The deterministic mode drives the same batched admission path the

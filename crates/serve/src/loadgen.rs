@@ -263,6 +263,8 @@ fn worker_loop(mut rx: Consumer<ShardMsg>, completions: &Completions) -> WorkerS
         for msg in msgs.drain(..) {
             match msg {
                 ShardMsg::Batch(batch) => {
+                    // `dispatch` folds its own copy of this sum before the
+                    // hand-off: the two must meet across the ring.
                     stats.process(&batch);
                     complete_batch(completions, &batch);
                 }

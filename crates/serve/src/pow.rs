@@ -33,7 +33,7 @@
 //! clients and queries.
 
 use scp_workload::fasthash::FastBuildHasher;
-use scp_workload::rng::mix;
+use scp_workload::rng::{mix, MixPrefix};
 use std::collections::HashSet;
 
 /// Domain-separation tag for deriving the server secret from a run seed.
@@ -124,10 +124,12 @@ pub fn solve_from(
     difficulty: u32,
     start: u64,
 ) -> (u64, u64) {
+    // Only the nonce changes between attempts: absorb the rest once.
+    let prefix = MixPrefix::new(&[server_nonce, u64::from(client), key]);
     let mut nonce = start;
     let mut attempts = 1u64;
     loop {
-        if meets_difficulty(pow_digest(server_nonce, client, key, nonce), difficulty) {
+        if meets_difficulty(prefix.finish(nonce), difficulty) {
             return (nonce, attempts);
         }
         nonce = nonce.wrapping_add(1);
@@ -281,6 +283,33 @@ mod tests {
         let (nonce, attempts) = solve(nonce_seed, 3, 77, 8);
         assert!(attempts >= 1);
         assert_eq!(v.verify(0.0, 3, 77, Some(nonce)), PowVerdict::Accepted);
+    }
+
+    #[test]
+    fn solve_from_equals_a_naive_digest_scan() {
+        for case in 0..200u64 {
+            let server_nonce = mix(&[case, 1]);
+            let client = (case % 7) as u32 * 0x2000_0001;
+            let key = mix(&[case, 2]) >> (case % 64);
+            let start = match case % 4 {
+                0 => u64::MAX,
+                1 => u64::MAX - (case % 16),
+                _ => mix(&[case, 3]),
+            };
+            for difficulty in [0, 1, 4, 8] {
+                let mut nonce = start;
+                let mut attempts = 1;
+                while !meets_difficulty(pow_digest(server_nonce, client, key, nonce), difficulty) {
+                    nonce = nonce.wrapping_add(1);
+                    attempts += 1;
+                }
+                assert_eq!(
+                    solve_from(server_nonce, client, key, difficulty, start),
+                    (nonce, attempts),
+                    "case {case}, difficulty {difficulty}"
+                );
+            }
+        }
     }
 
     #[test]

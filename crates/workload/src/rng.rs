@@ -50,6 +50,13 @@ pub fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Folds one word into a [`mix`] state.
+#[inline(always)]
+fn absorb(mut state: u64, w: u64) -> u64 {
+    state ^= w.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    splitmix64(&mut state)
+}
+
 /// Mixes several words into one well-distributed `u64`.
 ///
 /// This is the project-wide "hash of (seed, stream, index)" used to derive
@@ -58,10 +65,37 @@ pub fn splitmix64(state: &mut u64) -> u64 {
 pub fn mix(words: &[u64]) -> u64 {
     let mut state = 0x243F_6A88_85A3_08D3; // pi fractional bits
     for &w in words {
-        state ^= w.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        state = splitmix64(&mut state);
+        state = absorb(state, w);
     }
     state
+}
+
+/// A [`mix`] whose leading words are absorbed once, for hashing many
+/// word lists that differ only in their last word.
+///
+/// # Example
+///
+/// ```
+/// use scp_workload::rng::{mix, MixPrefix};
+///
+/// let prefix = MixPrefix::new(&[1, 2, 3]);
+/// assert_eq!(prefix.finish(4), mix(&[1, 2, 3, 4]));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MixPrefix(u64);
+
+impl MixPrefix {
+    /// Absorbs the leading words.
+    #[inline]
+    pub fn new(words: &[u64]) -> Self {
+        Self(mix(words))
+    }
+
+    /// `mix` of the leading words followed by `last`.
+    #[inline]
+    pub fn finish(self, last: u64) -> u64 {
+        absorb(self.0, last)
+    }
 }
 
 /// xoshiro256** — a small, fast, high-quality PRNG.
@@ -188,6 +222,18 @@ mod tests {
         assert_ne!(base, mix(&[1, 2, 4]));
         assert_ne!(base, mix(&[0, 2, 3]));
         assert_ne!(base, mix(&[1, 2]));
+    }
+
+    #[test]
+    fn mix_prefix_agrees_with_mix() {
+        let words = [7, u64::MAX, 0, 0x243F_6A88_85A3_08D3, 42];
+        for len in 0..words.len() {
+            let (prefix, rest) = words.split_at(len);
+            assert_eq!(MixPrefix::new(prefix).finish(rest[0]), mix(&words[..=len]));
+        }
+        for last in [0, 1, u64::MAX] {
+            assert_eq!(MixPrefix::new(&[]).finish(last), mix(&[last]));
+        }
     }
 
     #[test]

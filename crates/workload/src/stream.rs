@@ -5,8 +5,9 @@ use crate::pattern::{AccessPattern, PatternSampler};
 use crate::permute::KeyMapping;
 use crate::Result;
 
-/// Slots in the rank→key memo (a power of two; direct-mapped).
-const MEMO_SLOTS: u64 = 512;
+/// Ranks a stream remembers the key of: 64 KB of `u32` at most, and
+/// 84 % of Zipf(0.99) draws at `m = 10^5`.
+const HEAD_RANKS: u64 = 1 << 14;
 
 /// An infinite, deterministic stream of key identifiers drawn from an
 /// [`AccessPattern`].
@@ -16,18 +17,22 @@ const MEMO_SLOTS: u64 = 512;
 /// than `0, 1, 2, ...`.
 ///
 /// Feistel mappings cycle-walk (several rounds per lookup), which
-/// dominates the cost of drawing a key, so a rank is translated through
-/// two tiers. The stream keeps a small direct-mapped memo of recent
-/// rank→key translations for the *head*: a working set of up to 512
-/// ranks (an `x = c + 1` attack, the hot end of a Zipf) hits it almost
-/// always, at a few nanoseconds. The *tail* misses it —
-/// a uniform pattern over all `m` keys misses essentially every time —
-/// and falls through to `apply`, where the permutation's own round table
-/// (see [`crate::permute`]; built once the instance has done a table's
-/// worth of work, 4 KB at `m = 10^5`) turns each round into a load.
-/// Both tiers are invisible in the output — the mapping is a pure
-/// function, a memo hit or a table read returns exactly what a computed
-/// `apply` would.
+/// dominates the cost of drawing a key, so a Feistel stream keeps a
+/// rank-indexed *head table*: one `u32` per rank below
+/// `min(m, 2^14)`, holding `key + 1`, 0 while the rank is unmapped. A
+/// head rank pays the walk once per stream and is a load after that; no
+/// other rank ever touches the table, so the tail of a Zipf cannot evict
+/// the head. The table grows on demand to the next power of two past the
+/// highest rank drawn so far, so a short run allocates only what its
+/// ranks need (128 entries for an `x = 65` attack), and nothing is
+/// allocated before the first draw. Ranks at or above the cap, every
+/// rank of an identity mapping and every rank of a domain of `u32::MAX`
+/// keys or more (whose `key + 1` need not fit) go straight to `apply`,
+/// where the permutation's own round table (see [`crate::permute`];
+/// built once the instance has done a table's worth of work, 4 KB at
+/// `m = 10^5`) turns each round into a load. The table is invisible in
+/// the output: the mapping is a pure function, and a remembered key is
+/// exactly what a computed `apply` returns.
 ///
 /// # Example
 ///
@@ -45,31 +50,38 @@ const MEMO_SLOTS: u64 = 512;
 pub struct QueryStream {
     sampler: PatternSampler,
     mapping: KeyMapping,
-    /// Direct-mapped `(rank + 1, key)` pairs; tag 0 means empty. `None`
-    /// for identity mappings (nothing to amortize).
-    memo: Option<Box<[(u64, u64)]>>,
-}
-
-/// A memo for `mapping`, or `None` when lookups are already free.
-fn rank_memo(mapping: &KeyMapping) -> Option<Box<[(u64, u64)]>> {
-    match mapping {
-        KeyMapping::Identity => None,
-        KeyMapping::Feistel(_) => Some(vec![(0, 0); MEMO_SLOTS as usize].into_boxed_slice()),
-    }
+    /// `key + 1` of each head rank drawn so far, 0 for one not yet drawn.
+    head: Vec<u32>,
+    /// Ranks below this are head ranks; 0 when the stream keeps no table.
+    head_ranks: u64,
 }
 
 impl QueryStream {
+    /// A stream over `sampler` and `mapping` with an empty head table,
+    /// capped for the mapping's domain.
+    fn from_parts(sampler: PatternSampler, mapping: KeyMapping) -> Self {
+        let head_ranks = match mapping.domain() {
+            Some(m) if m < u64::from(u32::MAX) => m.min(HEAD_RANKS),
+            _ => 0,
+        };
+        Self {
+            sampler,
+            mapping,
+            head: Vec::new(),
+            head_ranks,
+        }
+    }
+
     /// Stream with rank == key id (contiguous keys).
     ///
     /// # Errors
     ///
     /// Returns an error if the pattern cannot build a sampler.
     pub fn new(pattern: &AccessPattern, seed: u64) -> Result<Self> {
-        Ok(Self {
-            sampler: pattern.sampler(seed)?,
-            mapping: KeyMapping::Identity,
-            memo: None,
-        })
+        Ok(Self::from_parts(
+            pattern.sampler(seed)?,
+            KeyMapping::Identity,
+        ))
     }
 
     /// Stream whose ranks are scattered over the key space by a seeded
@@ -81,11 +93,7 @@ impl QueryStream {
     /// space is empty.
     pub fn scattered(pattern: &AccessPattern, seed: u64) -> Result<Self> {
         let mapping = KeyMapping::scattered(pattern.key_space(), seed ^ 0xF00D_F00D)?;
-        Ok(Self {
-            sampler: pattern.sampler(seed)?,
-            memo: rank_memo(&mapping),
-            mapping,
-        })
+        Ok(Self::from_parts(pattern.sampler(seed)?, mapping))
     }
 
     /// Stream with an explicit rank-to-key mapping.
@@ -105,29 +113,30 @@ impl QueryStream {
                 ),
             });
         }
-        Ok(Self {
-            sampler: pattern.sampler(seed)?,
-            memo: rank_memo(&mapping),
-            mapping,
-        })
+        Ok(Self::from_parts(pattern.sampler(seed)?, mapping))
     }
 
     /// Draws the next key id.
     pub fn next_key(&mut self) -> u64 {
         let rank = self.sampler.sample();
-        let Some(memo) = &mut self.memo else {
+        if rank >= self.head_ranks {
             return self.mapping.apply(rank);
-        };
-        let tag = rank + 1;
-        match memo.get_mut((rank & (MEMO_SLOTS - 1)) as usize) {
-            Some(slot) if slot.0 == tag => slot.1,
-            Some(slot) => {
-                let key = self.mapping.apply(rank);
-                *slot = (tag, key);
-                key
-            }
-            None => self.mapping.apply(rank),
         }
+        // A head rank is below 2^14, so it indexes any target.
+        let slot = rank as usize;
+        match self.head.get(slot) {
+            Some(&code) if code != 0 => return u64::from(code) - 1,
+            Some(_) => {}
+            None => {
+                let len = (rank + 1).next_power_of_two().min(self.head_ranks);
+                self.head.resize(len as usize, 0);
+            }
+        }
+        let key = self.mapping.apply(rank);
+        if let (Some(entry), Ok(code)) = (self.head.get_mut(slot), u32::try_from(key + 1)) {
+            *entry = code;
+        }
+        key
     }
 }
 
@@ -162,18 +171,45 @@ mod tests {
     }
 
     #[test]
-    fn memoized_stream_matches_unmemoized_mapping() {
-        // The memo must be invisible: every drawn key equals a direct
-        // `mapping.apply(rank)` on a twin stream whose memo never hits
-        // (reconstructed fresh per draw). Zipf over a non-power-of-two
-        // domain exercises tag collisions in the direct-mapped table.
+    fn head_table_matches_a_stream_without_one() {
+        // The table must be invisible: every drawn key equals a direct
+        // `mapping.apply(rank)` on a twin stream that keeps no table.
         let p = AccessPattern::zipf(1.01, 70_001).unwrap();
-        let mut memoized = QueryStream::scattered(&p, 1234).unwrap();
+        let mut remembering = QueryStream::scattered(&p, 1234).unwrap();
         let mut twin = QueryStream::scattered(&p, 1234).unwrap();
-        twin.memo = None;
+        twin.head_ranks = 0;
         for i in 0..20_000 {
-            assert_eq!(memoized.next_key(), twin.next_key(), "diverged at {i}");
+            assert_eq!(remembering.next_key(), twin.next_key(), "diverged at {i}");
         }
+        assert!(twin.head.is_empty());
+        assert_eq!(remembering.head.len() as u64, HEAD_RANKS);
+    }
+
+    #[test]
+    fn head_table_grows_only_as_far_as_the_ranks_drawn() {
+        // Nothing before the first draw; an x = 65 working set stops at
+        // 128 entries; a domain below the cap bounds the table.
+        let p = AccessPattern::uniform_subset(65, 100_000).unwrap();
+        let mut s = QueryStream::scattered(&p, 9).unwrap();
+        assert_eq!(s.head.capacity(), 0);
+        for _ in 0..10_000 {
+            s.next_key();
+        }
+        assert_eq!(s.head.len(), 128);
+        let p = AccessPattern::uniform(5_000).unwrap();
+        let mut s = QueryStream::scattered(&p, 9).unwrap();
+        for _ in 0..100_000 {
+            s.next_key();
+        }
+        assert_eq!(s.head.len(), 5_000);
+        assert!(s.head.iter().all(|&code| code != 0));
+        // Identity streams and domains past 32 bits keep no table.
+        assert_eq!(QueryStream::new(&p, 9).unwrap().head_ranks, 0);
+        let wide = KeyMapping::scattered(u64::from(u32::MAX), 9).unwrap();
+        assert_eq!(
+            QueryStream::with_mapping(&p, 9, wide).unwrap().head_ranks,
+            0
+        );
     }
 
     #[test]

@@ -1,0 +1,219 @@
+//! Golden digests of `QueryStream`'s keys.
+//!
+//! Every case draws 200 000 keys from `QueryStream::with_mapping(p, seed,
+//! mapping)` and checks each one against `p.sampler(seed)` followed by
+//! `mapping.apply` on a twin sampler; the keys also fold into an FNV-1a
+//! digest per case. The patterns are a Zipf head, uniform ranks, a tiny
+//! `x = 65` working set, the Eq. (4) head/tail shape and a rotating
+//! subset, whose ranks lie mostly far from the head. The domains straddle
+//! `2^14` (where the stream stops remembering ranks) and include ones
+//! whose keys do not fit in 32 bits. `QueryStream::scattered` and the
+//! identity `QueryStream::new` are pinned by digest alone.
+//!
+//! The digests were recorded while the stream still remembered ranks in
+//! a 512-slot direct-mapped memo. Any key the stream returns that a
+//! plain `apply` would not moves one of them.
+
+use secure_cache_provision::workload::permute::KeyMapping;
+use secure_cache_provision::workload::rng::mix;
+use secure_cache_provision::workload::stream::QueryStream;
+use secure_cache_provision::workload::AccessPattern;
+
+const DRAWS: usize = 200_000;
+/// Domains around the `2^14` boundary, a small one and the paper's scale.
+const DOMAINS: [u64; 5] = [5_000, (1 << 14) - 1, 1 << 14, (1 << 14) + 1, 100_000];
+
+/// FNV-1a over 64-bit words.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Self {
+        Self(0xCBF2_9CE4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for byte in w.to_le_bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01B3);
+        }
+    }
+
+    fn hex(&self) -> String {
+        format!("{:016x}", self.0)
+    }
+}
+
+/// The five patterns over an `m`-key space.
+fn patterns(m: u64) -> [AccessPattern; 5] {
+    let x = 100.min(m);
+    [
+        AccessPattern::zipf(0.99, m).expect("valid zipf"),
+        AccessPattern::uniform(m).expect("valid uniform"),
+        AccessPattern::uniform_subset(65.min(m), m).expect("valid subset"),
+        // h halfway between 1/x and 1/(x - 1): the tail rank is rarer
+        // than the head ones but still drawn.
+        AccessPattern::head_tail(x, m, 0.5 / x as f64 + 0.5 / (x - 1) as f64)
+            .expect("valid head/tail"),
+        AccessPattern::rotating_subset(151.min(m), m, 300).expect("valid rotation"),
+    ]
+}
+
+/// Draws `draws` keys through `with_mapping`, checks each against the
+/// sampler and a plain `apply`, and returns their digest.
+fn run_case(pattern: &AccessPattern, seed: u64, mapping: &KeyMapping, draws: usize) -> String {
+    let mut stream = QueryStream::with_mapping(pattern, seed, mapping.clone()).expect("stream");
+    let mut sampler = pattern.sampler(seed).expect("sampler");
+    let mut d = Digest::new();
+    for i in 0..draws {
+        let key = stream.next_key();
+        let want = mapping.apply(sampler.sample());
+        assert_eq!(key, want, "{} seed {seed}: draw {i}", pattern.describe());
+        d.word(key);
+    }
+    d.hex()
+}
+
+/// Digests of every pattern at every domain, mapped by a Feistel scatter
+/// over exactly that domain, in `DOMAINS` × `patterns` order.
+fn scattered_digests() -> Vec<String> {
+    let mut out = Vec::new();
+    for (i, &m) in DOMAINS.iter().enumerate() {
+        for (j, pattern) in patterns(m).iter().enumerate() {
+            let seed = mix(&[0x6E79_6765_6E00, i as u64, j as u64]);
+            let mapping = KeyMapping::scattered(m, seed ^ 0x5EED).expect("mapping");
+            out.push(run_case(pattern, seed, &mapping, DRAWS));
+        }
+    }
+    out
+}
+
+#[test]
+fn with_mapping_equals_sampler_then_apply_at_every_domain() {
+    let want = [
+        // m = 5 000
+        "60edf593801a5544",
+        "2d2a3956b1312c53",
+        "ffb588e8b6194a53",
+        "ab28ea4649aba58d",
+        "93bcad69ad5793b0",
+        // m = 2^14 - 1
+        "0340edb4b7be88f1",
+        "99f9184bddb0214f",
+        "d6e48e2046f03483",
+        "b2aa8bc6dc294ff5",
+        "2ca2dd3f52bac67e",
+        // m = 2^14
+        "46922514d7982205",
+        "926cb9270647fc76",
+        "6c05986ae5b95e12",
+        "265f377a051f8193",
+        "28ba73c5d202603e",
+        // m = 2^14 + 1
+        "6850b492bcc5617e",
+        "cdd8e2ce5ec1a2c4",
+        "92e76509c0c7fbf1",
+        "8cdf7041b04f3087",
+        "b5ea300ae1970ed3",
+        // m = 100 000
+        "a63843a8174225c4",
+        "ff4251bcf30a98d6",
+        "d8e0d5be23cdf5ec",
+        "094aec3060926bd8",
+        "adb97a780a7e17a4",
+    ];
+    let got = scattered_digests();
+    for (k, (got, want)) in got.iter().zip(want).enumerate() {
+        let m = DOMAINS[k / 5];
+        assert_eq!(got, want, "m {m}, pattern {}", k % 5);
+    }
+}
+
+#[test]
+fn a_mapping_wider_than_the_pattern_is_applied_as_is() {
+    // Ranks stay below 5 000 while the mapping's domain crosses 2^14, so
+    // every rank is a head rank of a larger permutation.
+    let pattern = AccessPattern::zipf(0.99, 5_000).expect("valid zipf");
+    let mapping = KeyMapping::scattered((1 << 14) + 1, 77).expect("mapping");
+    let got = run_case(&pattern, 78, &mapping, DRAWS);
+    assert_eq!(got, "0e2af3c8361e4f05");
+}
+
+#[test]
+fn domains_past_32_bits_are_applied_as_is() {
+    // `key + 1` of these domains need not fit in 32 bits.
+    let mut got = Vec::new();
+    for m in [u64::from(u32::MAX) - 1, u64::from(u32::MAX), 1 << 40] {
+        for pattern in [
+            AccessPattern::zipf(0.99, m).expect("valid zipf"),
+            AccessPattern::uniform_subset(65, m).expect("valid subset"),
+        ] {
+            let mapping = KeyMapping::scattered(m, m ^ 0xB16).expect("mapping");
+            got.push(run_case(&pattern, m, &mapping, DRAWS / 10));
+        }
+    }
+    assert_eq!(
+        got,
+        [
+            "6b7fa5622ca6caf7",
+            "8365b7160162adf0",
+            "270349d2a9defc23",
+            "a2418e348e1be28f",
+            "f4fe29efe2fade8d",
+            "483fc84c9c41b883",
+        ]
+    );
+}
+
+#[test]
+fn scattered_and_identity_streams_keep_their_keys() {
+    let mut got = Vec::new();
+    for m in [(1 << 14) + 1, 100_000] {
+        for (j, pattern) in patterns(m).iter().enumerate() {
+            let seed = mix(&[0x5CA7, m, j as u64]);
+            let mut d = Digest::new();
+            for key in QueryStream::scattered(pattern, seed)
+                .expect("scattered")
+                .take(DRAWS)
+            {
+                d.word(key);
+            }
+            got.push(d.hex());
+
+            // The identity stream's keys are its ranks.
+            let mut stream = QueryStream::new(pattern, seed).expect("identity");
+            let mut sampler = pattern.sampler(seed).expect("sampler");
+            let mut d = Digest::new();
+            for _ in 0..DRAWS / 10 {
+                let key = stream.next_key();
+                assert_eq!(key, sampler.sample());
+                d.word(key);
+            }
+            got.push(d.hex());
+        }
+    }
+    assert_eq!(
+        got,
+        [
+            "27d99fbc03946466",
+            "ccd79df4cb3e244f",
+            "fbaf94a47c10435c",
+            "ca0c04f58e2bd568",
+            "e98fbaaf95b9abe8",
+            "fde9c022e0f7c542",
+            "d05348812d3efbb8",
+            "8b4c8c105701941c",
+            "85954c281a8f910f",
+            "456abd40f543f076",
+            "f74af6dba4317e8b",
+            "f9bdecb0b7182341",
+            "522807b626e54c2d",
+            "1b1340b3e094ef91",
+            "c022c21f8172ee5e",
+            "bed8c66a2790aead",
+            "2bfe7651cb358b98",
+            "81c69eb5062f571b",
+            "27262bf416cff148",
+            "05b25a7156cbe8af",
+        ]
+    );
+}
