@@ -16,6 +16,13 @@ use crate::Result;
 /// recovering nodes mid-experiment: routing skips dead nodes, and sticky
 /// selectors re-pin affected keys.
 ///
+/// A routed query whose key the selector holds a live pin for returns
+/// that pin before the key's replica group is computed: every pin was
+/// chosen from the key's group under the current partition, so it is
+/// what the full path would pick. A [`Cluster::reshard`] changes the
+/// partition, so it turns this shortcut off until [`Cluster::reset`]
+/// clears the pins.
+///
 /// # Example
 ///
 /// ```
@@ -40,15 +47,23 @@ pub struct Cluster {
     capacities: Option<Capacities>,
     queries_served: u64,
     unserved: f64,
+    /// Every pin the selector holds lies in its key's replica group under
+    /// the current partition. Set by `new` and `reset` (no pins at all),
+    /// cleared by `reshard`.
+    pins_in_groups: bool,
 }
 
 impl Cluster {
     /// Assembles a cluster from a partitioner and a replica selector.
-    pub fn new(partitioner: Box<dyn Partitioner>, selector: Box<dyn ReplicaSelector>) -> Self {
+    ///
+    /// A cluster starts with no pins: the selector is reset, so pins it
+    /// made under another partition are dropped.
+    pub fn new(partitioner: Box<dyn Partitioner>, mut selector: Box<dyn ReplicaSelector>) -> Self {
         // Size by the index bound, not the member count: sparse
         // topologies (after joins with non-contiguous ids) can return
         // indices beyond the member count.
         let n = partitioner.index_bound();
+        selector.reset();
         Self {
             partitioner,
             selector,
@@ -57,6 +72,7 @@ impl Cluster {
             capacities: None,
             queries_served: 0,
             unserved: 0.0,
+            pins_in_groups: true,
         }
     }
 
@@ -105,6 +121,10 @@ impl Cluster {
 
     /// Routes one query of unit cost; returns the serving node.
     ///
+    /// A key pinned to a live node goes to it without its replica group
+    /// being computed, unless the cluster has been resharded since its
+    /// last [`Cluster::reset`] (type docs).
+    ///
     /// # Errors
     ///
     /// Returns [`ClusterError::NoLiveReplica`] if the whole group is down
@@ -120,6 +140,9 @@ impl Cluster {
     ///
     /// Returns [`ClusterError::NoLiveReplica`] if the whole group is down.
     pub fn route_query_with_cost(&mut self, key: KeyId, cost: f64) -> Result<NodeId> {
+        if let Some(node) = self.route_pinned(key, cost) {
+            return Ok(node);
+        }
         let group = self.partitioner.replica_group(key);
         self.route_in_group(key, &group, cost)
     }
@@ -128,14 +151,34 @@ impl Cluster {
     /// fetched with [`Cluster::replica_group`] — for callers that account
     /// the partitioner lookup and the selection as separate stages. The
     /// observable outcome is identical to [`Cluster::route_query`] on the
-    /// same key sequence, each key partitioned exactly once.
+    /// same key sequence, each key partitioned exactly once. A live pin
+    /// takes the same shortcut as there, so `group` is then not read.
     ///
     /// # Errors
     ///
     /// Returns [`ClusterError::NoLiveReplica`] if the whole group is down
     /// (the query is counted as unserved).
     pub fn route_prefetched(&mut self, key: KeyId, group: &ReplicaGroup) -> Result<NodeId> {
+        if let Some(node) = self.route_pinned(key, 1.0) {
+            return Ok(node);
+        }
         self.route_in_group(key, group, 1.0)
+    }
+
+    /// The pinned shortcut in front of [`Cluster::route_in_group`]: while
+    /// every pin lies in its key's group, a live pin is exactly what the
+    /// full path would return (`pin ∈ live group`), so the query is
+    /// charged to it here. `None` leaves the query to the full path,
+    /// which re-pins a key whose pin is dead.
+    #[inline]
+    fn route_pinned(&mut self, key: KeyId, cost: f64) -> Option<NodeId> {
+        if !self.pins_in_groups {
+            return None;
+        }
+        let node = self.selector.pinned(key).filter(|&n| self.is_alive(n))?;
+        self.charge(node, cost);
+        self.queries_served += 1;
+        Some(node)
     }
 
     /// The one routing decision: drop dead members of `group`, let the
@@ -268,6 +311,10 @@ impl Cluster {
     /// selectors re-pin affected keys lazily, exactly as after
     /// [`Cluster::fail_node`].
     ///
+    /// A pin may now lie outside its key's new group, so from here until
+    /// the next [`Cluster::reset`] every routed query computes its group
+    /// (type docs).
+    ///
     /// # Errors
     ///
     /// Returns an error if the topology cannot support the partitioner's
@@ -286,6 +333,9 @@ impl Cluster {
                 });
             }
         }
+        // Off before the partition changes: a failed rebuild only costs
+        // the shortcut, never a decision.
+        self.pins_in_groups = false;
         self.partitioner.rebuild(topology)?;
         let bound = self.partitioner.index_bound();
         if bound > self.loads.len() {
@@ -306,12 +356,14 @@ impl Cluster {
     }
 
     /// Clears loads, counters and selector state (pins, round-robin
-    /// positions). Node liveness and capacities are preserved.
+    /// positions). Node liveness and capacities are preserved. With the
+    /// pins gone, the pinned shortcut is back on (type docs).
     pub fn reset(&mut self) {
         self.loads.fill(0.0);
         self.queries_served = 0;
         self.unserved = 0.0;
         self.selector.reset();
+        self.pins_in_groups = true;
     }
 }
 
@@ -518,6 +570,72 @@ mod tests {
             "reset must clear in place, not reallocate"
         );
         assert_eq!(c.snapshot().total(), 0.0);
+    }
+
+    #[test]
+    fn a_reshard_disarms_the_pinned_shortcut_until_reset() {
+        let mut t = Topology::with_nodes(10).unwrap();
+        let mut c = Cluster::new(
+            Box::new(HashPartitioner::new(10, 3, 42).unwrap()),
+            Box::new(LeastLoadedSelector::for_items(
+                500,
+                scp_workload::fasthash::FastBuildHasher::new(3),
+            )),
+        );
+        assert!(c.pins_in_groups, "a new cluster has no pins");
+        let pins: Vec<NodeId> = (0..500u64)
+            .map(|k| c.route_query(KeyId::new(k)).unwrap())
+            .collect();
+        t.join(NodeId::new(10)).unwrap();
+        t.join(NodeId::new(11)).unwrap();
+        c.reshard(&t).unwrap();
+        assert!(!c.pins_in_groups);
+        // A key whose pin left its group re-pins to the least-loaded
+        // member of its new group, as the full path always has; every
+        // other key keeps its pin.
+        let mut repinned = 0;
+        for (k, &pin) in (0..500u64).zip(&pins) {
+            let key = KeyId::new(k);
+            let group = c.replica_group(key);
+            let expected = if group.contains(pin) {
+                pin
+            } else {
+                repinned += 1;
+                let load = |n: &NodeId| c.loads()[n.index()];
+                let mut best = group.as_slice()[0];
+                for n in group.as_slice() {
+                    if load(n) < load(&best) {
+                        best = *n;
+                    }
+                }
+                best
+            };
+            assert_eq!(c.route_query(key).unwrap(), expected, "key {k}");
+        }
+        assert!(repinned > 0, "the join moved no pinned key");
+        c.reset();
+        assert!(c.pins_in_groups, "reset clears the pins and re-arms");
+        // A failed reshard disarms too: it never costs a decision.
+        assert!(c.reshard(&Topology::with_nodes(2).unwrap()).is_err());
+        assert!(!c.pins_in_groups);
+    }
+
+    #[test]
+    fn new_drops_the_pins_a_selector_already_holds() {
+        let partitioner = HashPartitioner::new(10, 3, 42).unwrap();
+        let key = KeyId::new(5);
+        let group = partitioner.replica_group(key);
+        let stale = (0..10)
+            .map(NodeId::from_index)
+            .find(|&n| !group.contains(n))
+            .unwrap();
+        // Pinned under another partition, to a live node outside the
+        // key's group here.
+        let mut selector = LeastLoadedSelector::new();
+        assert_eq!(selector.select(key, &[stale], &[0.0; 10]), stale);
+        let mut c = Cluster::new(Box::new(partitioner), Box::new(selector));
+        let node = c.route_query(key).unwrap();
+        assert!(group.contains(node), "routed to {node}, outside {group:?}");
     }
 
     #[test]

@@ -69,6 +69,14 @@ pub trait ReplicaSelector: Send + fmt::Debug {
     /// Clears any per-key state (pins, counters, RNG position is kept).
     fn reset(&mut self);
 
+    /// The node `key` is pinned to, if this selector pins keys and holds
+    /// a pin for it. A pin is where [`ReplicaSelector::select`] sends the
+    /// key for as long as that node stays in the live group it is
+    /// passed. Selectors that pin nothing keep the default, `None`.
+    fn pinned(&self, _key: KeyId) -> Option<NodeId> {
+        None
+    }
+
     /// A short name for reports.
     fn name(&self) -> &'static str;
 }
@@ -381,6 +389,10 @@ impl ReplicaSelector for LeastLoadedSelector {
         self.wide = 0;
     }
 
+    fn pinned(&self, key: KeyId) -> Option<NodeId> {
+        self.pin_of(key)
+    }
+
     fn name(&self) -> &'static str {
         "least-loaded"
     }
@@ -510,6 +522,53 @@ mod tests {
         loads[0] = 9.0;
         s.reset();
         assert_eq!(s.select(KeyId::new(5), &g, &loads), NodeId::new(1));
+    }
+
+    #[test]
+    fn only_least_loaded_reports_pins() {
+        let g = group(&[0, 1, 2]);
+        let loads = vec![5.0, 1.0, 3.0];
+        let key = KeyId::new(9);
+        let memoryless: [Box<dyn ReplicaSelector>; 3] = [
+            Box::new(RandomSelector::new(1)),
+            Box::new(RoundRobinSelector::for_items(100, FastBuildHasher::new(1))),
+            Box::new(PerQueryLeastLoaded::new()),
+        ];
+        for mut s in memoryless {
+            s.select(key, &g, &loads);
+            s.rate_assignment(key, &g, &loads);
+            assert_eq!(s.pinned(key), None, "{} pins nothing", s.name());
+        }
+    }
+
+    #[test]
+    fn least_loaded_reports_the_pin_it_stored() {
+        let loads = vec![5.0, 1.0, 3.0];
+        let mut s = LeastLoadedSelector::for_items(2_048, FastBuildHasher::new(4));
+        // Below the domain: the page table.
+        let dense = KeyId::new(1_024);
+        assert_eq!(s.pinned(dense), None);
+        assert_eq!(s.select(dense, &group(&[0, 1, 2]), &loads), NodeId::new(1));
+        assert_eq!(s.pinned(dense), Some(NodeId::new(1)));
+        // Its pin leaves the group: the re-pin replaces it.
+        assert_eq!(s.select(dense, &group(&[0, 2]), &loads), NodeId::new(2));
+        assert_eq!(s.pinned(dense), Some(NodeId::new(2)));
+        // Above the domain: the map.
+        let above = KeyId::new(2_048);
+        assert_eq!(
+            s.rate_assignment(above, &group(&[0, 1, 2]), &loads),
+            RateAssignment::Pinned(NodeId::new(1))
+        );
+        assert_eq!(s.pinned(above), Some(NodeId::new(1)));
+        // `NodeId(u32::MAX)` has no `node + 1` code: a wide pin.
+        let wide = NodeId::new(u32::MAX);
+        let key = KeyId::new(7);
+        assert_eq!(s.select(key, &[wide], &loads), wide);
+        assert_eq!(s.pinned(key), Some(wide));
+        s.reset();
+        for k in [dense, above, key] {
+            assert_eq!(s.pinned(k), None, "reset unpins {k}");
+        }
     }
 
     #[test]
