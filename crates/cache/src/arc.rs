@@ -1,7 +1,7 @@
 //! ARC — Adaptive Replacement Cache (Megiddo & Modha, FAST'03).
 
-use crate::lru_core::LruCore;
 use crate::stats::CacheStats;
+use crate::table::Table;
 use crate::{Cache, CacheOutcome};
 use scp_workload::fasthash::FastBuildHasher;
 use std::hash::Hash;
@@ -13,17 +13,27 @@ use std::hash::Hash;
 ///
 /// Invariants maintained (capacity `c`):
 /// `|T1| + |T2| <= c`, `|T1| + |B1| <= c`, `|T1|+|T2|+|B1|+|B2| <= 2c`.
+///
+/// The four lists are one residency table (the paper's `DBL(2c)`
+/// directory): each tracked key sits on exactly one of them, so a request
+/// costs one map probe and a hit, ghost hit or ghosting relinks a node.
 #[derive(Debug, Clone)]
 pub struct ArcCache<K> {
-    t1: LruCore<K>,
-    t2: LruCore<K>,
-    b1: LruCore<K>,
-    b2: LruCore<K>,
+    table: Table<K, (), 4>,
     /// Target size of T1 (the adaptation parameter `p`).
     p: usize,
     capacity: usize,
     stats: CacheStats,
 }
+
+/// Resident keys seen once since they entered.
+const T1: usize = 0;
+/// Resident keys seen at least twice.
+const T2: usize = 1;
+/// Ghosts of keys evicted from `T1`.
+const B1: usize = 2;
+/// Ghosts of keys evicted from `T2`.
+const B2: usize = 3;
 
 impl<K: Copy + Eq + Hash + std::fmt::Debug> ArcCache<K> {
     /// Creates an ARC cache holding at most `capacity` items
@@ -32,14 +42,10 @@ impl<K: Copy + Eq + Hash + std::fmt::Debug> ArcCache<K> {
         Self::with_hasher(capacity, FastBuildHasher::default())
     }
 
-    /// [`ArcCache::new`] with all four lists keyed by `hasher`.
+    /// [`ArcCache::new`] with the residency table keyed by `hasher`.
     pub fn with_hasher(capacity: usize, hasher: FastBuildHasher) -> Self {
-        let list = || LruCore::with_hasher(capacity.saturating_mul(2), hasher);
         Self {
-            t1: list(),
-            t2: list(),
-            b1: list(),
-            b2: list(),
+            table: Table::with_hasher(capacity.saturating_mul(2), hasher),
             p: 0,
             capacity,
             stats: CacheStats::new(),
@@ -53,29 +59,42 @@ impl<K: Copy + Eq + Hash + std::fmt::Debug> ArcCache<K> {
 
     /// Number of resident recency-side items.
     pub fn t1_len(&self) -> usize {
-        self.t1.len()
+        self.table.list_len(T1)
     }
 
     /// Number of resident frequency-side items.
     pub fn t2_len(&self) -> usize {
-        self.t2.len()
+        self.table.list_len(T2)
     }
 
+    /// Evicts one resident to its ghost list: the `T1` LRU if `T1`
+    /// exceeds its target `p` (or meets it on a `B2` ghost hit), else the
+    /// `T2` LRU, else — `T2` empty — the `T1` LRU regardless of `p`.
     fn replace(&mut self, in_b2: bool) {
-        let t1_len = self.t1.len();
-        if t1_len >= 1 && ((in_b2 && t1_len == self.p) || t1_len > self.p) {
-            if let Some(victim) = self.t1.pop_lru() {
-                self.b1.insert(victim);
-                self.stats.record_eviction();
-            }
-        } else if let Some(victim) = self.t2.pop_lru() {
-            self.b2.insert(victim);
-            self.stats.record_eviction();
-        } else if let Some(victim) = self.t1.pop_lru() {
-            // T2 empty: fall back to T1 regardless of p.
-            self.b1.insert(victim);
+        let t1_len = self.table.list_len(T1);
+        let evicted = if t1_len >= 1 && ((in_b2 && t1_len == self.p) || t1_len > self.p) {
+            self.table.move_back_to_front(T1, B1)
+        } else {
+            self.table.move_back_to_front(T2, B2) || self.table.move_back_to_front(T1, B1)
+        };
+        if evicted {
             self.stats.record_eviction();
         }
+    }
+
+    /// A ghost hit on the key at `slot`: `p` moves toward the side whose
+    /// ghost list held it, a resident makes room, and the key re-enters
+    /// as the most recent `T2` entry.
+    fn readmit(&mut self, slot: usize, in_b2: bool) {
+        let (b1, b2) = (self.table.list_len(B1), self.table.list_len(B2));
+        if in_b2 {
+            self.p = self.p.saturating_sub((b1 / b2.max(1)).max(1));
+        } else {
+            self.p = (self.p + (b2 / b1.max(1)).max(1)).min(self.capacity);
+        }
+        self.replace(in_b2);
+        self.table.move_to_front(slot, T2);
+        self.stats.record_insertion();
     }
 }
 
@@ -85,67 +104,55 @@ impl<K: Copy + Eq + Hash + std::fmt::Debug> Cache<K> for ArcCache<K> {
             self.stats.record_miss();
             return CacheOutcome::Miss;
         }
-        // Case 1: resident hit -> promote to the frequency side.
-        if self.t1.contains(&key) {
-            self.t1.remove(&key);
-            self.t2.insert(key);
-            self.stats.record_hit();
-            return CacheOutcome::Hit;
-        }
-        if self.t2.touch(&key) {
-            self.stats.record_hit();
-            return CacheOutcome::Hit;
-        }
-        self.stats.record_miss();
-
-        // Case 2: ghost hit in B1 -> grow the recency target.
-        if self.b1.contains(&key) {
-            let delta = (self.b2.len() / self.b1.len().max(1)).max(1);
-            self.p = (self.p + delta).min(self.capacity);
-            self.replace(false);
-            self.b1.remove(&key);
-            self.t2.insert(key);
-            self.stats.record_insertion();
-            return CacheOutcome::Miss;
-        }
-        // Case 3: ghost hit in B2 -> shrink the recency target.
-        if self.b2.contains(&key) {
-            let delta = (self.b1.len() / self.b2.len().max(1)).max(1);
-            self.p = self.p.saturating_sub(delta);
-            self.replace(true);
-            self.b2.remove(&key);
-            self.t2.insert(key);
-            self.stats.record_insertion();
-            return CacheOutcome::Miss;
+        let found = self
+            .table
+            .find(&key)
+            .map(|(slot, node)| (slot, node.list()));
+        match found {
+            // Case 1: resident hit -> most recent on the frequency side.
+            Some((slot, T1 | T2)) => {
+                self.table.move_to_front(slot, T2);
+                self.stats.record_hit();
+                return CacheOutcome::Hit;
+            }
+            // Cases 2 and 3: a ghost hit grows the target of the side
+            // whose ghost list held the key.
+            Some((slot, list)) => {
+                self.stats.record_miss();
+                self.readmit(slot, list == B2);
+                return CacheOutcome::Miss;
+            }
+            None => self.stats.record_miss(),
         }
 
         // Case 4: entirely new key.
-        let l1 = self.t1.len() + self.b1.len();
+        let l1 = self.table.list_len(T1) + self.table.list_len(B1);
         if l1 == self.capacity {
-            if self.t1.len() < self.capacity {
-                self.b1.pop_lru();
+            if self.table.list_len(T1) < self.capacity {
+                self.table.pop_back(B1);
                 self.replace(false);
-            } else {
+            } else if self.table.pop_back(T1) {
                 // B1 empty and T1 full: the LRU of T1 leaves without a ghost.
-                self.t1.pop_lru();
                 self.stats.record_eviction();
             }
         } else {
-            let total = l1 + self.t2.len() + self.b2.len();
+            let total = self.table.len();
             if total >= self.capacity {
                 if total >= 2 * self.capacity {
-                    self.b2.pop_lru();
+                    self.table.pop_back(B2);
                 }
                 self.replace(false);
             }
         }
-        self.t1.insert(key);
+        self.table.push_front(key, (), T1);
         self.stats.record_insertion();
         CacheOutcome::Miss
     }
 
     fn contains(&self, key: &K) -> bool {
-        self.t1.contains(key) || self.t2.contains(key)
+        self.table
+            .find(key)
+            .is_some_and(|(_, node)| matches!(node.list(), T1 | T2))
     }
 
     fn capacity(&self) -> usize {
@@ -153,14 +160,11 @@ impl<K: Copy + Eq + Hash + std::fmt::Debug> Cache<K> for ArcCache<K> {
     }
 
     fn len(&self) -> usize {
-        self.t1.len() + self.t2.len()
+        self.table.list_len(T1) + self.table.list_len(T2)
     }
 
     fn clear(&mut self) {
-        self.t1.clear();
-        self.t2.clear();
-        self.b1.clear();
-        self.b2.clear();
+        self.table.clear();
         self.p = 0;
     }
 
@@ -182,13 +186,20 @@ mod tests {
     use super::*;
 
     fn check_invariants(c: &ArcCache<u32>) {
-        assert!(c.t1.len() + c.t2.len() <= c.capacity, "resident overflow");
-        assert!(c.t1.len() + c.b1.len() <= c.capacity, "L1 overflow");
+        let len = |list| c.table.list_len(list);
+        assert!(len(T1) + len(T2) <= c.capacity, "resident overflow");
+        assert!(len(T1) + len(B1) <= c.capacity, "L1 overflow");
         assert!(
-            c.t1.len() + c.t2.len() + c.b1.len() + c.b2.len() <= 2 * c.capacity,
+            len(T1) + len(T2) + len(B1) + len(B2) <= 2 * c.capacity,
             "directory overflow"
         );
+        assert_eq!(c.table.len(), len(T1) + len(T2) + len(B1) + len(B2));
         assert!(c.p <= c.capacity);
+    }
+
+    /// The list holding `key`, if any.
+    fn list_of(c: &ArcCache<u32>, key: u32) -> Option<usize> {
+        c.table.find(&key).map(|(_, node)| node.list())
     }
 
     #[test]
@@ -223,7 +234,7 @@ mod tests {
         c.request(2);
         c.request(3); // discards 1 entirely
         assert!(!c.contains(&1));
-        assert_eq!(c.b1.len(), 0);
+        assert_eq!(c.table.list_len(B1), 0);
         check_invariants(&c);
     }
 
@@ -235,10 +246,10 @@ mod tests {
         c.request(2); // T1 = {2}
         c.request(3); // replace(): T1 LRU (2) -> B1 ghost; T1 = {3}
         assert!(!c.contains(&2));
-        assert!(c.b1.contains(&2));
+        assert_eq!(list_of(&c, 2), Some(B1));
         c.request(2); // ghost hit: readmitted into T2
         assert!(c.contains(&2));
-        assert!(c.t2.contains(&2));
+        assert_eq!(list_of(&c, 2), Some(T2));
         check_invariants(&c);
     }
 

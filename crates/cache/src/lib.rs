@@ -3,10 +3,12 @@
 //! The paper assumes a *perfect* popularity cache: the `c` most popular
 //! items always hit, everything else always misses
 //! ([`perfect::PerfectCache`]). Real front ends run replacement policies,
-//! so this crate also ships LRU, FIFO, CLOCK, LFU, segmented LRU and
-//! W-TinyLFU implementations behind one [`Cache`] trait — the ablation
-//! experiments measure how far each policy falls from the perfect-cache
-//! guarantee under adversarial and Zipf workloads.
+//! so this crate also ships LRU, FIFO, CLOCK, LFU, segmented LRU,
+//! W-TinyLFU and ARC implementations behind one [`Cache`] trait, plus an
+//! estimated oracle ([`estimated::EstimatedOracleCache`]) that learns the
+//! top `c` online with a Space-Saving summary — the ablation experiments
+//! measure how far each policy falls from the perfect-cache guarantee
+//! under adversarial and Zipf workloads.
 //!
 //! All policies are deterministic, single-threaded state machines with
 //! O(1) or O(log c) operations, suitable for tight simulation loops.
@@ -33,14 +35,13 @@ pub mod clock;
 pub mod estimated;
 pub mod fifo;
 pub mod lfu;
-pub mod list;
 pub mod lru;
-pub mod lru_core;
 pub mod nocache;
 pub mod perfect;
 pub mod sketch;
 pub mod slru;
 pub mod stats;
+mod table;
 pub mod tinylfu;
 pub mod topk;
 

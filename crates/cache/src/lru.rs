@@ -1,7 +1,7 @@
 //! Least-recently-used replacement.
 
-use crate::lru_core::LruCore;
 use crate::stats::CacheStats;
+use crate::table::Table;
 use crate::{Cache, CacheOutcome};
 use scp_workload::fasthash::FastBuildHasher;
 use std::hash::Hash;
@@ -16,9 +16,13 @@ use std::hash::Hash;
 /// gap.
 #[derive(Debug, Clone)]
 pub struct LruCache<K> {
-    core: LruCore<K>,
+    table: Table<K, (), 1>,
+    capacity: usize,
     stats: CacheStats,
 }
+
+/// The one recency list.
+const LRU: usize = 0;
 
 impl<K: Copy + Eq + Hash> LruCache<K> {
     /// Creates an LRU cache holding at most `capacity` items.
@@ -29,7 +33,8 @@ impl<K: Copy + Eq + Hash> LruCache<K> {
     /// [`LruCache::new`] with the key table keyed by `hasher`.
     pub fn with_hasher(capacity: usize, hasher: FastBuildHasher) -> Self {
         Self {
-            core: LruCore::with_hasher(capacity, hasher),
+            table: Table::with_hasher(capacity, hasher),
+            capacity,
             stats: CacheStats::new(),
         }
     }
@@ -37,34 +42,36 @@ impl<K: Copy + Eq + Hash> LruCache<K> {
 
 impl<K: Copy + Eq + Hash + std::fmt::Debug> Cache<K> for LruCache<K> {
     fn request(&mut self, key: K) -> CacheOutcome {
-        if self.core.touch(&key) {
+        if let Some((slot, _)) = self.table.find(&key) {
+            self.table.move_to_front(slot, LRU);
             self.stats.record_hit();
             return CacheOutcome::Hit;
         }
         self.stats.record_miss();
-        if self.core.capacity() > 0 {
+        if self.capacity > 0 {
             self.stats.record_insertion();
-            if self.core.insert(key).is_some() {
+            if self.table.len() == self.capacity && self.table.pop_back(LRU) {
                 self.stats.record_eviction();
             }
+            self.table.push_front(key, (), LRU);
         }
         CacheOutcome::Miss
     }
 
     fn contains(&self, key: &K) -> bool {
-        self.core.contains(key)
+        self.table.find(key).is_some()
     }
 
     fn capacity(&self) -> usize {
-        self.core.capacity()
+        self.capacity
     }
 
     fn len(&self) -> usize {
-        self.core.len()
+        self.table.len()
     }
 
     fn clear(&mut self) {
-        self.core.clear();
+        self.table.clear();
     }
 
     fn stats(&self) -> &CacheStats {

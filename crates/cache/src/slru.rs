@@ -1,7 +1,7 @@
 //! Segmented LRU (probation + protected segments).
 
-use crate::lru_core::LruCore;
 use crate::stats::CacheStats;
+use crate::table::Table;
 use crate::{Cache, CacheOutcome};
 use scp_workload::fasthash::FastBuildHasher;
 use std::hash::Hash;
@@ -9,17 +9,23 @@ use std::hash::Hash;
 /// Default fraction of capacity given to the protected segment.
 pub const DEFAULT_PROTECTED_FRACTION: f64 = 0.8;
 
+/// The segment misses enter.
+const PROBATION: usize = 0;
+/// The segment a probation hit promotes to.
+const PROTECTED: usize = 1;
+
 /// Segmented LRU: new admissions enter a *probation* segment; a hit in
 /// probation promotes to the *protected* segment; protected overflow
 /// demotes its LRU entry back to probation. Items only leave the cache
 /// entirely when the **total** size exceeds capacity, in which case the
-/// probation LRU (or, if probation is empty, the protected LRU) is
-/// evicted. One-hit wonders therefore wash out of probation without
-/// displacing proven-popular items.
+/// probation LRU is evicted. One-hit wonders therefore wash out of
+/// probation without displacing proven-popular items.
+///
+/// Both segments are lists of one residency table, so a request costs one
+/// map probe whichever segment holds the key.
 #[derive(Debug, Clone)]
 pub struct SlruCache<K> {
-    probation: LruCore<K>,
-    protected: LruCore<K>,
+    table: Table<K, (), 2>,
     protected_target: usize,
     capacity: usize,
     stats: CacheStats,
@@ -31,7 +37,7 @@ impl<K: Copy + Eq + Hash + std::fmt::Debug> SlruCache<K> {
         Self::with_hasher(capacity, FastBuildHasher::default())
     }
 
-    /// [`SlruCache::new`] with both segments keyed by `hasher`.
+    /// [`SlruCache::new`] with the residency table keyed by `hasher`.
     pub fn with_hasher(capacity: usize, hasher: FastBuildHasher) -> Self {
         Self::build(capacity, DEFAULT_PROTECTED_FRACTION, hasher)
     }
@@ -48,10 +54,7 @@ impl<K: Copy + Eq + Hash + std::fmt::Debug> SlruCache<K> {
         let protected_target =
             (((capacity as f64) * fraction).round() as usize).min(capacity.saturating_sub(1));
         Self {
-            // Segments are sized at total capacity: the split is enforced
-            // by demotion/eviction logic, not by the cores themselves.
-            probation: LruCore::with_hasher(capacity, hasher),
-            protected: LruCore::with_hasher(capacity, hasher),
+            table: Table::with_hasher(capacity, hasher),
             protected_target,
             capacity,
             stats: CacheStats::new(),
@@ -60,65 +63,48 @@ impl<K: Copy + Eq + Hash + std::fmt::Debug> SlruCache<K> {
 
     /// Number of items in the probation segment.
     pub fn probation_len(&self) -> usize {
-        self.probation.len()
+        self.table.list_len(PROBATION)
     }
 
     /// Number of items in the protected segment.
     pub fn protected_len(&self) -> usize {
-        self.protected.len()
+        self.table.list_len(PROTECTED)
     }
 
     /// Size target of the protected segment.
     pub fn protected_target(&self) -> usize {
         self.protected_target
     }
-
-    fn promote(&mut self, key: K) {
-        self.probation.remove(&key);
-        self.protected.insert(key);
-        if self.protected.len() > self.protected_target {
-            // Demotion, not eviction: the demoted key re-enters probation
-            // as its most recent entry.
-            if let Some(demoted) = self.protected.pop_lru() {
-                self.probation.insert(demoted);
-            }
-        }
-    }
-
-    fn evict_to_capacity(&mut self) {
-        while self.len() > self.capacity {
-            let evicted = self
-                .probation
-                .pop_lru()
-                .or_else(|| self.protected.pop_lru());
-            debug_assert!(evicted.is_some(), "over capacity but nothing to evict");
-            self.stats.record_eviction();
-        }
-    }
 }
 
 impl<K: Copy + Eq + Hash + std::fmt::Debug> Cache<K> for SlruCache<K> {
     fn request(&mut self, key: K) -> CacheOutcome {
-        if self.protected.touch(&key) {
+        if let Some((slot, _)) = self.table.find(&key) {
+            // A hit moves to the front of protected (promoting a probation
+            // key); protected overflow demotes its LRU entry to the front
+            // of probation — a demotion, not an eviction.
+            self.table.move_to_front(slot, PROTECTED);
+            if self.table.list_len(PROTECTED) > self.protected_target {
+                self.table.move_back_to_front(PROTECTED, PROBATION);
+            }
             self.stats.record_hit();
-            return CacheOutcome::Hit;
-        }
-        if self.probation.contains(&key) {
-            self.stats.record_hit();
-            self.promote(key);
             return CacheOutcome::Hit;
         }
         self.stats.record_miss();
         if self.capacity > 0 {
             self.stats.record_insertion();
-            self.probation.insert(key);
-            self.evict_to_capacity();
+            // Protected stays below capacity, so a full cache always has
+            // a probation victim.
+            if self.table.len() == self.capacity && self.table.pop_back(PROBATION) {
+                self.stats.record_eviction();
+            }
+            self.table.push_front(key, (), PROBATION);
         }
         CacheOutcome::Miss
     }
 
     fn contains(&self, key: &K) -> bool {
-        self.protected.contains(key) || self.probation.contains(key)
+        self.table.find(key).is_some()
     }
 
     fn capacity(&self) -> usize {
@@ -126,12 +112,11 @@ impl<K: Copy + Eq + Hash + std::fmt::Debug> Cache<K> for SlruCache<K> {
     }
 
     fn len(&self) -> usize {
-        self.probation.len() + self.protected.len()
+        self.table.len()
     }
 
     fn clear(&mut self) {
-        self.probation.clear();
-        self.protected.clear();
+        self.table.clear();
     }
 
     fn stats(&self) -> &CacheStats {
@@ -212,6 +197,7 @@ mod tests {
         c.request(4);
         assert_eq!(c.len(), 4);
         assert!(!c.contains(&0), "probation LRU should be evicted");
+        assert_eq!(c.stats().evictions(), 1, "and counted");
     }
 
     #[test]

@@ -3,16 +3,13 @@
 use crate::sketch::{key_hash, CountMinSketch, CounterSlots, DoorSlots, Doorkeeper};
 use crate::slru::DEFAULT_PROTECTED_FRACTION;
 use crate::stats::CacheStats;
+use crate::table::Table;
 use crate::{Cache, CacheOutcome};
 use scp_workload::fasthash::FastBuildHasher;
-use std::collections::HashMap;
 use std::hash::Hash;
 
 /// Default fraction of capacity given to the admission window.
 pub const DEFAULT_WINDOW_FRACTION: f64 = 0.01;
-
-/// "No node" link.
-const NIL: usize = usize::MAX;
 
 /// W-TinyLFU (Einziger, Friedman & Manes): a small LRU *window* in front of
 /// a segmented-LRU main region, with a count-min frequency sketch deciding
@@ -31,18 +28,14 @@ const NIL: usize = usize::MAX;
 /// promotes to *protected*, and protected overflow demotes its LRU entry
 /// back to the front of probation.
 ///
-/// All three regions share one residency table: a single key→node map
-/// (keyed by the cache's [`FastBuildHasher`]) over a node slab threaded by
-/// three intrusive LRU lists. Each node keeps its key's sketch counters
+/// All three regions are lists of one residency table (keyed by the
+/// cache's [`FastBuildHasher`]). Each node keeps its key's sketch counters
 /// and doorkeeper bits, derived from the key's hash once when it enters
 /// the window, so a hit costs one map probe and the admission duel reads
 /// both contenders' frequencies without hashing either again.
 #[derive(Debug, Clone)]
 pub struct TinyLfuCache<K> {
-    map: HashMap<K, usize, FastBuildHasher>,
-    nodes: Vec<Node<K>>,
-    free: Vec<usize>,
-    lists: Lists,
+    table: Table<K, FilterSlots, 3>,
     window_cap: usize,
     main_cap: usize,
     protected_target: usize,
@@ -51,71 +44,12 @@ pub struct TinyLfuCache<K> {
     stats: CacheStats,
 }
 
-/// Which list a resident is on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Region {
-    Window,
-    Probation,
-    Protected,
-}
-
-/// One resident: its key, where its accesses land in the admission
-/// filter, and its links in its region's list.
-#[derive(Debug, Clone)]
-struct Node<K> {
-    key: K,
-    slots: FilterSlots,
-    region: Region,
-    prev: usize,
-    next: usize,
-}
-
-/// One intrusive list over the node slab: front = most recently used.
-#[derive(Debug, Clone, Copy)]
-struct List {
-    head: usize,
-    tail: usize,
-    len: usize,
-}
-
-/// The window, probation and protected lists.
-#[derive(Debug, Clone, Copy)]
-struct Lists {
-    window: List,
-    probation: List,
-    protected: List,
-}
-
-impl Lists {
-    const EMPTY: Self = {
-        let empty = List {
-            head: NIL,
-            tail: NIL,
-            len: 0,
-        };
-        Self {
-            window: empty,
-            probation: empty,
-            protected: empty,
-        }
-    };
-
-    fn get(&self, region: Region) -> &List {
-        match region {
-            Region::Window => &self.window,
-            Region::Probation => &self.probation,
-            Region::Protected => &self.protected,
-        }
-    }
-
-    fn get_mut(&mut self, region: Region) -> &mut List {
-        match region {
-            Region::Window => &mut self.window,
-            Region::Probation => &mut self.probation,
-            Region::Protected => &mut self.protected,
-        }
-    }
-}
+/// The LRU window every miss enters.
+const WINDOW: usize = 0;
+/// The main region's segment admissions and demotions enter.
+const PROBATION: usize = 1;
+/// The main region's segment a probation hit promotes to.
+const PROTECTED: usize = 2;
 
 /// A key's sketch counters and doorkeeper bits.
 #[derive(Debug, Clone, Copy)]
@@ -202,16 +136,9 @@ impl<K: Copy + Eq + Hash + std::fmt::Debug> TinyLfuCache<K> {
         // region always has a probation victim.
         let protected_target = (((main_cap as f64) * DEFAULT_PROTECTED_FRACTION).round() as usize)
             .min(main_cap.saturating_sub(1));
-        // A miss holds one key beyond capacity until the duel settles. The
-        // node slab grows on demand: reserved up front, its 120 B nodes
-        // made a short run's set-up several microseconds slower at
-        // c = 1000.
-        let reserve = capacity.min(1 << 20) + 1;
         Self {
-            map: HashMap::with_capacity_and_hasher(reserve, hasher),
-            nodes: Vec::new(),
-            free: Vec::new(),
-            lists: Lists::EMPTY,
+            // A miss holds one key beyond capacity until the duel settles.
+            table: Table::with_hasher(capacity.saturating_add(1), hasher),
             window_cap,
             main_cap,
             protected_target,
@@ -234,89 +161,25 @@ impl<K: Copy + Eq + Hash + std::fmt::Debug> TinyLfuCache<K> {
         self.filter.sketch.resets()
     }
 
-    /// Admission frequency of the resident at `slot` (0 for `NIL`).
+    /// Admission frequency of the resident at `slot`.
     fn frequency_at(&self, slot: usize) -> u32 {
-        self.nodes
-            .get(slot)
-            .map_or(0, |node| self.filter.frequency(&node.slots))
-    }
-
-    /// Takes `slot` off its region's list.
-    fn unlink(&mut self, slot: usize) {
-        let Some(node) = self.nodes.get(slot) else {
-            return;
-        };
-        let (prev, next) = (node.prev, node.next);
-        let list = self.lists.get_mut(node.region);
-        match self.nodes.get_mut(prev) {
-            Some(p) => p.next = next,
-            None => list.head = next,
-        }
-        match self.nodes.get_mut(next) {
-            Some(n) => n.prev = prev,
-            None => list.tail = prev,
-        }
-        list.len -= 1;
-    }
-
-    /// Puts the unlinked `slot` at the front of `region`'s list.
-    fn push_front(&mut self, slot: usize, region: Region) {
-        let list = self.lists.get_mut(region);
-        let head = list.head;
-        if let Some(node) = self.nodes.get_mut(slot) {
-            node.region = region;
-            node.prev = NIL;
-            node.next = head;
-        }
-        match self.nodes.get_mut(head) {
-            Some(h) => h.prev = slot,
-            None => list.tail = slot,
-        }
-        list.head = slot;
-        list.len += 1;
-    }
-
-    /// Moves `slot` to the front of `region`'s list.
-    fn relink(&mut self, slot: usize, region: Region) {
-        if self.lists.get(region).head != slot {
-            self.unlink(slot);
-            self.push_front(slot, region);
-        }
-    }
-
-    /// Drops the resident at `slot` from the cache.
-    fn remove(&mut self, slot: usize) {
-        self.unlink(slot);
-        if let Some(node) = self.nodes.get(slot) {
-            self.map.remove(&node.key);
-            self.free.push(slot);
-        }
-    }
-
-    /// Stores `node` in a free slot and returns the slot.
-    fn alloc(&mut self, node: Node<K>) -> usize {
-        if let Some(slot) = self.free.pop() {
-            if let Some(vacant) = self.nodes.get_mut(slot) {
-                *vacant = node;
-                return slot;
-            }
-        }
-        self.nodes.push(node);
-        self.nodes.len() - 1
+        self.table
+            .node(slot)
+            .map_or(0, |node| self.filter.frequency(&node.value))
     }
 
     /// A hit on the resident at `slot`: window and protected residents
     /// move to the front of their list; a probation resident is promoted
     /// to protected, whose overflow demotes its LRU entry to the front of
     /// probation.
-    fn touch(&mut self, slot: usize, region: Region) {
-        if region != Region::Probation {
-            self.relink(slot, region);
+    fn touch(&mut self, slot: usize, region: usize) {
+        if region != PROBATION {
+            self.table.move_to_front(slot, region);
             return;
         }
-        self.relink(slot, Region::Protected);
-        if self.lists.protected.len > self.protected_target {
-            self.relink(self.lists.protected.tail, Region::Probation);
+        self.table.move_to_front(slot, PROTECTED);
+        if self.table.list_len(PROTECTED) > self.protected_target {
+            self.table.move_back_to_front(PROTECTED, PROBATION);
         }
     }
 
@@ -324,32 +187,30 @@ impl<K: Copy + Eq + Hash + std::fmt::Debug> TinyLfuCache<K> {
     /// probation if the main region has room; otherwise it must beat the
     /// probation LRU victim's frequency to take that slot.
     fn admit(&mut self, candidate: usize) {
-        if self.lists.probation.len + self.lists.protected.len < self.main_cap {
-            self.relink(candidate, Region::Probation);
+        if self.table.list_len(PROBATION) + self.table.list_len(PROTECTED) < self.main_cap {
+            self.table.move_to_front(candidate, PROBATION);
             return;
         }
-        let victim = self.lists.probation.tail;
-        if self.frequency_at(candidate) <= self.frequency_at(victim) {
+        let victim = self.table.back(PROBATION);
+        if self.frequency_at(candidate) <= victim.map_or(0, |v| self.frequency_at(v)) {
             self.stats.record_rejection();
-            self.remove(candidate);
-        } else if victim != NIL {
-            self.remove(victim);
-            self.relink(candidate, Region::Probation);
+            self.table.remove(candidate);
+        } else if let Some(victim) = victim {
+            self.table.remove(victim);
+            self.table.move_to_front(candidate, PROBATION);
         } else {
             // No main region (capacity 1): nowhere to admit to.
-            self.remove(candidate);
+            self.table.remove(candidate);
         }
     }
 }
 
 impl<K: Copy + Eq + Hash + std::fmt::Debug> Cache<K> for TinyLfuCache<K> {
     fn request(&mut self, key: K) -> CacheOutcome {
-        if let Some(&slot) = self.map.get(&key) {
-            if let Some(node) = self.nodes.get(slot) {
-                let region = node.region;
-                self.filter.record(&node.slots);
-                self.touch(slot, region);
-            }
+        if let Some((slot, node)) = self.table.find(&key) {
+            let region = node.list();
+            self.filter.record(&node.value);
+            self.touch(slot, region);
             self.stats.record_hit();
             return CacheOutcome::Hit;
         }
@@ -360,23 +221,17 @@ impl<K: Copy + Eq + Hash + std::fmt::Debug> Cache<K> for TinyLfuCache<K> {
             return CacheOutcome::Miss;
         }
         self.stats.record_insertion();
-        let slot = self.alloc(Node {
-            key,
-            slots,
-            region: Region::Window,
-            prev: NIL,
-            next: NIL,
-        });
-        self.map.insert(key, slot);
-        self.push_front(slot, Region::Window);
-        if self.lists.window.len > self.window_cap {
-            self.admit(self.lists.window.tail);
+        self.table.push_front(key, slots, WINDOW);
+        if self.table.list_len(WINDOW) > self.window_cap {
+            if let Some(candidate) = self.table.back(WINDOW) {
+                self.admit(candidate);
+            }
         }
         CacheOutcome::Miss
     }
 
     fn contains(&self, key: &K) -> bool {
-        self.map.contains_key(key)
+        self.table.find(key).is_some()
     }
 
     fn capacity(&self) -> usize {
@@ -384,14 +239,11 @@ impl<K: Copy + Eq + Hash + std::fmt::Debug> Cache<K> for TinyLfuCache<K> {
     }
 
     fn len(&self) -> usize {
-        self.map.len()
+        self.table.len()
     }
 
     fn clear(&mut self) {
-        self.map.clear();
-        self.nodes.clear();
-        self.free.clear();
-        self.lists = Lists::EMPTY;
+        self.table.clear();
         self.filter.clear();
     }
 

@@ -256,3 +256,35 @@ fn names_are_unique_and_stable() {
     names.dedup();
     assert_eq!(names.len(), before, "duplicate policy names: {names:?}");
 }
+
+#[test]
+fn insertions_balance_residents_evictions_and_rejections() {
+    // Policies whose counters are not meant to balance, and why.
+    let exempt = [
+        (
+            "perfect",
+            "its residents are the preloaded top c, never inserted on a request",
+        ),
+        (
+            "tinylfu",
+            "the admission duel drops the probation victim without counting an eviction",
+        ),
+    ];
+    for (name, factory, _) in all_policies() {
+        if exempt.iter().any(|&(policy, _)| policy == name) {
+            continue;
+        }
+        for cap in [0usize, 1, 2, 7, 64, 100] {
+            let mut cache = factory(cap);
+            for (i, &k) in op_sequence(3000, 300, 11).iter().enumerate() {
+                cache.request(k);
+                let stats = *cache.stats();
+                assert_eq!(
+                    stats.insertions(),
+                    cache.len() as u64 + stats.evictions() + stats.rejections(),
+                    "{name}, capacity {cap}, after request {i}: {stats:?}"
+                );
+            }
+        }
+    }
+}

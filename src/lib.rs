@@ -17,8 +17,8 @@
 //!   adversarial strategies, cache provisioning.
 //! * [`cluster`] (`scp-cluster`) — partitioners, replica selection, node
 //!   failures, capacities.
-//! * [`cache`] (`scp-cache`) — perfect/LRU/LFU/FIFO/CLOCK/SLRU/TinyLFU
-//!   front-end caches.
+//! * [`cache`] (`scp-cache`) — perfect/LRU/LFU/FIFO/CLOCK/SLRU/TinyLFU/ARC
+//!   front-end caches and the estimated (Space-Saving) oracle.
 //! * [`workload`] (`scp-workload`) — access patterns, Zipf/alias samplers,
 //!   query streams.
 //! * [`sim`] (`scp-sim`) — rate-propagation, query-sampling and

@@ -1,4 +1,5 @@
-//! Golden digests of W-TinyLFU's decision stream.
+//! Golden digests of the list policies' decision streams: W-TinyLFU,
+//! LRU, SLRU and ARC.
 //!
 //! 500 seeded cases drive a [`TinyLfuCache`] through Zipf, uniform and
 //! rotating-subset streams at capacities {0, 1, 2, 3, 5, 8, 64, 1000},
@@ -12,7 +13,20 @@
 //! window in front of an `SlruCache` main region. Any change to which
 //! key is admitted, demoted, rejected or evicted, or to any counter,
 //! moves one of them; so does any change to the sketch's hashing.
+//!
+//! The same cases drive [`LruCache`], [`SlruCache`] and [`ArcCache`]
+//! (hasher seeds and, for SLRU, the protected fractions above). Each
+//! policy's digest folds every outcome, `len`, every `CacheStats` counter
+//! except SLRU's `evictions`, ARC's `recency_target`/`t1_len`/`t2_len`,
+//! SLRU's `probation_len`/`protected_len` and the final `contains` over the
+//! whole key domain. They were recorded at commit `ac5934a`, while the
+//! three policies still sat on `LruCore` over `LinkedSlab` (one key map
+//! per list). SLRU's `evictions` is left out because that layout dropped
+//! a full probation segment's LRU entry without counting it.
 
+use secure_cache_provision::cache::arc::ArcCache;
+use secure_cache_provision::cache::lru::LruCache;
+use secure_cache_provision::cache::slru::SlruCache;
 use secure_cache_provision::cache::tinylfu::TinyLfuCache;
 use secure_cache_provision::cache::Cache;
 use secure_cache_provision::workload::fasthash::FastBuildHasher;
@@ -71,6 +85,14 @@ impl Build {
             v @ 0..=3 => Build::Fraction(FRACTIONS[v as usize]),
             4 => Build::Hasher(mix(&[0x7F1E_A5ED, case])),
             _ => Build::Default,
+        }
+    }
+
+    /// The hasher a `with_hasher` build is keyed by (seed 0 otherwise).
+    fn hasher(self) -> FastBuildHasher {
+        match self {
+            Build::Hasher(seed) => FastBuildHasher::new(seed),
+            _ => FastBuildHasher::default(),
         }
     }
 
@@ -169,5 +191,106 @@ fn golden_decision_stream_for_every_capacity_and_window() {
     let got = digests();
     for ((capacity, got), want) in CAPACITIES.iter().zip(&got).zip(want) {
         assert_eq!(got, want, "decision-stream digest at capacity {capacity}");
+    }
+}
+
+/// LRU, SLRU or ARC with the state each exports beyond [`Cache`].
+enum ListPolicy {
+    Lru(LruCache<u64>),
+    Slru(SlruCache<u64>),
+    Arc(ArcCache<u64>),
+}
+
+impl ListPolicy {
+    const NAMES: [&'static str; 3] = ["lru", "slru", "arc"];
+
+    fn build(policy: usize, build: Build, capacity: usize) -> Self {
+        match (policy, build) {
+            (0, _) => Self::Lru(LruCache::with_hasher(capacity, build.hasher())),
+            (1, Build::Fraction(f)) => Self::Slru(SlruCache::with_protected_fraction(capacity, f)),
+            (1, _) => Self::Slru(SlruCache::with_hasher(capacity, build.hasher())),
+            _ => Self::Arc(ArcCache::with_hasher(capacity, build.hasher())),
+        }
+    }
+
+    fn cache(&mut self) -> &mut dyn Cache<u64> {
+        match self {
+            Self::Lru(c) => c,
+            Self::Slru(c) => c,
+            Self::Arc(c) => c,
+        }
+    }
+
+    /// Folds `len`, the counters and the policy's own lengths.
+    fn fold(&mut self, d: &mut Digest) {
+        let stats = *self.cache().stats();
+        for w in [
+            stats.hits(),
+            stats.misses(),
+            stats.insertions(),
+            stats.rejections(),
+            self.cache().len() as u64,
+        ] {
+            d.word(w);
+        }
+        let extra = match self {
+            Self::Lru(_) => vec![stats.evictions()],
+            Self::Slru(c) => vec![c.probation_len() as u64, c.protected_len() as u64],
+            Self::Arc(c) => vec![
+                stats.evictions(),
+                c.recency_target() as u64,
+                c.t1_len() as u64,
+                c.t2_len() as u64,
+            ],
+        };
+        for w in extra {
+            d.word(w);
+        }
+    }
+}
+
+/// Runs one case through list policy `policy` and returns its digest.
+fn run_list_case(policy: usize, case: u64) -> u64 {
+    let seed = mix(&[0x71F0_CA5E, case]);
+    let capacity = CAPACITIES[(case % 8) as usize];
+    let pattern = pattern(case, capacity, seed);
+    let m = pattern.key_space();
+    let mut sampler = pattern.sampler(seed).expect("pattern samples");
+    let mut policy = ListPolicy::build(policy, Build::of(case), capacity);
+    let steps = 1_500 + 24 * capacity;
+    let clear_at = steps / 3 + (seed % 200) as usize;
+
+    let mut d = Digest::new();
+    for step in 0..steps {
+        if step == clear_at {
+            policy.cache().clear();
+            policy.fold(&mut d);
+        }
+        let hit = policy.cache().request(sampler.sample()).is_hit();
+        d.word(u64::from(hit));
+        if step % PROBE_EVERY == 0 {
+            policy.fold(&mut d);
+        }
+    }
+    policy.fold(&mut d);
+    let cache = policy.cache();
+    for key in 0..m {
+        d.word(u64::from(cache.contains(&key)));
+    }
+    d.0
+}
+
+#[test]
+fn golden_decision_streams_of_lru_slru_and_arc() {
+    let want = ["b1ac76e6f9e6c19c", "d37d1fce5704da5a", "d513493eeb8c705a"];
+    let got = [0, 1, 2].map(|policy| {
+        let mut d = Digest::new();
+        for case in 0..CASES {
+            d.word(run_list_case(policy, case));
+        }
+        format!("{:016x}", d.0)
+    });
+    for ((name, got), want) in ListPolicy::NAMES.iter().zip(&got).zip(want) {
+        assert_eq!(got, want, "{name} decision-stream digest");
     }
 }
