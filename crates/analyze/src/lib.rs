@@ -225,10 +225,7 @@ pub fn load_surface(root: &Path) -> io::Result<Surface> {
 pub fn store_surface(root: &Path, report: &SurfaceReport) -> io::Result<()> {
     std::fs::write(
         root.join(SURFACE_FILE),
-        report
-            .observed
-            .to_json(&report.per_crate)
-            .to_pretty_string(),
+        report.observed.to_json().to_pretty_string(),
     )
 }
 
@@ -276,9 +273,6 @@ pub fn load_det_surface(root: &Path) -> io::Result<Surface> {
 pub fn store_det_surface(root: &Path, report: &SurfaceReport) -> io::Result<()> {
     std::fs::write(
         root.join(DET_SURFACE_FILE),
-        report
-            .observed
-            .to_json(&report.per_crate)
-            .to_pretty_string(),
+        report.observed.to_json().to_pretty_string(),
     )
 }

@@ -132,12 +132,12 @@ fn main() -> ExitCode {
         println!(
             "panic surface: {} of {} pub fns reach a panic site ({} fns, {} edges in the call graph)",
             surface.observed.functions.len(),
-            surface.per_crate.values().map(|c| c.pub_fns).sum::<u64>(),
+            surface.observed.summary.values().map(|c| c.pub_fns).sum::<u64>(),
             surface.fn_count,
             surface.edge_count,
         );
         if opts.verbose {
-            for (name, c) in &surface.per_crate {
+            for (name, c) in &surface.observed.summary {
                 println!(
                     "  {:28} {:3} reachable / {:3} pub",
                     name, c.reachable, c.pub_fns
@@ -150,13 +150,20 @@ fn main() -> ExitCode {
         for id in &surface.removed {
             println!("  left the panic surface (re-lock with --update-baseline): {id}");
         }
+        for line in &surface.drifted {
+            println!("  panic surface summary drifted (re-lock with --update-baseline): {line}");
+        }
         println!(
             "determinism surface: {} of {} pub fns reachable by nondeterminism",
             det.observed.functions.len(),
-            det.per_crate.values().map(|c| c.pub_fns).sum::<u64>(),
+            det.observed
+                .summary
+                .values()
+                .map(|c| c.pub_fns)
+                .sum::<u64>(),
         );
         if opts.verbose {
-            for (name, c) in &det.per_crate {
+            for (name, c) in &det.observed.summary {
                 println!(
                     "  {:28} {:3} tainted   / {:3} pub",
                     name, c.reachable, c.pub_fns
@@ -168,6 +175,11 @@ fn main() -> ExitCode {
         // here.
         for id in &det.removed {
             println!("  left the determinism surface (re-lock with --update-baseline): {id}");
+        }
+        for line in &det.drifted {
+            println!(
+                "  determinism surface summary drifted (re-lock with --update-baseline): {line}"
+            );
         }
     }
 
@@ -196,14 +208,14 @@ fn main() -> ExitCode {
     if opts.check_baseline && !opts.update_baseline && !surface.in_sync() {
         eprintln!(
             "scp-analyze: --check-baseline: {SURFACE_FILE} out of sync ({} difference(s))",
-            surface.added.len() + surface.removed.len()
+            surface.added.len() + surface.removed.len() + surface.drifted.len()
         );
         failed = true;
     }
     if opts.check_baseline && !opts.update_baseline && !det.in_sync() {
         eprintln!(
             "scp-analyze: --check-baseline: {DET_SURFACE_FILE} out of sync ({} difference(s))",
-            det.added.len() + det.removed.len()
+            det.added.len() + det.removed.len() + det.drifted.len()
         );
         failed = true;
     }

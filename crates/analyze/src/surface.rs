@@ -19,7 +19,11 @@
 //!   panic-reachable API is rejected);
 //! * a function **leaving** the surface (or being deleted/renamed) passes
 //!   `--deny` but fails `--check-baseline` until the file is regenerated
-//!   with `--update-baseline`, locking the improvement in.
+//!   with `--update-baseline`, locking the improvement in;
+//! * a per-crate `summary` count (functions in the surface, `pub`
+//!   functions seen) that differs from the observed one fails
+//!   `--check-baseline` too, so the committed counts cannot drift from
+//!   the committed list.
 //!
 //! Because call-graph resolution is overapproximate (see
 //! [`crate::callgraph`]), membership means "the analyzer cannot rule a
@@ -43,11 +47,13 @@ pub const DET_SURFACE_FILE: &str = "determinism-surface.json";
 pub const SURFACE_VERSION: u64 = 1;
 
 /// The committed (or observed) surface: a set of function identifiers
-/// (`rel_path::qualified_name`).
+/// (`rel_path::qualified_name`) and its per-crate counts.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Surface {
     /// Panic-reachable `pub` library functions.
     pub functions: BTreeSet<String>,
+    /// Per-crate counts, keyed by crate name.
+    pub summary: BTreeMap<String, CrateSurface>,
 }
 
 /// Per-crate aggregates, for reports and EXPERIMENTS.md.
@@ -71,8 +77,10 @@ pub struct SurfaceReport {
     /// Functions that left the surface (improvements — require
     /// `--update-baseline` to re-lock).
     pub removed: Vec<String>,
-    /// Observed per-crate aggregates.
-    pub per_crate: BTreeMap<String, CrateSurface>,
+    /// Crates whose committed `summary` counts differ from the observed
+    /// ones, each as `name: committed → observed` (require
+    /// `--update-baseline` to re-lock).
+    pub drifted: Vec<String>,
     /// Total functions in the call graph (including non-`pub`).
     pub fn_count: usize,
     /// Total resolved call edges.
@@ -87,22 +95,25 @@ impl Surface {
     }
 
     /// Extracts a surface from a built call graph: `pub` functions for
-    /// which `member` holds.
+    /// which `member` holds, with per-crate counts.
     pub fn from_graph_by(graph: &CallGraph, member: impl Fn(&FnNode) -> bool) -> Self {
-        let functions = graph
-            .fns
-            .iter()
-            .filter(|f| f.is_pub && member(f))
-            .map(|f| f.id.clone())
-            .collect();
-        Self { functions }
+        let mut surface = Self::default();
+        for f in graph.fns.iter().filter(|f| f.is_pub) {
+            let entry = surface.summary.entry(f.crate_name.clone()).or_default();
+            entry.pub_fns += 1;
+            if member(f) {
+                entry.reachable += 1;
+                surface.functions.insert(f.id.clone());
+            }
+        }
+        surface
     }
 
-    /// Serializes to the committed JSON form. The `summary` block is
-    /// informational (per-crate counts derived from the id paths);
-    /// [`Surface::parse`] ignores it.
-    pub fn to_json(&self, per_crate: &BTreeMap<String, CrateSurface>) -> Json {
-        let summary: BTreeMap<String, Json> = per_crate
+    /// Serializes to the committed JSON form: the function list and the
+    /// per-crate `summary` counts.
+    pub fn to_json(&self) -> Json {
+        let summary: BTreeMap<String, Json> = self
+            .summary
             .iter()
             .map(|(name, c)| {
                 (
@@ -151,7 +162,26 @@ impl Surface {
                 .ok_or("surface `functions` entry is not a string")?;
             functions.insert(id.to_owned());
         }
-        Ok(Self { functions })
+        let mut summary = BTreeMap::new();
+        match json.get("summary") {
+            None => {}
+            Some(Json::Obj(crates)) => {
+                for (name, counts) in crates {
+                    let count = |field: &str| {
+                        counts.get(field).and_then(Json::as_u64).ok_or(format!(
+                            "surface `summary.{name}` missing numeric `{field}`"
+                        ))
+                    };
+                    let entry = CrateSurface {
+                        reachable: count("reachable")?,
+                        pub_fns: count("pub_fns")?,
+                    };
+                    summary.insert(name.clone(), entry);
+                }
+            }
+            Some(_) => return Err("surface `summary` is not an object".to_owned()),
+        }
+        Ok(Self { functions, summary })
     }
 }
 
@@ -178,23 +208,29 @@ impl SurfaceReport {
             .difference(&observed.functions)
             .cloned()
             .collect();
-        let mut per_crate: BTreeMap<String, CrateSurface> = BTreeMap::new();
-        for f in &graph.fns {
-            if !f.is_pub {
-                continue;
-            }
-            let entry = per_crate.entry(f.crate_name.clone()).or_default();
-            entry.pub_fns += 1;
-            if member(f) {
-                entry.reachable += 1;
-            }
-        }
+        let names: BTreeSet<&String> = observed
+            .summary
+            .keys()
+            .chain(committed.summary.keys())
+            .collect();
+        let show = |c: Option<&CrateSurface>| {
+            c.map_or("none".to_owned(), |c| {
+                format!("{}/{}", c.reachable, c.pub_fns)
+            })
+        };
+        let drifted = names
+            .into_iter()
+            .filter_map(|name| {
+                let (was, now) = (committed.summary.get(name), observed.summary.get(name));
+                (was != now).then(|| format!("{name}: {} → {}", show(was), show(now)))
+            })
+            .collect();
         Self {
             observed,
             committed: committed.clone(),
             added,
             removed,
-            per_crate,
+            drifted,
             fn_count: graph.fns.len(),
             edge_count: graph.edge_count,
         }
@@ -205,10 +241,10 @@ impl SurfaceReport {
         self.added.is_empty()
     }
 
-    /// The committed file matches reality exactly (the `--check-baseline`
-    /// condition).
+    /// The committed file matches reality exactly, function list and
+    /// per-crate counts (the `--check-baseline` condition).
     pub fn in_sync(&self) -> bool {
-        self.added.is_empty() && self.removed.is_empty()
+        self.added.is_empty() && self.removed.is_empty() && self.drifted.is_empty()
     }
 }
 
@@ -243,12 +279,13 @@ mod tests {
     fn roundtrips_through_json() {
         let g = graph();
         let report = SurfaceReport::build(&g, &Surface::default());
-        let text = report
-            .observed
-            .to_json(&report.per_crate)
-            .to_pretty_string();
+        let text = report.observed.to_json().to_pretty_string();
         let back = Surface::parse(&text).expect("parse");
         assert_eq!(report.observed, back);
+        assert_eq!(
+            SurfaceReport::build(&g, &back).drifted,
+            Vec::<String>::new()
+        );
     }
 
     #[test]
@@ -272,9 +309,31 @@ mod tests {
         let committed = Surface::from_graph(&g);
         let report = SurfaceReport::build(&g, &committed);
         assert!(report.no_regressions() && report.in_sync());
-        let sim = report.per_crate.get("scp-sim").expect("crate entry");
+        let sim = report.observed.summary.get("scp-sim").expect("crate entry");
         assert_eq!(sim.pub_fns, 3);
         assert_eq!(sim.reachable, 2);
+    }
+
+    #[test]
+    fn a_drifted_summary_count_fails_sync() {
+        // The function list matches, but the committed counts do not: a
+        // file edited by hand, or a `pub` function added outside the
+        // surface without a re-lock.
+        let g = graph();
+        let text = Surface::from_graph(&g).to_json().to_pretty_string();
+        let drifted = text.replace("\"reachable\": 2", "\"reachable\": 3");
+        assert_ne!(text, drifted, "the fixture names the count");
+        let committed = Surface::parse(&drifted).expect("parse");
+        let report = SurfaceReport::build(&g, &committed);
+        assert!(report.added.is_empty() && report.removed.is_empty());
+        assert!(report.no_regressions());
+        assert!(!report.in_sync(), "a drifted count must fail sync");
+        assert_eq!(report.drifted, vec!["scp-sim: 3/3 → 2/3"]);
+        // A file without a summary is out of sync as well.
+        let bare = Surface::parse("{\"version\":1,\"functions\":[\"crates/sim/src/g.rs::risky\",\"crates/sim/src/g.rs::wraps\"]}")
+            .expect("parse");
+        assert_eq!(bare.functions, committed.functions);
+        assert!(!SurfaceReport::build(&g, &bare).in_sync());
     }
 
     #[test]
@@ -283,5 +342,10 @@ mod tests {
         assert!(Surface::parse("{\"version\":99,\"functions\":[]}").is_err());
         assert!(Surface::parse("{\"version\":1,\"functions\":[3]}").is_err());
         assert!(Surface::parse("{\"version\":1,\"functions\":[]}").is_ok());
+        assert!(Surface::parse("{\"version\":1,\"functions\":[],\"summary\":[]}").is_err());
+        assert!(Surface::parse(
+            "{\"version\":1,\"functions\":[],\"summary\":{\"a\":{\"reachable\":1}}}"
+        )
+        .is_err());
     }
 }

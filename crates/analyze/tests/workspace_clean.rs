@@ -106,7 +106,7 @@ fn determinism_surface_is_empty() {
     // In particular the three crates whose outputs feed journals and
     // reports are taint-free.
     for crate_name in ["scp-core", "scp-cluster", "scp-sim"] {
-        let per = surface.per_crate.get(crate_name);
+        let per = surface.observed.summary.get(crate_name);
         assert_eq!(
             per.map_or(0, |c| c.reachable),
             0,

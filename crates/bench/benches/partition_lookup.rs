@@ -91,16 +91,20 @@ fn bench_partition_lookup(c: &mut Criterion) {
     // of 0..10⁶. `first_touch` pins a fresh key on every query (the
     // cluster is reset after each full pass, inside the timing);
     // `pinned` re-reads the pins a warm-up pass made.
+    // `pinned_after_reshard` does the same on the multi-probe scheme
+    // after one join reshard and one pass that re-checks every pin in
+    // the new epoch: it should cost what `pinned` costs.
     let stride = 0x9E37_79B9u64;
-    let route_cluster = || {
+    let route_cluster_on = |kind: PartitionerKind| {
         Cluster::new(
-            build(PartitionerKind::Hash),
+            build(kind),
             Box::new(LeastLoadedSelector::for_items(
                 items,
                 FastBuildHasher::new(7),
             )),
         )
     };
+    let route_cluster = || route_cluster_on(PartitionerKind::Hash);
     let mut group = c.benchmark_group("partition_lookup/route_least_loaded");
     group
         .sample_size(samples)
@@ -123,6 +127,22 @@ fn bench_partition_lookup(c: &mut Criterion) {
         for key in 0..items {
             cluster.route_query(KeyId::new(key)).expect("live cluster");
         }
+        let mut key = 0u64;
+        b.iter(|| {
+            key = (key + stride) % items;
+            black_box(cluster.route_query(KeyId::new(black_box(key))))
+        });
+    });
+    group.bench_function("pinned_after_reshard", |b| {
+        let mut cluster = route_cluster_on(PartitionerKind::MultiProbe);
+        let touch_all = |cluster: &mut Cluster| {
+            for key in 0..items {
+                cluster.route_query(KeyId::new(key)).expect("live cluster");
+            }
+        };
+        touch_all(&mut cluster);
+        cluster.reshard(&joined).expect("valid topology");
+        touch_all(&mut cluster);
         let mut key = 0u64;
         b.iter(|| {
             key = (key + stride) % items;

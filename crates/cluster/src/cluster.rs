@@ -16,12 +16,13 @@ use crate::Result;
 /// recovering nodes mid-experiment: routing skips dead nodes, and sticky
 /// selectors re-pin affected keys.
 ///
-/// A routed query whose key the selector holds a live pin for returns
-/// that pin before the key's replica group is computed: every pin was
-/// chosen from the key's group under the current partition, so it is
-/// what the full path would pick. A [`Cluster::reshard`] changes the
-/// partition, so it turns this shortcut off until [`Cluster::reset`]
-/// clears the pins.
+/// A routed query whose key the selector holds a live pin for, chosen or
+/// re-checked in the current partition epoch
+/// ([`ReplicaSelector::pinned`]), returns that pin before the key's
+/// replica group is computed: the pin lies in the key's group under the
+/// current partition, so it is what the full path would pick. A
+/// [`Cluster::reshard`] starts a new epoch, so each pinned key computes
+/// its group once more, on its first query after it.
 ///
 /// # Example
 ///
@@ -47,10 +48,6 @@ pub struct Cluster {
     capacities: Option<Capacities>,
     queries_served: u64,
     unserved: f64,
-    /// Every pin the selector holds lies in its key's replica group under
-    /// the current partition. Set by `new` and `reset` (no pins at all),
-    /// cleared by `reshard`.
-    pins_in_groups: bool,
 }
 
 impl Cluster {
@@ -72,7 +69,6 @@ impl Cluster {
             capacities: None,
             queries_served: 0,
             unserved: 0.0,
-            pins_in_groups: true,
         }
     }
 
@@ -121,9 +117,8 @@ impl Cluster {
 
     /// Routes one query of unit cost; returns the serving node.
     ///
-    /// A key pinned to a live node goes to it without its replica group
-    /// being computed, unless the cluster has been resharded since its
-    /// last [`Cluster::reset`] (type docs).
+    /// A key pinned to a live node in the current partition epoch goes
+    /// to it without its replica group being computed (type docs).
     ///
     /// # Errors
     ///
@@ -165,16 +160,14 @@ impl Cluster {
         self.route_in_group(key, group, 1.0)
     }
 
-    /// The pinned shortcut in front of [`Cluster::route_in_group`]: while
-    /// every pin lies in its key's group, a live pin is exactly what the
-    /// full path would return (`pin ∈ live group`), so the query is
-    /// charged to it here. `None` leaves the query to the full path,
-    /// which re-pins a key whose pin is dead.
+    /// The pinned shortcut in front of [`Cluster::route_in_group`]: a
+    /// pin of the current epoch lies in its key's group, so a live one is
+    /// exactly what the full path would return (`pin ∈ live group`), and
+    /// the query is charged to it here. `None` leaves the query to the
+    /// full path, which re-checks a pin of an older epoch and re-pins a
+    /// key whose pin is dead or outside its group.
     #[inline]
     fn route_pinned(&mut self, key: KeyId, cost: f64) -> Option<NodeId> {
-        if !self.pins_in_groups {
-            return None;
-        }
         let node = self.selector.pinned(key).filter(|&n| self.is_alive(n))?;
         self.charge(node, cost);
         self.queries_served += 1;
@@ -311,8 +304,9 @@ impl Cluster {
     /// selectors re-pin affected keys lazily, exactly as after
     /// [`Cluster::fail_node`].
     ///
-    /// A pin may now lie outside its key's new group, so from here until
-    /// the next [`Cluster::reset`] every routed query computes its group
+    /// A pin may now lie outside its key's new group, so the selector
+    /// starts a new epoch: each pinned key's next query computes its
+    /// group and re-checks the pin before the shortcut takes it again
     /// (type docs).
     ///
     /// # Errors
@@ -333,9 +327,9 @@ impl Cluster {
                 });
             }
         }
-        // Off before the partition changes: a failed rebuild only costs
-        // the shortcut, never a decision.
-        self.pins_in_groups = false;
+        // Before the partition changes: a failed rebuild only costs a
+        // re-check per pinned key, never a decision.
+        self.selector.advance_epoch();
         self.partitioner.rebuild(topology)?;
         let bound = self.partitioner.index_bound();
         if bound > self.loads.len() {
@@ -356,14 +350,12 @@ impl Cluster {
     }
 
     /// Clears loads, counters and selector state (pins, round-robin
-    /// positions). Node liveness and capacities are preserved. With the
-    /// pins gone, the pinned shortcut is back on (type docs).
+    /// positions). Node liveness and capacities are preserved.
     pub fn reset(&mut self) {
         self.loads.fill(0.0);
         self.queries_served = 0;
         self.unserved = 0.0;
         self.selector.reset();
-        self.pins_in_groups = true;
     }
 }
 
@@ -573,7 +565,7 @@ mod tests {
     }
 
     #[test]
-    fn a_reshard_disarms_the_pinned_shortcut_until_reset() {
+    fn a_reshard_makes_every_pin_recheck_once() {
         let mut t = Topology::with_nodes(10).unwrap();
         let mut c = Cluster::new(
             Box::new(HashPartitioner::new(10, 3, 42).unwrap()),
@@ -582,22 +574,27 @@ mod tests {
                 scp_workload::fasthash::FastBuildHasher::new(3),
             )),
         );
-        assert!(c.pins_in_groups, "a new cluster has no pins");
-        let pins: Vec<NodeId> = (0..500u64)
-            .map(|k| c.route_query(KeyId::new(k)).unwrap())
-            .collect();
+        let keys = || (0..500u64).map(KeyId::new);
+        let pins: Vec<NodeId> = keys().map(|k| c.route_query(k).unwrap()).collect();
+        for (k, &pin) in keys().zip(&pins) {
+            assert_eq!(c.selector.pinned(k), Some(pin), "{k} pinned this epoch");
+        }
         t.join(NodeId::new(10)).unwrap();
         t.join(NodeId::new(11)).unwrap();
         c.reshard(&t).unwrap();
-        assert!(!c.pins_in_groups);
+        assert!(
+            keys().all(|k| c.selector.pinned(k).is_none()),
+            "no pin is checked against the new partition yet"
+        );
         // A key whose pin left its group re-pins to the least-loaded
         // member of its new group, as the full path always has; every
-        // other key keeps its pin.
-        let mut repinned = 0;
-        for (k, &pin) in (0..500u64).zip(&pins) {
-            let key = KeyId::new(k);
+        // other key keeps its pin. Either way one query re-arms the
+        // shortcut for the key.
+        let (mut kept, mut repinned) = (0, 0);
+        for (key, &pin) in keys().zip(&pins) {
             let group = c.replica_group(key);
             let expected = if group.contains(pin) {
+                kept += 1;
                 pin
             } else {
                 repinned += 1;
@@ -610,14 +607,25 @@ mod tests {
                 }
                 best
             };
-            assert_eq!(c.route_query(key).unwrap(), expected, "key {k}");
+            assert_eq!(c.route_query(key).unwrap(), expected, "{key}");
+            assert_eq!(c.selector.pinned(key), Some(expected), "{key} re-checked");
         }
         assert!(repinned > 0, "the join moved no pinned key");
+        assert!(kept > 0, "the join moved every pinned key");
         c.reset();
-        assert!(c.pins_in_groups, "reset clears the pins and re-arms");
-        // A failed reshard disarms too: it never costs a decision.
+        assert!(
+            keys().all(|k| c.selector.pinned(k).is_none()),
+            "reset unpins"
+        );
+        // A failed reshard starts an epoch too: it costs a re-check, never
+        // a decision.
+        let after_reset: Vec<NodeId> = keys().map(|k| c.route_query(k).unwrap()).collect();
         assert!(c.reshard(&Topology::with_nodes(2).unwrap()).is_err());
-        assert!(!c.pins_in_groups);
+        assert!(keys().all(|k| c.selector.pinned(k).is_none()));
+        for (key, &pin) in keys().zip(&after_reset) {
+            assert_eq!(c.route_query(key).unwrap(), pin, "{key}");
+            assert_eq!(c.selector.pinned(key), Some(pin));
+        }
     }
 
     #[test]
@@ -634,6 +642,7 @@ mod tests {
         let mut selector = LeastLoadedSelector::new();
         assert_eq!(selector.select(key, &[stale], &[0.0; 10]), stale);
         let mut c = Cluster::new(Box::new(partitioner), Box::new(selector));
+        assert_eq!(c.selector.pinned(key), None, "new drops every pin");
         let node = c.route_query(key).unwrap();
         assert!(group.contains(node), "routed to {node}, outside {group:?}");
     }

@@ -13,8 +13,9 @@
 //! indexes the keys below its *domain*, `min(items, DENSE_KEY_CAP)`,
 //! directly: the keys every engine draws are Feistel images of ranks, so
 //! they are dense in `0..items`. The dense range is a page table of one
-//! `u32` per key, 0 meaning "none": a pin is stored as `node + 1`, a
-//! round-robin counter as itself (an absent counter reads 0). A
+//! `u32` per key, 0 meaning "none": a round-robin counter is stored as
+//! itself (an absent counter reads 0), a pin as `tag << 24 | node + 1`,
+//! the epoch tag in the top byte over a 24-bit node code. A
 //! directory of `ceil(domain / 1024)` page pointers (784 B at m = 10⁵)
 //! points at 1024-slot pages. The directory is allocated at the first
 //! write and each page at the first write into it, zeroed, so building
@@ -29,14 +30,27 @@
 //! [`scp_workload::fasthash`]). The cap, [`DENSE_KEY_CAP`] = 2^24 keys,
 //! bounds the directory at 128 KB (and the pages at 64 MB) whatever
 //! `items` a caller passes; in a run over more keys, the keys from 2^24
-//! up are hashed. A pin to `NodeId(u32::MAX)`, which has no `node + 1`
-//! code, also goes to the map; the map is probed for a key in the dense
-//! range only while such a pin exists.
+//! up are hashed. A pin to a node from `2^24 − 1` up, which has no
+//! 24-bit `node + 1` code, also goes to the map (with its tag); the map
+//! is probed for a key in the dense range only while such a pin exists.
 //!
-//! Neither table is iterated, and both hold the same state, so the
-//! domain and the seed change where the state lives, never a decision
-//! (the root suite `tests/select_equivalence.rs` checks this against
-//! map-only twins).
+//! # Pin epochs
+//!
+//! A pin is only as good as the partition it was checked against. Each
+//! [`LeastLoadedSelector`] counts partition epochs in an 8-bit tag that
+//! [`ReplicaSelector::advance_epoch`] moves on, and every pin carries
+//! the tag of the epoch in which [`ReplicaSelector::select`] last found
+//! it in its key's live group. [`ReplicaSelector::pinned`] reports only
+//! pins with the current tag; `select` still honours an older pin that
+//! lies in the group it is passed, and re-tags it. When the tag wraps,
+//! one pass over the written pages and the map tags every pin 0, a tag
+//! only the very first epoch carries, so a pin of an older epoch never
+//! looks current again.
+//!
+//! Neither table is read in iteration order, and both hold the same
+//! state, so the domain and the seed change where the state lives,
+//! never a decision (the root suite `tests/select_equivalence.rs`
+//! checks this against map-only twins).
 
 use crate::ids::{KeyId, NodeId};
 use scp_workload::fasthash::FastBuildHasher;
@@ -69,10 +83,18 @@ pub trait ReplicaSelector: Send + fmt::Debug {
     /// Clears any per-key state (pins, counters, RNG position is kept).
     fn reset(&mut self);
 
+    /// Starts a new partition epoch: the groups passed from here on may
+    /// differ from those the held pins were chosen in, so
+    /// [`ReplicaSelector::pinned`] stops reporting every pin until a
+    /// query in the new epoch finds it in its key's live group. Selectors
+    /// that pin nothing keep the default, which does nothing.
+    fn advance_epoch(&mut self) {}
+
     /// The node `key` is pinned to, if this selector pins keys and holds
-    /// a pin for it. A pin is where [`ReplicaSelector::select`] sends the
-    /// key for as long as that node stays in the live group it is
-    /// passed. Selectors that pin nothing keep the default, `None`.
+    /// a pin for it that was chosen or re-checked in the current epoch.
+    /// A pin is where [`ReplicaSelector::select`] sends the key for as
+    /// long as that node stays in the live group it is passed. Selectors
+    /// that pin nothing keep the default, `None`.
     fn pinned(&self, _key: KeyId) -> Option<NodeId> {
         None
     }
@@ -210,6 +232,18 @@ impl PageTable {
             page.fill(0);
         }
     }
+
+    /// Clears the bits outside `keep` in every slot written so far.
+    fn mask(&mut self, keep: u32) {
+        for slot in self
+            .pages
+            .iter_mut()
+            .flatten()
+            .flat_map(|page| page.iter_mut())
+        {
+            *slot &= keep;
+        }
+    }
 }
 
 impl fmt::Debug for PageTable {
@@ -283,24 +317,37 @@ impl ReplicaSelector for RoundRobinSelector {
     }
 }
 
+/// Bits of a pin slot below its epoch tag: the 24-bit `node + 1` code.
+const CODE_BITS: u32 = 24;
+/// Masks a pin slot to its node code.
+const CODE_MASK: u32 = (1 << CODE_BITS) - 1;
+/// The largest epoch tag, the top byte of a pin slot.
+const TAG_MAX: u32 = u32::MAX >> CODE_BITS;
+
 /// Sticky least-loaded assignment: the first query for a key pins it to the
 /// least-loaded group member; later queries stick to that pin while it
 /// remains live.
 ///
 /// This is the "power of `d` choices" allocation underlying the paper's
 /// Eq. (5) bound.
+///
+/// Each pin carries the epoch tag it was last checked in (module docs):
+/// [`ReplicaSelector::pinned`] reports it only within that epoch.
 #[derive(Debug, Clone, Default)]
 pub struct LeastLoadedSelector {
-    /// `node + 1` per pinned key below the domain.
+    /// `tag << 24 | node + 1` per pinned key below the domain.
     dense: PageTable,
     /// Nonzero slots of `dense`.
     dense_pins: usize,
-    /// Pins of the keys above the domain, and of the keys below it pinned
-    /// to `NodeId(u32::MAX)`, the one node with no `node + 1` code.
-    pins: HashMap<KeyId, NodeId, FastBuildHasher>,
+    /// Pins and their tags for the keys above the domain, and for the
+    /// keys below it pinned to a node with no 24-bit `node + 1` code.
+    pins: HashMap<KeyId, (NodeId, u32), FastBuildHasher>,
     /// Keys below the domain held in `pins`; while 0, an empty slot
     /// means unpinned without a map probe.
     wide: usize,
+    /// The current epoch's tag, at most `TAG_MAX`; a pin with another
+    /// one is unchecked.
+    tag: u32,
 }
 
 impl LeastLoadedSelector {
@@ -325,10 +372,13 @@ impl LeastLoadedSelector {
         self.dense_pins + self.pins.len()
     }
 
-    fn pin_of(&self, key: KeyId) -> Option<NodeId> {
+    /// The pin `key` holds, of any epoch, and its tag.
+    #[inline]
+    fn pin_of(&self, key: KeyId) -> Option<(NodeId, u32)> {
         if self.dense.covers(key) {
-            if let Some(node) = self.dense.get(key).checked_sub(1) {
-                return Some(NodeId::new(node));
+            let slot = self.dense.get(key);
+            if let Some(node) = (slot & CODE_MASK).checked_sub(1) {
+                return Some((NodeId::new(node), slot >> CODE_BITS));
             }
             if self.wide == 0 {
                 return None;
@@ -337,15 +387,16 @@ impl LeastLoadedSelector {
         self.pins.get(&key).copied()
     }
 
+    /// Pins `key` to `node` with the current tag.
     fn store(&mut self, key: KeyId, node: NodeId) {
         if !self.dense.covers(key) {
-            self.pins.insert(key, node);
+            self.pins.insert(key, (node, self.tag));
             return;
         }
-        let code = u32::try_from(u64::from(node.value()) + 1).ok();
+        let code = node.value().checked_add(1).filter(|&c| c <= CODE_MASK);
         if let Some(slot) = self.dense.slot_mut(key) {
             let was_pinned = *slot != 0;
-            *slot = code.unwrap_or(0);
+            *slot = code.map_or(0, |c| self.tag << CODE_BITS | c);
             match (was_pinned, code.is_some()) {
                 (false, true) => self.dense_pins += 1,
                 (true, false) => self.dense_pins -= 1,
@@ -353,7 +404,7 @@ impl LeastLoadedSelector {
             }
         }
         if code.is_none() {
-            if self.pins.insert(key, node).is_none() {
+            if self.pins.insert(key, (node, self.tag)).is_none() {
                 self.wide += 1;
             }
         } else if self.wide > 0 && self.pins.remove(&key).is_some() {
@@ -362,8 +413,11 @@ impl LeastLoadedSelector {
     }
 
     fn pin(&mut self, key: KeyId, group: &[NodeId], loads: &[f64]) -> NodeId {
-        if let Some(pinned) = self.pin_of(key) {
+        if let Some((pinned, tag)) = self.pin_of(key) {
             if group.contains(&pinned) {
+                if tag != self.tag {
+                    self.store(key, pinned);
+                }
                 return pinned;
             }
         }
@@ -389,8 +443,28 @@ impl ReplicaSelector for LeastLoadedSelector {
         self.wide = 0;
     }
 
+    fn advance_epoch(&mut self) {
+        if self.tag < TAG_MAX {
+            self.tag += 1;
+            return;
+        }
+        // The tag wraps: every pin drops to tag 0, which only the first
+        // epoch carries.
+        self.dense.mask(CODE_MASK);
+        // scp-allow(hash-iteration): every entry gets the same write, so
+        // the order of the pass is unobservable
+        // DETERMINISM: every entry gets the same write, so the order of
+        // the pass is unobservable.
+        for (_, tag) in self.pins.values_mut() {
+            *tag = 0;
+        }
+        self.tag = 1;
+    }
+
+    #[inline]
     fn pinned(&self, key: KeyId) -> Option<NodeId> {
-        self.pin_of(key)
+        let (node, tag) = self.pin_of(key)?;
+        (tag == self.tag).then_some(node)
     }
 
     fn name(&self) -> &'static str {
@@ -537,6 +611,8 @@ mod tests {
         for mut s in memoryless {
             s.select(key, &g, &loads);
             s.rate_assignment(key, &g, &loads);
+            s.advance_epoch();
+            s.select(key, &g, &loads);
             assert_eq!(s.pinned(key), None, "{} pins nothing", s.name());
         }
     }
@@ -568,6 +644,80 @@ mod tests {
         s.reset();
         for k in [dense, above, key] {
             assert_eq!(s.pinned(k), None, "reset unpins {k}");
+        }
+    }
+
+    #[test]
+    fn pins_of_an_older_epoch_wait_for_a_recheck() {
+        let loads = vec![5.0, 1.0, 3.0];
+        let mut s = LeastLoadedSelector::for_items(2_048, FastBuildHasher::new(5));
+        // Below the domain, above it, and wide pins below it: the first
+        // node without a 24-bit code and `u32::MAX`.
+        let (kept, moved, above) = (KeyId::new(3), KeyId::new(1_500), KeyId::new(9_000));
+        let no_code = NodeId::new(CODE_MASK);
+        let (wide_a, wide_b) = (KeyId::new(10), KeyId::new(11));
+        for key in [kept, moved, above] {
+            assert_eq!(s.select(key, &group(&[0, 1, 2]), &loads), NodeId::new(1));
+        }
+        assert_eq!(s.select(wide_a, &[no_code], &loads), no_code);
+        assert_eq!(
+            s.select(wide_b, &[NodeId::new(u32::MAX)], &loads),
+            NodeId::new(u32::MAX)
+        );
+        assert_eq!((s.dense_pins, s.wide, s.pins.len()), (2, 2, 3));
+        s.advance_epoch();
+        for key in [kept, moved, above, wide_a, wide_b] {
+            assert_eq!(s.pinned(key), None, "{key} is unchecked in the new epoch");
+        }
+        // A pin still in the group is kept and re-tagged; one outside it
+        // re-pins. Either way the key is reported again.
+        assert_eq!(s.select(kept, &group(&[2, 1]), &loads), NodeId::new(1));
+        assert_eq!(s.select(moved, &group(&[0, 2]), &loads), NodeId::new(2));
+        assert_eq!(
+            s.rate_assignment(above, &group(&[1]), &loads),
+            RateAssignment::Pinned(NodeId::new(1))
+        );
+        assert_eq!(
+            s.select(wide_a, &[NodeId::new(0), no_code], &loads),
+            no_code
+        );
+        for (key, node) in [(kept, 1), (moved, 2), (above, 1)] {
+            assert_eq!(s.pinned(key), Some(NodeId::new(node)), "{key}");
+        }
+        assert_eq!(s.pinned(wide_a), Some(no_code));
+        assert_eq!(s.pinned(wide_b), None, "untouched since the epoch began");
+        assert_eq!((s.dense_pins, s.wide, s.pins.len()), (2, 2, 3));
+    }
+
+    #[test]
+    fn a_wrapped_tag_never_revives_an_unchecked_pin() {
+        let loads = vec![0.0; 4];
+        let g = group(&[0, 1, 2]);
+        let mut s = LeastLoadedSelector::for_items(4_096, FastBuildHasher::new(6));
+        // Keys pinned in the first epochs, one per epoch, then left
+        // untouched: through two wraps of the 8-bit tag none is reported.
+        let cold: Vec<KeyId> = (0..4u64).map(|i| KeyId::new(1_000 * i + 7)).collect();
+        let above = KeyId::new(5_000);
+        s.select(above, &g, &loads);
+        for &key in &cold {
+            s.select(key, &g, &loads);
+            s.advance_epoch();
+        }
+        let probe = KeyId::new(2);
+        for epoch in 0..600 {
+            for &key in cold.iter().chain([&above]) {
+                assert_eq!(s.pinned(key), None, "{key} at epoch {epoch}");
+            }
+            // A pin made this epoch is reported until the next one.
+            s.select(probe, &g, &loads);
+            assert_eq!(s.pinned(probe), Some(NodeId::new(0)));
+            s.advance_epoch();
+            assert_eq!(s.pinned(probe), None);
+        }
+        assert_eq!(s.pinned_keys(), cold.len() + 2, "the wrap drops no pin");
+        for &key in &cold {
+            assert_eq!(s.select(key, &g, &loads), NodeId::new(0));
+            assert_eq!(s.pinned(key), Some(NodeId::new(0)));
         }
     }
 

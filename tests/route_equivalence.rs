@@ -16,6 +16,16 @@
 //! The digests were recorded while every routed query still computed its
 //! key's replica group. Any decision, load or counter that a shortcut in
 //! front of the group changes moves one of them.
+//!
+//! A second golden test runs a reshard-heavy stream with no `reset`:
+//! a reshard every `CHURN_EVERY` steps, 1 000 per case, each joining or
+//! removing a node id from a small recycled pool (or crashing or
+//! recovering one), so a pin can leave its key's group and later name a
+//! live member again. Cold keys are routed only every `g` reshards, for
+//! gaps `g` from 1 to 512 reshards, so an old pin is checked again after
+//! exactly as many reshards as it sat untouched. Its digests were recorded
+//! at commit `6713e17`, whose cluster still computed every group after the
+//! first reshard.
 
 use secure_cache_provision::cluster::select::{RateAssignment, DENSE_KEY_CAP};
 use secure_cache_provision::cluster::{
@@ -284,6 +294,167 @@ fn routing_decisions_match_their_golden_digests() {
     assert!(
         mismatches.is_empty(),
         "routing digests moved:\n{}",
+        mismatches.join("\n")
+    );
+}
+
+/// Steps between two reshards of the churn stream.
+const CHURN_EVERY: usize = 10;
+/// Reshards per churn case.
+const CHURN_RESHARDS: usize = 1_000;
+/// Node ids the churn stream joins and removes: every one comes back.
+const ID_POOL: u32 = 18;
+/// Reshards between two routes of each cold key.
+const COLD_GAPS: [usize; 16] = [
+    1, 2, 3, 7, 31, 127, 254, 255, 256, 257, 300, 509, 510, 511, 512, 513,
+];
+/// The partitioners of the churn stream: the paper's hash placement and
+/// the elastic default.
+const CHURN_PARTITIONERS: [PartitionerKind; 2] =
+    [PartitionerKind::Hash, PartitionerKind::MultiProbe];
+
+/// Churn digests in `CHURN_PARTITIONERS` × `SelectorKind::ALL` order.
+const CHURN_GOLDEN: [[&str; 4]; 2] = [
+    [
+        "f5b247d518fba9f5",
+        "56cfef59b35c89f5",
+        "4ba010065786b6d2",
+        "28002b7d3bcc4620",
+    ],
+    [
+        "abe77397d58bc5be",
+        "adc9ba42c96ca4b4",
+        "44db95a2ba824da0",
+        "f643617cc27064b8",
+    ],
+];
+
+/// One reshard of the churn stream: a recycled id joins or leaves, or a
+/// member crashes or recovers.
+fn churn_topology(rng: &mut Xoshiro256StarStar, topology: &mut Topology, digest: &mut Digest) {
+    let id = NodeId::new(next_below(rng, u64::from(ID_POOL)) as u32);
+    match (topology.get(id).map(|m| m.alive), next_below(rng, 4)) {
+        (None, _) => digest.status(topology.join(id)),
+        (Some(_), 0 | 1) if topology.len() > REPLICATION + 1 => {
+            digest.status(topology.leave(id));
+        }
+        (Some(true), _) => digest.status(topology.crash(id)),
+        (Some(false), _) => digest.status(topology.recover(id)),
+    }
+}
+
+/// One churn case: a fresh cluster through `CHURN_RESHARDS` reshards.
+fn run_churn_case(
+    partitioner: PartitionerKind,
+    selector: SelectorKind,
+    items: u64,
+    seed: u64,
+    digest: &mut Digest,
+) {
+    let sim = SimConfig::builder()
+        .nodes(NODES)
+        .replication(REPLICATION)
+        .items(items)
+        .partitioner(partitioner)
+        .selector(selector)
+        .seed(seed)
+        .build()
+        .expect("valid shape");
+    let mut cluster = Cluster::new(
+        sim.build_partitioner().expect("partitioner builds"),
+        sim.build_selector(),
+    );
+    let mut topology = Topology::with_nodes(NODES).expect("valid topology");
+    let mut rng = Xoshiro256StarStar::seed_from_u64(mix(&[0xC4_0121, seed, items]));
+    let domain = items.min(DENSE_KEY_CAP);
+    // One cold key below the domain and one above it per gap.
+    let cold: Vec<(usize, [KeyId; 2])> = COLD_GAPS
+        .iter()
+        .zip(0u64..)
+        .map(|(&gap, i)| {
+            (
+                gap,
+                [KeyId::new(domain / 2 + i), KeyId::new(domain + 8_192 + i)],
+            )
+        })
+        .collect();
+    let mut pool = key_pool(&mut rng, items);
+    pool.retain(|&k| !cold.iter().any(|(_, keys)| keys.contains(&KeyId::new(k))));
+    for (_, keys) in &cold {
+        for &key in keys {
+            digest.routed(cluster.route_query(key));
+        }
+    }
+
+    for step in 1..=CHURN_RESHARDS * CHURN_EVERY {
+        if step.is_multiple_of(CHURN_EVERY) {
+            churn_topology(&mut rng, &mut topology, digest);
+            digest.status(cluster.reshard(&topology));
+            let reshards = step / CHURN_EVERY;
+            for (gap, keys) in &cold {
+                if reshards.is_multiple_of(*gap) {
+                    for &key in keys {
+                        digest.routed(cluster.route_query(key));
+                    }
+                }
+            }
+            digest.state(&cluster);
+            continue;
+        }
+        let key = KeyId::new(
+            pool.get(next_below(&mut rng, pool.len() as u64) as usize)
+                .copied()
+                .expect("index below the pool size"),
+        );
+        match next_below(&mut rng, 100) {
+            0..=49 => digest.routed(cluster.route_query(key)),
+            50..=59 => digest.routed(cluster.route_query_with_cost(key, 2.5)),
+            60..=74 => {
+                let group = cluster.replica_group(key);
+                digest.routed(cluster.route_prefetched(key, &group));
+            }
+            75..=84 => match cluster.apply_rate(key, 1.5) {
+                Ok(RateAssignment::Pinned(node)) => digest.word(u64::from(node.value())),
+                Ok(RateAssignment::EvenSplit) => digest.word(u64::MAX - 1),
+                Err(e) => digest.routed(Err(e)),
+            },
+            85..=89 => {
+                let node = any_node(&mut rng, &cluster);
+                digest.status(cluster.fail_node(node));
+            }
+            _ => {
+                let node = any_node(&mut rng, &cluster);
+                digest.status(cluster.recover_node(node));
+            }
+        }
+        digest.state(&cluster);
+    }
+}
+
+#[test]
+fn churn_decisions_match_their_golden_digests() {
+    let mut mismatches = Vec::new();
+    for (partitioner, golden) in CHURN_PARTITIONERS.into_iter().zip(CHURN_GOLDEN) {
+        for (selector, want) in SelectorKind::ALL.into_iter().zip(golden) {
+            let mut digest = Digest::new();
+            for items in ITEMS {
+                for seed in 0..2 {
+                    run_churn_case(partitioner, selector, items, seed, &mut digest);
+                }
+            }
+            if digest.hex() != want {
+                mismatches.push(format!(
+                    "{} × {}: {} (golden {want})",
+                    partitioner.name(),
+                    selector.name(),
+                    digest.hex()
+                ));
+            }
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "churn digests moved:\n{}",
         mismatches.join("\n")
     );
 }

@@ -6,9 +6,11 @@
 //! exactly as the selectors did before the table existed. Every case
 //! drives both through one seeded stream — keys on both sides of `D`
 //! (with `0`, `D − 1`, `D` and `u64::MAX`), groups that shrink so pins
-//! leave and keys re-pin, pins to `NodeId(u32::MAX)` (no `node + 1`
-//! code), drifting loads and mid-stream resets — and requires equal
-//! decisions and equal `pinned_keys()` at every step.
+//! leave and keys re-pin, pins to `NodeId(2^24 − 1)` and
+//! `NodeId(u32::MAX)` (no 24-bit `node + 1` code), drifting loads,
+//! partition epochs advanced one at a time and in bursts that wrap the
+//! 8-bit pin tag, and mid-stream resets — and requires equal decisions,
+//! equal `pinned()` and equal `pinned_keys()` at every step.
 //!
 //! A second pair of tests checks that `items` cannot size the table into
 //! an allocator abort.
@@ -71,6 +73,7 @@ fn run_case(case: u64) {
     let mut rr_twin = RoundRobinSelector::for_items(0, map_seed);
     let mut loads = vec![0.0; NODES as usize];
     let wide = NodeId::new(u32::MAX);
+    let no_code = NodeId::new((1 << 24) - 1);
 
     for step in 0..STEPS {
         let key_value = pool
@@ -85,8 +88,11 @@ fn run_case(case: u64) {
                 group.remove(next_below(&mut rng, 3) as usize);
             }
             // Only nodes outside `loads`: the pin goes to the first one,
-            // `u32::MAX`, which has no `node + 1` slot code.
-            3 => group = vec![wide, NodeId::new(1_000)],
+            // which has no 24-bit `node + 1` slot code.
+            3 => {
+                let first = [wide, no_code][next_below(&mut rng, 2) as usize];
+                group = vec![first, NodeId::new(1_000)];
+            }
             // That node next to tracked ones: a `u32::MAX` pin holds.
             4 => group.insert(0, wide),
             _ => {}
@@ -110,6 +116,7 @@ fn run_case(case: u64) {
             )
         };
         assert_eq!(node, twin, "least-loaded decision, {ctx}");
+        assert_eq!(ll.pinned(key), ll_twin.pinned(key), "pin report, {ctx}");
         assert_eq!(
             ll.pinned_keys(),
             ll_twin.pinned_keys(),
@@ -131,6 +138,20 @@ fn run_case(case: u64) {
             if let Some(load) = loads.get_mut(hot) {
                 *load += next_below(&mut rng, 40) as f64;
             }
+        }
+        // A new partition epoch, now and then a burst past the tag's wrap.
+        if next_below(&mut rng, 8) == 0 {
+            let epochs = if next_below(&mut rng, 16) == 0 {
+                200 + next_below(&mut rng, 120)
+            } else {
+                1
+            };
+            for _ in 0..epochs {
+                ll.advance_epoch();
+                ll_twin.advance_epoch();
+            }
+            assert_eq!(ll.pinned(key), None, "a new epoch unchecks, {ctx}");
+            assert_eq!(ll_twin.pinned(key), None, "a new epoch unchecks, {ctx}");
         }
         if next_below(&mut rng, 150) == 0 {
             for s in [
