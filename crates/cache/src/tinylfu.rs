@@ -185,22 +185,24 @@ impl<K: Copy + Eq + Hash + std::fmt::Debug> TinyLfuCache<K> {
 
     /// Settles the window's overflow: `candidate`, its LRU entry, enters
     /// probation if the main region has room; otherwise it must beat the
-    /// probation LRU victim's frequency to take that slot.
+    /// probation LRU victim's frequency to take that slot, evicting it. A
+    /// candidate that loses, or has no main region to enter (capacity 1),
+    /// is rejected.
     fn admit(&mut self, candidate: usize) {
         if self.table.list_len(PROBATION) + self.table.list_len(PROTECTED) < self.main_cap {
             self.table.move_to_front(candidate, PROBATION);
             return;
         }
-        let victim = self.table.back(PROBATION);
-        if self.frequency_at(candidate) <= victim.map_or(0, |v| self.frequency_at(v)) {
-            self.stats.record_rejection();
-            self.table.remove(candidate);
-        } else if let Some(victim) = victim {
-            self.table.remove(victim);
-            self.table.move_to_front(candidate, PROBATION);
-        } else {
-            // No main region (capacity 1): nowhere to admit to.
-            self.table.remove(candidate);
+        match self.table.back(PROBATION) {
+            Some(victim) if self.frequency_at(candidate) > self.frequency_at(victim) => {
+                self.stats.record_eviction();
+                self.table.remove(victim);
+                self.table.move_to_front(candidate, PROBATION);
+            }
+            _ => {
+                self.stats.record_rejection();
+                self.table.remove(candidate);
+            }
         }
     }
 }

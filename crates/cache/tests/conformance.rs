@@ -260,16 +260,10 @@ fn names_are_unique_and_stable() {
 #[test]
 fn insertions_balance_residents_evictions_and_rejections() {
     // Policies whose counters are not meant to balance, and why.
-    let exempt = [
-        (
-            "perfect",
-            "its residents are the preloaded top c, never inserted on a request",
-        ),
-        (
-            "tinylfu",
-            "the admission duel drops the probation victim without counting an eviction",
-        ),
-    ];
+    let exempt = [(
+        "perfect",
+        "its residents are the preloaded top c, never inserted on a request",
+    )];
     for (name, factory, _) in all_policies() {
         if exempt.iter().any(|&(policy, _)| policy == name) {
             continue;

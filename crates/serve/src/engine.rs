@@ -605,7 +605,10 @@ impl WorkerStats {
 
 /// The deterministic mode's query stream: single sampler with the query
 /// engine's `mix(seed, 4)` derivation, so a deterministic serve run draws
-/// the *identical* query sequence as `run_query_simulation`.
+/// the *identical* query sequence as `run_query_simulation`, except for a
+/// pattern uniform over the whole key space: that stream returns its
+/// ranks as keys (see [`QueryStream`]), equal to the simulation's
+/// sequence in distribution only.
 pub(crate) fn deterministic_stream(cfg: &ServeConfig, mapping: &KeyMapping) -> Result<QueryStream> {
     QueryStream::with_mapping(&cfg.sim.pattern, mix(&[cfg.sim.seed, 4]), mapping.clone())
         .map_err(ServeError::from)

@@ -21,9 +21,11 @@
 //!
 //! * [`engine::run_deterministic`] — single-threaded, bit-reproducible,
 //!   drawing the *identical* query sequence as the simulator's query
-//!   engine. Its measured attack gain is directly comparable with
-//!   [`scp_sim::rate_engine`], which is exactly what the tier-1
-//!   cross-check test does.
+//!   engine (for a pattern uniform over the whole key space, the same
+//!   sequence in distribution: that stream skips the key permutation,
+//!   see [`scp_workload::stream::QueryStream`]). Its measured attack
+//!   gain is directly comparable with [`scp_sim::rate_engine`], which is
+//!   exactly what the tier-1 cross-check test does.
 //! * [`loadgen::run_threaded`] — closed-loop client threads, an
 //!   admission thread and one worker per shard, for throughput and
 //!   overload behavior on real hardware.

@@ -16,6 +16,15 @@ const HEAD_RANKS: u64 = 1 << 14;
 /// [`KeyMapping`], so callers observe realistic scattered key ids rather
 /// than `0, 1, 2, ...`.
 ///
+/// A stream uniform over its whole key space ([`AccessPattern::Uniform`],
+/// or [`AccessPattern::UniformSubset`] with `x == m`) whose mapping is a
+/// bijection on exactly that space (`mapping.domain() == Some(m)`) drops
+/// the mapping when it is built and returns the sampled rank as the key:
+/// a bijection maps a uniform rank to a uniform key, so the walk would buy
+/// nothing in distribution. Such a stream's keys equal the mapped ranks in
+/// distribution only, not draw for draw. A wider mapping, every other
+/// pattern and [`QueryStream::new`] map each rank as described below.
+///
 /// Feistel mappings cycle-walk (several rounds per lookup), which
 /// dominates the cost of drawing a key, so a Feistel stream keeps a
 /// rank-indexed *head table*: one `u32` per rank below
@@ -57,19 +66,30 @@ pub struct QueryStream {
 }
 
 impl QueryStream {
-    /// A stream over `sampler` and `mapping` with an empty head table,
-    /// capped for the mapping's domain.
-    fn from_parts(sampler: PatternSampler, mapping: KeyMapping) -> Self {
+    /// A stream over `pattern`'s sampler and `mapping` with an empty head
+    /// table, capped for the mapping's domain; a pattern uniform over
+    /// exactly the mapping's domain drops the mapping (see
+    /// [`QueryStream`]).
+    fn from_parts(pattern: &AccessPattern, seed: u64, mapping: KeyMapping) -> Result<Self> {
+        let full_uniform = match *pattern {
+            AccessPattern::Uniform { m } => Some(m),
+            AccessPattern::UniformSubset { x, m } if x == m => Some(m),
+            _ => None,
+        };
+        let mapping = match full_uniform {
+            Some(m) if mapping.domain() == Some(m) => KeyMapping::Identity,
+            _ => mapping,
+        };
         let head_ranks = match mapping.domain() {
             Some(m) if m < u64::from(u32::MAX) => m.min(HEAD_RANKS),
             _ => 0,
         };
-        Self {
-            sampler,
+        Ok(Self {
+            sampler: pattern.sampler(seed)?,
             mapping,
             head: Vec::new(),
             head_ranks,
-        }
+        })
     }
 
     /// Stream with rank == key id (contiguous keys).
@@ -78,14 +98,13 @@ impl QueryStream {
     ///
     /// Returns an error if the pattern cannot build a sampler.
     pub fn new(pattern: &AccessPattern, seed: u64) -> Result<Self> {
-        Ok(Self::from_parts(
-            pattern.sampler(seed)?,
-            KeyMapping::Identity,
-        ))
+        Self::from_parts(pattern, seed, KeyMapping::Identity)
     }
 
     /// Stream whose ranks are scattered over the key space by a seeded
-    /// Feistel permutation (derived from the same seed).
+    /// Feistel permutation (derived from the same seed). A pattern
+    /// uniform over its whole key space skips the permutation (see
+    /// [`QueryStream`]).
     ///
     /// # Errors
     ///
@@ -93,10 +112,14 @@ impl QueryStream {
     /// space is empty.
     pub fn scattered(pattern: &AccessPattern, seed: u64) -> Result<Self> {
         let mapping = KeyMapping::scattered(pattern.key_space(), seed ^ 0xF00D_F00D)?;
-        Ok(Self::from_parts(pattern.sampler(seed)?, mapping))
+        Self::from_parts(pattern, seed, mapping)
     }
 
     /// Stream with an explicit rank-to-key mapping.
+    ///
+    /// A pattern uniform over exactly the mapping's domain skips the
+    /// mapping (see [`QueryStream`]): its keys are `mapping.apply` of the
+    /// sampled ranks in distribution, not draw for draw.
     ///
     /// # Errors
     ///
@@ -113,7 +136,7 @@ impl QueryStream {
                 ),
             });
         }
-        Ok(Self::from_parts(pattern.sampler(seed)?, mapping))
+        Self::from_parts(pattern, seed, mapping)
     }
 
     /// Draws the next key id.
@@ -196,15 +219,19 @@ mod tests {
             s.next_key();
         }
         assert_eq!(s.head.len(), 128);
-        let p = AccessPattern::uniform(5_000).unwrap();
+        let p = AccessPattern::uniform_subset(5_000, 5_001).unwrap();
         let mut s = QueryStream::scattered(&p, 9).unwrap();
         for _ in 0..100_000 {
             s.next_key();
         }
-        assert_eq!(s.head.len(), 5_000);
-        assert!(s.head.iter().all(|&code| code != 0));
-        // Identity streams and domains past 32 bits keep no table.
+        assert_eq!(s.head.len(), 5_001);
+        assert!(s.head[..5_000].iter().all(|&code| code != 0));
+        assert_eq!(s.head[5_000], 0);
+        // Identity streams, whole-domain uniform streams (they drop their
+        // mapping) and domains past 32 bits keep no table.
         assert_eq!(QueryStream::new(&p, 9).unwrap().head_ranks, 0);
+        let uniform = AccessPattern::uniform(5_000).unwrap();
+        assert_eq!(QueryStream::scattered(&uniform, 9).unwrap().head_ranks, 0);
         let wide = KeyMapping::scattered(u64::from(u32::MAX), 9).unwrap();
         assert_eq!(
             QueryStream::with_mapping(&p, 9, wide).unwrap().head_ranks,

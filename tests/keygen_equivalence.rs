@@ -2,8 +2,10 @@
 //!
 //! Every case draws 200 000 keys from `QueryStream::with_mapping(p, seed,
 //! mapping)` and checks each one against `p.sampler(seed)` followed by
-//! `mapping.apply` on a twin sampler; the keys also fold into an FNV-1a
-//! digest per case. The patterns are a Zipf head, uniform ranks, a tiny
+//! `mapping.apply` on a twin sampler, or against the sampled rank itself
+//! when `p` is uniform over exactly the mapping's domain (such a stream
+//! draws its key directly); the keys also fold into an FNV-1a digest per
+//! case. The patterns are a Zipf head, uniform ranks, a tiny
 //! `x = 65` working set, the Eq. (4) head/tail shape and a rotating
 //! subset, whose ranks lie mostly far from the head. The domains straddle
 //! `2^14` (where the stream stops remembering ranks) and include ones
@@ -11,8 +13,11 @@
 //! identity `QueryStream::new` are pinned by digest alone.
 //!
 //! The digests were recorded while the stream still remembered ranks in
-//! a 512-slot direct-mapped memo. Any key the stream returns that a
-//! plain `apply` would not moves one of them.
+//! a 512-slot direct-mapped memo, except the whole-domain uniform ones,
+//! re-recorded when those streams began drawing keys directly. Any key
+//! the stream returns that the reference would not moves one of them.
+//! Two more tests pin which streams draw directly, and that their keys
+//! are uniform (chi-square at p = 10^-6 on fixed seeds).
 
 use secure_cache_provision::workload::permute::KeyMapping;
 use secure_cache_provision::workload::rng::mix;
@@ -58,15 +63,30 @@ fn patterns(m: u64) -> [AccessPattern; 5] {
     ]
 }
 
+/// Whether a stream of `pattern` under `mapping` draws its keys directly:
+/// the pattern is uniform over its whole key space and the mapping is a
+/// bijection on exactly that space.
+fn draws_directly(pattern: &AccessPattern, mapping: &KeyMapping) -> bool {
+    let whole = match *pattern {
+        AccessPattern::Uniform { .. } => true,
+        AccessPattern::UniformSubset { x, m } => x == m,
+        _ => false,
+    };
+    whole && mapping.domain() == Some(pattern.key_space())
+}
+
 /// Draws `draws` keys through `with_mapping`, checks each against the
-/// sampler and a plain `apply`, and returns their digest.
+/// sampler followed by a plain `apply` (or the sampled rank, for a stream
+/// that draws directly), and returns their digest.
 fn run_case(pattern: &AccessPattern, seed: u64, mapping: &KeyMapping, draws: usize) -> String {
     let mut stream = QueryStream::with_mapping(pattern, seed, mapping.clone()).expect("stream");
     let mut sampler = pattern.sampler(seed).expect("sampler");
+    let direct = draws_directly(pattern, mapping);
     let mut d = Digest::new();
     for i in 0..draws {
         let key = stream.next_key();
-        let want = mapping.apply(sampler.sample());
+        let rank = sampler.sample();
+        let want = if direct { rank } else { mapping.apply(rank) };
         assert_eq!(key, want, "{} seed {seed}: draw {i}", pattern.describe());
         d.word(key);
     }
@@ -92,31 +112,31 @@ fn with_mapping_equals_sampler_then_apply_at_every_domain() {
     let want = [
         // m = 5 000
         "60edf593801a5544",
-        "2d2a3956b1312c53",
+        "417f6c08f293cde9",
         "ffb588e8b6194a53",
         "ab28ea4649aba58d",
         "93bcad69ad5793b0",
         // m = 2^14 - 1
         "0340edb4b7be88f1",
-        "99f9184bddb0214f",
+        "b57dc3b1c1168c00",
         "d6e48e2046f03483",
         "b2aa8bc6dc294ff5",
         "2ca2dd3f52bac67e",
         // m = 2^14
         "46922514d7982205",
-        "926cb9270647fc76",
+        "7e7d522521199d95",
         "6c05986ae5b95e12",
         "265f377a051f8193",
         "28ba73c5d202603e",
         // m = 2^14 + 1
         "6850b492bcc5617e",
-        "cdd8e2ce5ec1a2c4",
+        "774b58faae1d3a8d",
         "92e76509c0c7fbf1",
         "8cdf7041b04f3087",
         "b5ea300ae1970ed3",
         // m = 100 000
         "a63843a8174225c4",
-        "ff4251bcf30a98d6",
+        "de96d97f4543c1d2",
         "d8e0d5be23cdf5ec",
         "094aec3060926bd8",
         "adb97a780a7e17a4",
@@ -196,7 +216,7 @@ fn scattered_and_identity_streams_keep_their_keys() {
         [
             "27d99fbc03946466",
             "ccd79df4cb3e244f",
-            "fbaf94a47c10435c",
+            "fdb19fdf5000b061",
             "ca0c04f58e2bd568",
             "e98fbaaf95b9abe8",
             "fde9c022e0f7c542",
@@ -206,7 +226,7 @@ fn scattered_and_identity_streams_keep_their_keys() {
             "456abd40f543f076",
             "f74af6dba4317e8b",
             "f9bdecb0b7182341",
-            "522807b626e54c2d",
+            "45c39df49df3a1e3",
             "1b1340b3e094ef91",
             "c022c21f8172ee5e",
             "bed8c66a2790aead",
@@ -216,4 +236,99 @@ fn scattered_and_identity_streams_keep_their_keys() {
             "05b25a7156cbe8af",
         ]
     );
+}
+
+#[test]
+fn only_a_whole_domain_uniform_stream_draws_directly() {
+    for m in DOMAINS {
+        let exact = || KeyMapping::scattered(m, m ^ 0xD1EC7).expect("mapping");
+        let wider = KeyMapping::scattered(m + 1, m ^ 0xD1EC7).expect("mapping");
+        let uniform = AccessPattern::uniform(m).expect("valid uniform");
+        let subset = |x| AccessPattern::uniform_subset(x, m).expect("valid subset");
+        let zipf = AccessPattern::zipf(0.99, m).expect("valid zipf");
+        let cases = [
+            (uniform.clone(), exact(), true),
+            (subset(m), exact(), true),
+            (subset(m - 1), exact(), false),
+            (uniform.clone(), wider, false),
+            (zipf, exact(), false),
+        ];
+        for (pattern, mapping, direct) in cases {
+            let label = format!("{} over {:?} keys", pattern.describe(), mapping.domain());
+            assert_eq!(draws_directly(&pattern, &mapping), direct, "{label}");
+            let mut stream =
+                QueryStream::with_mapping(&pattern, m, mapping.clone()).expect("stream");
+            let mut sampler = pattern.sampler(m).expect("sampler");
+            let (mut as_rank, mut as_applied) = (0, 0);
+            for _ in 0..2_000 {
+                let key = stream.next_key();
+                let rank = sampler.sample();
+                as_rank += usize::from(key == rank);
+                as_applied += usize::from(key == mapping.apply(rank));
+            }
+            // The permutation fixes few ranks, so each count tells the
+            // two paths apart.
+            let (exact_count, other) = if direct {
+                (as_rank, as_applied)
+            } else {
+                (as_applied, as_rank)
+            };
+            assert_eq!(exact_count, 2_000, "{label}");
+            assert!(
+                other < 100,
+                "{label}: {other} draws agree with the other path"
+            );
+        }
+        // `scattered` builds a mapping over exactly the key space.
+        let mut stream = QueryStream::scattered(&uniform, m).expect("scattered");
+        let mut sampler = uniform.sampler(m).expect("sampler");
+        assert!((0..2_000).all(|_| stream.next_key() == sampler.sample()));
+    }
+}
+
+/// Wilson–Hilferty approximation of the chi-square quantile with `k`
+/// degrees of freedom at standard normal quantile `z`.
+fn chi_square_quantile(k: u64, z: f64) -> f64 {
+    let v = 2.0 / (9.0 * k as f64);
+    k as f64 * (1.0 - v + z * v.sqrt()).powi(3)
+}
+
+#[test]
+fn direct_draws_are_uniform_over_the_whole_domain() {
+    // Normal quantile of 1 - 10^-6: each tail is rejected at p = 10^-6.
+    const Z: f64 = 4.753_424;
+    for (i, m) in [10_000, (1 << 14) - 1, 1 << 14, (1 << 14) + 1, 100_000]
+        .into_iter()
+        .enumerate()
+    {
+        let draws = 20 * m;
+        for j in 0..2u64 {
+            let seed = mix(&[0xC41_5E7, i as u64, j]);
+            let mut stream = if j == 0 {
+                let pattern = AccessPattern::uniform(m).expect("valid uniform");
+                QueryStream::scattered(&pattern, seed).expect("scattered")
+            } else {
+                let pattern = AccessPattern::uniform_subset(m, m).expect("valid subset");
+                let mapping = KeyMapping::scattered(m, seed ^ 0x5EED).expect("mapping");
+                QueryStream::with_mapping(&pattern, seed, mapping).expect("stream")
+            };
+            let mut counts = vec![0u32; m as usize];
+            for _ in 0..draws {
+                counts[stream.next_key() as usize] += 1;
+            }
+            let expected = draws as f64 / m as f64;
+            let chi2: f64 = counts
+                .iter()
+                .map(|&c| (f64::from(c) - expected).powi(2) / expected)
+                .sum();
+            let (low, high) = (
+                chi_square_quantile(m - 1, -Z),
+                chi_square_quantile(m - 1, Z),
+            );
+            assert!(
+                (low..high).contains(&chi2),
+                "m {m}, stream {j}: chi-square {chi2:.1} outside [{low:.1}, {high:.1})"
+            );
+        }
+    }
 }
