@@ -25,6 +25,10 @@ const FEISTEL_ARMING_APPLIES: u64 = 513;
 
 fn bench_samplers(c: &mut Criterion) {
     let mut group = c.benchmark_group("workload/sample");
+    // 100 timed batches of 2-4 ms per row, about 4 s for the ten rows:
+    // at the harness default of 10 a round takes 0.4 s and its rows move
+    // by up to 70 % from round to round (EXPERIMENTS.md).
+    group.sample_size(150);
     group.throughput(Throughput::Elements(1));
 
     group.bench_function("zipf_rejection_inversion", |b| {

@@ -42,20 +42,22 @@ impl<K: Copy + Eq + Hash> ClockCache<K> {
         }
     }
 
-    fn evict_one(&mut self) -> usize {
-        // Sweep: clear reference bits until an unreferenced frame appears.
-        loop {
-            let frame = &mut self.frames[self.hand];
-            if frame.referenced {
-                frame.referenced = false;
-                self.hand = (self.hand + 1) % self.frames.len();
-            } else {
-                let victim = self.hand;
+    /// Sweeps the hand to the first unreferenced frame, clearing reference
+    /// bits on the way, and puts `key` there in place of the one it evicts.
+    fn replace_one(&mut self, key: K) {
+        let len = self.frames.len();
+        while let Some(frame) = self.frames.get_mut(self.hand) {
+            let slot = self.hand;
+            self.hand = (slot + 1) % len;
+            if !frame.referenced {
                 self.index.remove(&frame.key);
                 self.stats.record_eviction();
-                self.hand = (self.hand + 1) % self.frames.len();
-                return victim;
+                frame.key = key;
+                frame.referenced = true;
+                self.index.insert(key, slot);
+                return;
             }
+            frame.referenced = false;
         }
     }
 }
@@ -63,7 +65,9 @@ impl<K: Copy + Eq + Hash> ClockCache<K> {
 impl<K: Copy + Eq + Hash + std::fmt::Debug> Cache<K> for ClockCache<K> {
     fn request(&mut self, key: K) -> CacheOutcome {
         if let Some(&slot) = self.index.get(&key) {
-            self.frames[slot].referenced = true;
+            if let Some(frame) = self.frames.get_mut(slot) {
+                frame.referenced = true;
+            }
             self.stats.record_hit();
             return CacheOutcome::Hit;
         }
@@ -79,12 +83,7 @@ impl<K: Copy + Eq + Hash + std::fmt::Debug> Cache<K> for ClockCache<K> {
             });
             self.index.insert(key, self.frames.len() - 1);
         } else {
-            let slot = self.evict_one();
-            self.frames[slot] = Frame {
-                key,
-                referenced: true,
-            };
-            self.index.insert(key, slot);
+            self.replace_one(key);
         }
         CacheOutcome::Miss
     }

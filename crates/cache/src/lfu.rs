@@ -65,10 +65,10 @@ impl<K: Copy + Eq + Hash + Ord + std::fmt::Debug> Cache<K> for LfuCache<K> {
         }
         if self.entries.len() >= self.capacity {
             // Evict the (lowest frequency, oldest tick) entry.
-            let victim = *self.order.iter().next().expect("order mirrors entries");
-            self.order.remove(&victim);
-            self.entries.remove(&victim.2);
-            self.stats.record_eviction();
+            if let Some((_, _, victim)) = self.order.pop_first() {
+                self.entries.remove(&victim);
+                self.stats.record_eviction();
+            }
         }
         self.entries.insert(key, (1, self.tick));
         self.order.insert((1, self.tick, key));

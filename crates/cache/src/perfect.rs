@@ -49,8 +49,11 @@ impl<K: Copy + Eq + Hash> PerfectCache<K> {
         ranked_keys: I,
         hasher: FastBuildHasher,
     ) -> Self {
-        let mut cached = HashSet::with_hasher(hasher);
-        cached.extend(ranked_keys.into_iter().take(capacity));
+        // Sized by the upper bound `take` gives even a filtered ranking.
+        let ranked = ranked_keys.into_iter().take(capacity);
+        let size = ranked.size_hint().1.unwrap_or(0).min(1 << 20);
+        let mut cached = HashSet::with_capacity_and_hasher(size, hasher);
+        cached.extend(ranked);
         Self {
             cached,
             capacity,

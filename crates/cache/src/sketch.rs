@@ -7,9 +7,8 @@
 //! `Doorkeeper::positions` turn `h` into the counters and bits a key
 //! touches, and the `*_at` forms read and write those directly: W-TinyLFU
 //! derives them once when a key enters the cache and keeps them with the
-//! resident. The `*_hashed` forms are adapters over the `*_at` ones, and
-//! the generic `estimate`/`increment`/`contains`/`insert` adapters over
-//! the `*_hashed` ones.
+//! resident. The generic `estimate`/`increment`/`contains`/`insert`
+//! forms hash the key and call the `*_at` ones.
 //!
 //! The base hash is std's default SipHash-1-3 under a fixed all-zero
 //! key, and `mix` is public, so which counters a key touches is a
@@ -107,23 +106,13 @@ impl CountMinSketch {
 
     /// Estimated frequency of `key` (minimum over rows).
     pub fn estimate<K: Hash>(&self, key: &K) -> u8 {
-        self.estimate_hashed(key_hash(key))
-    }
-
-    /// [`CountMinSketch::estimate`] for a key whose [`key_hash`] is `h`.
-    pub(crate) fn estimate_hashed(&self, h: u64) -> u8 {
-        self.estimate_at(&self.slots(h))
+        self.estimate_at(&self.slots(key_hash(key)))
     }
 
     /// Records one occurrence; returns the updated estimate. Triggers a
     /// halving reset when the sample period elapses.
     pub fn increment<K: Hash>(&mut self, key: &K) -> u8 {
-        self.increment_hashed(key_hash(key))
-    }
-
-    /// [`CountMinSketch::increment`] for a key whose [`key_hash`] is `h`.
-    pub(crate) fn increment_hashed(&mut self, h: u64) -> u8 {
-        let slots = self.slots(h);
+        let slots = self.slots(key_hash(key));
         self.increment_at(&slots)
     }
 
@@ -223,12 +212,7 @@ impl Doorkeeper {
 
     /// Whether the key has (probably) been seen since the last reset.
     pub fn contains<K: Hash>(&self, key: &K) -> bool {
-        self.contains_hashed(key_hash(key))
-    }
-
-    /// [`Doorkeeper::contains`] for a key whose [`key_hash`] is `h`.
-    pub(crate) fn contains_hashed(&self, h: u64) -> bool {
-        self.contains_at(&self.positions(h))
+        self.contains_at(&self.positions(key_hash(key)))
     }
 
     /// [`Doorkeeper::contains`] for the key whose bits are `positions`.
@@ -242,12 +226,7 @@ impl Doorkeeper {
 
     /// Marks the key as seen; returns whether it was already present.
     pub fn insert<K: Hash>(&mut self, key: &K) -> bool {
-        self.insert_hashed(key_hash(key))
-    }
-
-    /// [`Doorkeeper::insert`] for a key whose [`key_hash`] is `h`.
-    pub(crate) fn insert_hashed(&mut self, h: u64) -> bool {
-        let positions = self.positions(h);
+        let positions = self.positions(key_hash(key));
         self.insert_at(&positions)
     }
 

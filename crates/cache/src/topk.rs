@@ -112,8 +112,9 @@ impl<K: Copy + Eq + Hash + Ord> SpaceSaving<K> {
             return;
         }
         // Replace the minimum counter; inherit its count as the error.
-        let &(min_count, min_tick, min_key) = self.order.iter().next().expect("non-empty");
-        self.order.remove(&(min_count, min_tick, min_key));
+        let Some((min_count, _, min_key)) = self.order.pop_first() else {
+            return; // unreachable: `order` mirrors the full `entries`
+        };
         self.entries.remove(&min_key);
         self.entries
             .insert(key, (min_count + 1, min_count, self.tick));
@@ -140,7 +141,7 @@ impl<K: Copy + Eq + Hash + Ord> SpaceSaving<K> {
             .rev()
             .take(n)
             .map(|&(count, _, key)| {
-                let (_, error, _) = self.entries[&key];
+                let error = self.entries.get(&key).map_or(0, |&(_, error, _)| error);
                 TopKEntry { key, count, error }
             })
             .collect()

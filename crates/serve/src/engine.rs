@@ -2,12 +2,12 @@
 //! deterministic single-threaded mode.
 //!
 //! Every query passes through the same **admission stage** in both modes:
-//! the provisioned front-end cache absorbs hits, misses are routed
-//! through the cluster (partitioner + replica selector — the exact
-//! machinery the simulation engines use), the target shard's token
-//! bucket enforces its provisioned capacity `r_i`, and survivors are
-//! buffered into per-shard batches. The deterministic mode then processes
-//! batches inline on the calling thread; the threaded mode (see
+//! the proof-of-work shield (when configured), one step of the
+//! simulation engines' [`FrontEnd`] (the provisioned cache absorbs hits,
+//! misses are routed by partitioner + replica selector), the target
+//! shard's token bucket enforcing its provisioned capacity `r_i`, and
+//! per-shard batching. The deterministic mode then processes batches
+//! inline on the calling thread; the threaded mode (see
 //! [`crate::loadgen`]) pushes them over SPSC queues to shard workers.
 //!
 //! # Logical time
@@ -21,12 +21,12 @@
 
 use crate::config::{MembershipEvent, Result, ServeConfig, ServeError};
 use crate::pow::{PowVerdict, PowVerifier};
-use scp_cache::Cache;
-use scp_cluster::{Cluster, KeyId, NodeId, Topology};
+use scp_cluster::{KeyId, NodeId, Topology};
+use scp_sim::front_end::{FrontEnd, Served};
+use scp_sim::multi_frontend::FrontendRouting;
 use scp_sim::SimError;
 use scp_workload::permute::KeyMapping;
 use scp_workload::rng::mix;
-use scp_workload::stream::QueryStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -195,6 +195,15 @@ impl AdmitStats {
             ..Self::default()
         }
     }
+
+    /// The counters of the attacker lane or the legitimate one.
+    fn lane(&mut self, attack: bool) -> &mut LaneStats {
+        if attack {
+            &mut self.attack
+        } else {
+            &mut self.legit
+        }
+    }
 }
 
 fn bump(counters: &mut [u64], shard: usize) {
@@ -203,13 +212,14 @@ fn bump(counters: &mut [u64], shard: usize) {
     }
 }
 
-/// The admission stage: cache, routing, capacity, batching.
+/// The admission stage: shield, front end (cache → route), capacity,
+/// batching.
 ///
 /// Owned by exactly one thread (the calling thread in deterministic
 /// mode, the admission thread in threaded mode); nothing here is shared.
 pub(crate) struct Admission {
-    cache: Box<dyn Cache<u64>>,
-    cluster: Cluster,
+    /// The simulation engines' front end: one cache, by-client routing.
+    front: FrontEnd,
     buckets: Option<Vec<TokenBucket>>,
     pending: Vec<Vec<Request>>,
     batch_size: usize,
@@ -237,8 +247,8 @@ pub(crate) struct Admission {
 }
 
 impl Admission {
-    /// Builds the stage for `cfg`, seeding the perfect cache with the
-    /// pattern's true top-`c` keys exactly like the query engine does.
+    /// Builds the stage for `cfg` around the query engine's front end,
+    /// whose perfect cache is seeded with the top-`c` keys of `mapping`.
     pub fn new(cfg: &ServeConfig, mapping: &KeyMapping) -> Result<Self> {
         // Pre-size every per-shard vector to the largest index bound any
         // scheduled epoch reaches: a mid-run join then only flips state,
@@ -246,10 +256,7 @@ impl Admission {
         // workers and queues once).
         let (_, shards) = cfg.replay_topology()?;
         let topology = Topology::with_nodes(cfg.sim.nodes).map_err(SimError::from)?;
-        let top = (cfg.sim.cache_capacity as u64).min(cfg.sim.items);
-        let ranked = (0..top).map(|rank| mapping.apply(rank));
-        let cache = cfg.sim.build_cache(ranked);
-        let cluster = Cluster::new(cfg.sim.build_partitioner()?, cfg.sim.build_selector());
+        let front = FrontEnd::new(&cfg.sim, mapping, 1, FrontendRouting::ByClient)?;
         let buckets = cfg.shard_capacity().map(|r| {
             let burst = (r * 0.01).max(8.0);
             (0..shards).map(|_| TokenBucket::new(r, burst)).collect()
@@ -260,8 +267,7 @@ impl Admission {
             .map(|shield| PowVerifier::new(shield, cfg.sim.seed));
         let initial_nonce = pow.as_ref().map_or(0, |p| p.server_nonce(0));
         Ok(Self {
-            cache,
-            cluster,
+            front,
             buckets,
             pending: (0..shards)
                 .map(|_| Vec::with_capacity(cfg.batch_size))
@@ -379,7 +385,7 @@ impl Admission {
             if event.change.apply(&mut self.topology).is_err() {
                 continue;
             }
-            if self.cluster.reshard(&self.topology).is_err() {
+            if self.front.cluster_mut().reshard(&self.topology).is_err() {
                 continue;
             }
             self.stats.reshards += 1;
@@ -412,7 +418,7 @@ impl Admission {
     /// in the key's replica group (the data is still there); otherwise
     /// it is displaced into `migrated_out` and counted `migrated`.
     fn reroute_pending(&mut self) {
-        let cluster = &self.cluster;
+        let cluster = self.front.cluster();
         let migrated = &mut self.migrated_out;
         let mut displaced = 0u64;
         for (shard, buf) in self.pending.iter_mut().enumerate() {
@@ -470,39 +476,27 @@ impl Admission {
         self.roll_windows(now);
         self.stats.submitted += 1;
         let attack = (req.client as usize) < self.attack_clients;
-        if attack {
-            self.stats.attack.submitted += 1;
-        } else {
-            self.stats.legit.submitted += 1;
-        }
+        self.stats.lane(attack).submitted += 1;
 
         if let Some(pow) = &mut self.pow {
             if pow.verify(now, req.client, req.key, req.pow) != PowVerdict::Accepted {
                 self.stats.pow_rejected += 1;
-                if attack {
-                    self.stats.attack.pow_rejected += 1;
-                } else {
-                    self.stats.legit.pow_rejected += 1;
-                }
+                self.stats.lane(attack).pow_rejected += 1;
                 return true;
             }
         }
 
-        if self.cache.request(req.key).is_hit() {
-            self.stats.hits += 1;
-            if attack {
-                self.stats.attack.hits += 1;
-            } else {
-                self.stats.legit.hits += 1;
+        let shard = match self.front.step(req.key, 1.0) {
+            Served::Hit => {
+                self.stats.hits += 1;
+                self.stats.lane(attack).hits += 1;
+                return true;
             }
-            return true;
-        }
-        let shard = match self.cluster.route_query(KeyId::new(req.key)) {
-            Ok(node) => node.index(),
-            Err(_) => {
+            Served::Unserved => {
                 self.stats.unserved += 1;
                 return true;
             }
+            Served::Routed(node) => node.index(),
         };
         let Some(buf) = self.pending.get_mut(shard) else {
             // Unreachable (the cluster only returns indices < n), but an
@@ -570,8 +564,10 @@ impl Admission {
     /// window and folding in the cache policy's telemetry).
     pub fn into_stats(mut self) -> AdmitStats {
         self.finish_gain_window();
-        self.stats.cache_rejections = self.cache.stats().rejections();
-        self.stats.sketch_resets = self.cache.sketch_resets();
+        if let Some(cache) = self.front.caches().first() {
+            self.stats.cache_rejections = cache.stats().rejections();
+            self.stats.sketch_resets = cache.sketch_resets();
+        }
         self.stats
     }
 }
@@ -603,21 +599,12 @@ impl WorkerStats {
     }
 }
 
-/// The deterministic mode's query stream: single sampler with the query
-/// engine's `mix(seed, 4)` derivation, so a deterministic serve run draws
-/// the *identical* query sequence as `run_query_simulation`, except for a
-/// pattern uniform over the whole key space: that stream returns its
-/// ranks as keys (see [`QueryStream`]), equal to the simulation's
-/// sequence in distribution only.
-pub(crate) fn deterministic_stream(cfg: &ServeConfig, mapping: &KeyMapping) -> Result<QueryStream> {
-    QueryStream::with_mapping(&cfg.sim.pattern, mix(&[cfg.sim.seed, 4]), mapping.clone())
-        .map_err(ServeError::from)
-}
-
-/// Runs the engine single-threaded and bit-reproducibly: one sampler,
+/// Runs the engine single-threaded and bit-reproducibly: one stream,
 /// inline batch processing, no queues and no wall-clock influence on any
-/// counter. The resulting load shape is directly comparable with the
-/// simulation engines for the same [`scp_sim::SimConfig`].
+/// counter. The stream is [`scp_sim::SimConfig::query_stream`] and the
+/// front end the query engine's, so with the shield, the token buckets
+/// and membership off, the run routes exactly the queries
+/// `run_query_simulation` does on the same [`scp_sim::SimConfig`].
 ///
 /// # Errors
 ///
@@ -634,8 +621,8 @@ pub fn run_deterministic(cfg: &ServeConfig) -> Result<crate::report::ServeReport
     }
     let stopwatch = crate::clock::Stopwatch::started();
     let mapping = cfg.sim.key_mapping()?;
-    let mut stream = deterministic_stream(cfg, &mapping)?;
     let mut admission = Admission::new(cfg, &mapping)?;
+    let mut stream = cfg.sim.query_stream(mapping)?;
     let mut workers: Vec<WorkerStats> = vec![WorkerStats::default(); admission.shard_slots()];
 
     let process_inline = |admission: &mut Admission,
@@ -814,7 +801,7 @@ mod tests {
         let run = |cut: u64| {
             let mapping = cfg.sim.key_mapping().unwrap();
             let mut admission = Admission::new(&cfg, &mapping).unwrap();
-            let mut stream = deterministic_stream(&cfg, &mapping).unwrap();
+            let mut stream = cfg.sim.query_stream(mapping).unwrap();
             let mut ready: Vec<(usize, Vec<Request>)> = Vec::new();
             let mut completed = 0u64;
             let mut migrated: Vec<Request> = Vec::new();

@@ -3,10 +3,11 @@
 //!
 //! The simulation crates answer "what load shape does an attack
 //! produce?"; this crate answers "what does a *running service* built on
-//! the paper's design actually do under that load?" — same cache, same
-//! partitioner, same replica selection, but as a long-running threaded
-//! pipeline with real queues, batching, backpressure and per-shard
-//! capacity enforcement:
+//! the paper's design actually do under that load?" — the same cache →
+//! route step (admission steps [`scp_sim::front_end::FrontEnd`], the
+//! query engine's front end), but as a long-running threaded pipeline
+//! with real queues, batching, backpressure and per-shard capacity
+//! enforcement:
 //!
 //! ```text
 //!  clients ──▶ per-client SPSC batch rings ──▶ admission ──▶ SPSC queues ──▶ shard workers
@@ -20,12 +21,11 @@
 //! Two execution modes share every admission decision:
 //!
 //! * [`engine::run_deterministic`] — single-threaded, bit-reproducible,
-//!   drawing the *identical* query sequence as the simulator's query
-//!   engine (for a pattern uniform over the whole key space, the same
-//!   sequence in distribution: that stream skips the key permutation,
-//!   see [`scp_workload::stream::QueryStream`]). Its measured attack
-//!   gain is directly comparable with [`scp_sim::rate_engine`], which is
-//!   exactly what the tier-1 cross-check test does.
+//!   drawing the simulator's own query stream
+//!   ([`scp_sim::SimConfig::query_stream`]) through the same front end,
+//!   so with the shield, the token buckets and membership off it routes
+//!   exactly what the query engine does. Its measured attack gain is
+//!   also comparable with [`scp_sim::rate_engine`] within sampling noise.
 //! * [`loadgen::run_threaded`] — closed-loop client threads, an
 //!   admission thread and one worker per shard, for throughput and
 //!   overload behavior on real hardware.

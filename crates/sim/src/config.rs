@@ -16,6 +16,7 @@ use scp_core::params::SystemParams;
 use scp_workload::fasthash::FastBuildHasher;
 use scp_workload::permute::KeyMapping;
 use scp_workload::rng::mix;
+use scp_workload::stream::QueryStream;
 use scp_workload::AccessPattern;
 
 /// Builds the `Display`/`FromStr` pair for a kind enum so that the
@@ -577,6 +578,18 @@ impl SimConfig {
     /// Returns an error if `items` is zero.
     pub fn key_mapping(&self) -> Result<KeyMapping> {
         Ok(KeyMapping::scattered(self.items, mix(&[self.seed, 3]))?)
+    }
+
+    /// The key stream of every per-query engine, `scp-serve`'s replay
+    /// included: ranks drawn on seed lane 4, scattered by `mapping` (this
+    /// config's [`SimConfig::key_mapping`]; see [`QueryStream`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the pattern cannot build a sampler.
+    pub fn query_stream(&self, mapping: KeyMapping) -> Result<QueryStream> {
+        let seed = mix(&[self.seed, 4]);
+        Ok(QueryStream::with_mapping(&self.pattern, seed, mapping)?)
     }
 
     /// The cache policy actually instantiated once the admission knob is

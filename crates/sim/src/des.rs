@@ -200,7 +200,9 @@ pub fn run_des_with_events(cfg: &DesConfig, node_events: &[NodeEvent]) -> Result
         }
     }
     let sim = &cfg.sim;
-    let mut front = FrontEnd::new(sim, 1, FrontendRouting::ByClient)?;
+    let mapping = sim.key_mapping()?;
+    let mut front = FrontEnd::new(sim, &mapping, 1, FrontendRouting::ByClient)?;
+    let mut stream = sim.query_stream(mapping)?;
     let mut arrival_rng = Xoshiro256StarStar::seed_from_u64(mix(&[sim.seed, 5]));
     let mut service_rng = Xoshiro256StarStar::seed_from_u64(mix(&[sim.seed, 6]));
 
@@ -230,9 +232,7 @@ pub fn run_des_with_events(cfg: &DesConfig, node_events: &[NodeEvent]) -> Result
     while let Some(Reverse(event)) = events.pop() {
         match event.kind {
             EventKind::Arrival => {
-                let mut keys = [0u64];
-                front.draw(&mut keys);
-                let [key] = keys;
+                let key = stream.next_key();
                 // Schedule the next arrival (if within the horizon).
                 let next = event.time + next_exponential(&mut arrival_rng, sim.rate);
                 if next <= cfg.duration {

@@ -1,20 +1,19 @@
-//! The sampled front end: the one cache → partition → select pipeline
-//! under every per-query engine.
+//! The front end: the one cache → partition → select pipeline under
+//! every per-query engine and `scp-serve`'s admission stage.
 //!
 //! The paper's system is a front-end cache that absorbs the most popular
 //! keys, a random partition that gives every other key its `d`-replica
 //! group, and a selector that picks the serving node. [`FrontEnd`] is that
 //! pipeline, built once from a [`SimConfig`]:
 //!
-//! * one key stream: popularity ranks drawn on seed lane 4, scattered
-//!   over the key space by the lane-3 mapping, drawn in batches;
 //! * `f` caches, each seeded with the top `c` keys of the traffic it sees
 //!   (the popularity oracle uses them, every other policy starts cold);
 //! * the cluster: partitioner, selector and per-node load accounting.
 //!
-//! [`FrontEnd::step`] serves one query. [`run`] is the one sampling loop
-//! under the query, weighted and multi-front-end engines; the
-//! discrete-event engine calls the step from its own arrival events.
+//! [`FrontEnd::step`] serves one key, drawn by the caller from
+//! [`SimConfig::query_stream`]. `run` is the one sampling loop under the
+//! query, weighted and multi-front-end engines; the discrete-event engine
+//! and `scp-serve`'s admission stage call the step themselves.
 
 use crate::config::SimConfig;
 use crate::cost::CostModel;
@@ -24,13 +23,12 @@ use crate::multi_frontend::FrontendRouting;
 use crate::Result;
 use scp_cache::Cache;
 use scp_cluster::{Cluster, KeyId, NodeId};
-use scp_workload::pattern::PatternSampler;
 use scp_workload::permute::KeyMapping;
 use scp_workload::rng::{mix, next_below, next_f64, Xoshiro256StarStar};
 
 /// What became of one query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Served {
+pub enum Served {
     /// A front-end cache answered it.
     Hit,
     /// The selector sent it to this node.
@@ -39,16 +37,19 @@ pub(crate) enum Served {
     Unserved,
 }
 
-/// Caches in front of a cluster, fed by one seeded key stream.
-pub(crate) struct FrontEnd {
-    ranks: PatternSampler,
-    mapping: KeyMapping,
+/// Caches in front of a cluster.
+pub struct FrontEnd {
     caches: Vec<Box<dyn Cache<u64>>>,
-    routing: FrontendRouting,
-    /// Seed lane 8: the front end a by-client query lands on. `None` when
-    /// there is no choice to draw (one front end, or by-key routing).
-    clients: Option<Xoshiro256StarStar>,
+    pick: Pick,
     cluster: Cluster,
+}
+
+/// How [`FrontEnd::step`] picks a query's cache: the only one, by key
+/// hash, or by a draw on seed lane 8.
+enum Pick {
+    Only,
+    ByKey,
+    ByClient(Xoshiro256StarStar),
 }
 
 impl FrontEnd {
@@ -56,15 +57,30 @@ impl FrontEnd {
     /// `cfg.cache_capacity` entries each.
     ///
     /// Each cache is seeded with the first `c` keys in popularity order
+    /// (ranks mapped by `mapping`, `cfg`'s [`SimConfig::key_mapping`])
     /// that its routing sends it: the global top `c` for by-client
     /// routing, the top `c` of its own key shard for by-key routing.
-    pub(crate) fn new(cfg: &SimConfig, frontends: usize, routing: FrontendRouting) -> Result<Self> {
-        let mapping = cfg.key_mapping()?;
+    ///
+    /// # Errors
+    ///
+    /// Returns an error on `frontends == 0` or an invalid cluster config.
+    pub fn new(
+        cfg: &SimConfig,
+        mapping: &KeyMapping,
+        frontends: usize,
+        routing: FrontendRouting,
+    ) -> Result<Self> {
+        if frontends == 0 {
+            return Err(SimError::InvalidConfig {
+                field: "frontends",
+                reason: "need at least one front end".to_owned(),
+            });
+        }
         let caches = (0..frontends)
             .map(|f| {
                 // Batches of `c`: by-client routing maps exactly the keys
                 // it seeds.
-                let ranked = RankedKeys::new(&mapping, cfg.items, cfg.cache_capacity)
+                let ranked = RankedKeys::new(mapping, cfg.items, cfg.cache_capacity)
                     .filter(|&key| {
                         routing == FrontendRouting::ByClient
                             || frontend_for_key(key, frontends) == f
@@ -73,41 +89,28 @@ impl FrontEnd {
                 cfg.build_cache(ranked)
             })
             .collect();
-        let ranks = cfg.pattern.sampler(mix(&[cfg.seed, 4]))?;
-        let clients = (routing == FrontendRouting::ByClient && frontends > 1)
-            .then(|| Xoshiro256StarStar::seed_from_u64(mix(&[cfg.seed, 8])));
+        let pick = match routing {
+            _ if frontends == 1 => Pick::Only,
+            FrontendRouting::ByKey => Pick::ByKey,
+            FrontendRouting::ByClient => {
+                Pick::ByClient(Xoshiro256StarStar::seed_from_u64(mix(&[cfg.seed, 8])))
+            }
+        };
         Ok(Self {
-            ranks,
-            mapping,
             caches,
-            routing,
-            clients,
+            pick,
             cluster: cfg.build_cluster()?,
         })
     }
 
-    /// Draws the next `keys.len()` query keys: a batch of ranks, each
-    /// mapped with `apply`. Mapping the batch with `apply_batch` is
-    /// faster on average, but it widened the run-to-run spread of
-    /// `sim_query` throughput past the benchmark's bound (EXPERIMENTS.md):
-    /// CPU time jitters by about the same nanoseconds either way, and
-    /// that moves the rate of the faster path more.
-    pub(crate) fn draw(&mut self, keys: &mut [u64]) {
-        self.ranks.sample_batch(keys);
-        for key in keys.iter_mut() {
-            *key = self.mapping.apply(*key);
-        }
-    }
-
     /// Serves one query of weight `cost`: its front end's cache, and on a
     /// miss the cluster.
-    pub(crate) fn step(&mut self, key: u64, cost: f64) -> Served {
-        let f = match &mut self.clients {
-            Some(rng) => next_below(rng, self.caches.len() as u64) as usize,
-            None if self.routing == FrontendRouting::ByKey => {
-                frontend_for_key(key, self.caches.len())
-            }
-            None => 0,
+    #[inline]
+    pub fn step(&mut self, key: u64, cost: f64) -> Served {
+        let f = match &mut self.pick {
+            Pick::Only => 0,
+            Pick::ByKey => frontend_for_key(key, self.caches.len()),
+            Pick::ByClient(rng) => next_below(rng, self.caches.len() as u64) as usize,
         };
         let hit = self
             .caches
@@ -122,6 +125,7 @@ impl FrontEnd {
 
     /// Sends one query of weight `cost` past the caches, straight to the
     /// cluster.
+    #[inline]
     pub(crate) fn route(&mut self, key: u64, cost: f64) -> Served {
         match self.cluster.route_query_with_cost(KeyId::new(key), cost) {
             Ok(node) => Served::Routed(node),
@@ -130,12 +134,17 @@ impl FrontEnd {
     }
 
     /// The caches, in front-end order.
-    pub(crate) fn caches(&self) -> &[Box<dyn Cache<u64>>] {
+    pub fn caches(&self) -> &[Box<dyn Cache<u64>>] {
         &self.caches
     }
 
-    /// The back end, for failure injection.
-    pub(crate) fn cluster_mut(&mut self) -> &mut Cluster {
+    /// The back end.
+    pub fn cluster(&self) -> &Cluster {
+        &self.cluster
+    }
+
+    /// The back end, for failure injection and resharding.
+    pub fn cluster_mut(&mut self) -> &mut Cluster {
         &mut self.cluster
     }
 
@@ -155,9 +164,6 @@ impl FrontEnd {
 fn frontend_for_key(key: u64, frontends: usize) -> usize {
     (mix(&[key, 0xF407_E4D5]) % frontends as u64) as usize
 }
-
-/// Keys drawn per batch by [`run`].
-const BATCH: usize = 1024;
 
 /// Most ranks [`RankedKeys`] maps per `apply_batch`.
 pub(crate) const RANK_BATCH: usize = 256;
@@ -213,10 +219,10 @@ impl Iterator for RankedKeys<'_> {
     }
 }
 
-/// The one sampling loop: `queries` draws through a fresh [`FrontEnd`],
-/// each a read or a write per `model`. Loads, cache load and `offered`
-/// are in cost units. Seed lane 7 decides read or write, and is drawn
-/// only when writes occur at all.
+/// The one sampling loop: `queries` draws of [`SimConfig::query_stream`]
+/// through a fresh [`FrontEnd`], each a read or a write per `model`.
+/// Loads, cache load and `offered` are in cost units. Seed lane 7 decides
+/// read or write, and is drawn only when writes occur at all.
 ///
 /// # Errors
 ///
@@ -234,38 +240,48 @@ pub(crate) fn run(
             reason: "need at least one query".to_owned(),
         });
     }
-    let mut front = FrontEnd::new(cfg, frontends, routing)?;
+    let mapping = cfg.key_mapping()?;
+    let mut front = FrontEnd::new(cfg, &mapping, frontends, routing)?;
+    let mut stream = cfg.query_stream(mapping)?;
     let mut ops = (model.write_fraction > 0.0)
         .then(|| Xoshiro256StarStar::seed_from_u64(mix(&[cfg.seed, 7])));
     let (mut cache_load, mut offered) = (0.0, 0.0);
-    let mut batch = [0u64; BATCH];
-    let mut remaining = queries;
-    while remaining > 0 {
-        let Some(keys) = batch.get_mut(..remaining.min(BATCH as u64) as usize) else {
-            break; // unreachable: the range ends at most at BATCH
+    for _ in 0..queries {
+        let key = stream.next_key();
+        let write = ops
+            .as_mut()
+            .is_some_and(|rng| next_f64(rng) < model.write_fraction);
+        let (cost, bypass) = if write {
+            (model.write_cost, model.writes_bypass_cache)
+        } else {
+            (model.read_cost, false)
         };
-        front.draw(keys);
-        remaining -= keys.len() as u64;
-        for &key in keys.iter() {
-            let write = ops
-                .as_mut()
-                .is_some_and(|rng| next_f64(rng) < model.write_fraction);
-            let (cost, bypass) = if write {
-                (model.write_cost, model.writes_bypass_cache)
-            } else {
-                (model.read_cost, false)
-            };
-            offered += cost;
-            let served = if bypass {
-                front.route(key, cost)
-            } else {
-                front.step(key, cost)
-            };
-            if served == Served::Hit {
-                cache_load += cost;
-            }
+        offered += cost;
+        let served = if bypass {
+            front.route(key, cost)
+        } else {
+            front.step(key, cost)
+        };
+        if served == Served::Hit {
+            cache_load += cost;
         }
     }
     let report = front.report(cache_load, offered);
     Ok((front, report))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn new_rejects_zero_front_ends() {
+        let cfg = SimConfig::builder().nodes(10).items(100).build().unwrap();
+        let mapping = cfg.key_mapping().unwrap();
+        for routing in [FrontendRouting::ByClient, FrontendRouting::ByKey] {
+            let err = FrontEnd::new(&cfg, &mapping, 0, routing).err();
+            assert!(err.is_some_and(|e| e.to_string().contains("frontends")));
+            assert!(FrontEnd::new(&cfg, &mapping, 1, routing).is_ok());
+        }
+    }
 }

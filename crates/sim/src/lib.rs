@@ -5,11 +5,12 @@
 //! and a selector picks the serving node. Four pieces drive it to
 //! reproduce and extend the Section IV validation:
 //!
-//! * **The front end** — one sampled pipeline (a seeded key stream, `f`
-//!   caches seeded with the top `c` keys they see, the cluster) and one
-//!   sampling loop under [`query_engine`] (real cache policies such as
-//!   LRU and TinyLFU, with multinomial sampling noise), [`cost`]
-//!   (read/write cost mixes) and [`multi_frontend`] (fleets of caches).
+//! * **The front end** — [`front_end`]: `f` caches seeded with the top
+//!   `c` keys they see in front of the cluster, stepped once per key of
+//!   [`SimConfig::query_stream`] by [`query_engine`] (real cache policies
+//!   such as LRU and TinyLFU, with multinomial sampling noise), [`cost`]
+//!   (read/write cost mixes), [`multi_frontend`] (fleets of caches), the
+//!   DES and `scp-serve`'s admission stage.
 //! * **The rate loop** — [`rate_engine`] pushes each rank's exact rate
 //!   `R·p` through the cache (the oracle's top-`c` cut, or measured
 //!   online hit rates) and the partitioner and selector. The only
@@ -62,7 +63,7 @@ pub mod critical;
 pub mod des;
 pub mod detector;
 pub mod error;
-mod front_end;
+pub mod front_end;
 pub mod journal;
 pub mod metrics;
 pub mod multi_frontend;

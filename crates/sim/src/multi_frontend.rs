@@ -18,7 +18,6 @@
 
 use crate::config::SimConfig;
 use crate::cost::CostModel;
-use crate::error::SimError;
 use crate::front_end;
 use crate::metrics::LoadReport;
 use crate::Result;
@@ -73,12 +72,6 @@ pub fn run_multi_frontend_simulation(
     queries: u64,
 ) -> Result<MultiFrontendReport> {
     cfg.validate()?;
-    if frontends == 0 {
-        return Err(SimError::InvalidConfig {
-            field: "frontends",
-            reason: "need at least one front end".to_owned(),
-        });
-    }
     let (front, mut load) =
         front_end::run(cfg, queries, frontends, routing, &CostModel::uniform())?;
     load.cache_stats = None;

@@ -58,13 +58,14 @@ impl AliasSampler {
         }
 
         let scale = n as f64 / sum;
-        let mut prob = vec![0.0f64; n];
+        // Vose's method in place: an outcome's scaled weight is final once
+        // it leaves `small`, so `prob` holds the scaled weights throughout.
+        let mut prob: Vec<f64> = weights.iter().map(|&w| w * scale).collect();
         let mut alias = vec![0u32; n];
-        let mut scaled: Vec<f64> = weights.iter().map(|&w| w * scale).collect();
 
         let mut small: Vec<u32> = Vec::with_capacity(n);
         let mut large: Vec<u32> = Vec::with_capacity(n);
-        for (i, &p) in scaled.iter().enumerate() {
+        for (i, &p) in prob.iter().enumerate() {
             let i = u32::try_from(i).unwrap_or(u32::MAX);
             if p < 1.0 {
                 small.push(i);
@@ -73,20 +74,24 @@ impl AliasSampler {
             }
         }
 
+        // Every index below is below `n`, so each `get` finds its slot.
         while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
             small.pop();
-            prob[s as usize] = scaled[s as usize];
-            alias[s as usize] = l;
-            scaled[l as usize] = (scaled[l as usize] + scaled[s as usize]) - 1.0;
-            if scaled[l as usize] < 1.0 {
-                large.pop();
-                small.push(l);
+            let p_s = prob.get(s as usize).copied().unwrap_or(1.0);
+            if let (Some(a), Some(p_l)) = (alias.get_mut(s as usize), prob.get_mut(l as usize)) {
+                *a = l;
+                *p_l = (*p_l + p_s) - 1.0;
+                if *p_l < 1.0 {
+                    large.pop();
+                    small.push(l);
+                }
             }
         }
         // Whatever remains (numerical leftovers) gets probability one.
         for &i in small.iter().chain(large.iter()) {
-            prob[i as usize] = 1.0;
-            alias[i as usize] = i;
+            if let (Some(p), Some(a)) = (prob.get_mut(i as usize), alias.get_mut(i as usize)) {
+                (*p, *a) = (1.0, i);
+            }
         }
 
         Ok(Self { prob, alias })
@@ -106,10 +111,10 @@ impl AliasSampler {
     #[inline]
     pub fn sample(&self, rng: &mut dyn Rng) -> u64 {
         let i = next_below(rng, self.prob.len() as u64) as usize;
-        if next_f64(rng) < self.prob[i] {
-            i as u64
-        } else {
-            self.alias[i] as u64
+        let keep = next_f64(rng) < self.prob.get(i).copied().unwrap_or(1.0);
+        match self.alias.get(i) {
+            Some(&alias) if !keep => u64::from(alias),
+            _ => i as u64,
         }
     }
 }

@@ -5,7 +5,8 @@
 //! per engine that spells out cache → partition → select with nothing
 //! shared, cached or batched. The rate, query, weighted and
 //! multi-front-end engines must equal it under `assert_eq!`, i.e. to the
-//! last bit of every `f64`.
+//! last bit of every `f64`, and `scp-serve`'s deterministic replay must
+//! route exactly what the query engine and the spec do.
 //!
 //! Part two folds the exact bits of every report (loads, `cache_load`,
 //! `offered`, `unserved`, cache hits and misses, and each engine's own
@@ -339,6 +340,64 @@ fn sampling_engines_equal_the_spec() {
             );
         }
     }
+}
+
+/// Where `scp-serve`'s deterministic replay of `cfg` and `load` disagree
+/// on what they routed: per-shard `routed` against per-node loads, cache
+/// hits, unserved queries. `None` when they agree.
+fn serve_differs(cfg: &SimConfig, load: &LoadReport) -> Option<String> {
+    let mut serve = ServeConfig::new(cfg.clone());
+    serve.total_queries = QUERIES;
+    let report = run_deterministic(&serve).unwrap();
+    let routed: Vec<f64> = report.shards.iter().map(|s| s.routed as f64).collect();
+    let hits = load.cache_stats.map(|stats| stats.hits());
+    (routed != load.snapshot.loads()
+        || Some(report.cache_hits) != hits
+        || report.unserved as f64 != load.unserved)
+        .then(|| format!("{cfg:?}"))
+}
+
+/// With no shield, no token buckets (`capacity_headroom = 0`) and no
+/// membership events, serve's admission is one front-end step per query
+/// of the same lane-4 stream, so its replay routes exactly what the query
+/// engine does, on every policy, selector and pattern (a whole-domain
+/// uniform included), and what the spec does on the Zipf grid.
+#[test]
+fn serve_replay_equals_the_sampling_engines() {
+    let mut differ = Vec::new();
+    let mut cases = 0;
+    for (i, kind) in CacheKind::ALL.into_iter().enumerate() {
+        for selector in SelectorKind::ALL {
+            let partitioner = PartitionerKind::ALL[i % PartitionerKind::ALL.len()];
+            let cfg = config(SEEDS[i % SEEDS.len()], selector, partitioner);
+            for pattern in [
+                AccessPattern::zipf(0.9, ITEMS).unwrap(),
+                AccessPattern::uniform_subset(CACHE as u64 + 1, ITEMS).unwrap(),
+                AccessPattern::uniform(ITEMS).unwrap(),
+            ] {
+                let cfg = cfg
+                    .to_builder()
+                    .cache_kind(kind)
+                    .pattern(pattern)
+                    .build()
+                    .unwrap();
+                let load = run_query_simulation(&cfg, QUERIES).unwrap();
+                differ.extend(serve_differs(&cfg, &load));
+                cases += 1;
+            }
+        }
+    }
+    let uniform = CostModel::uniform();
+    for cfg in grid() {
+        let spec = spec_queries(&cfg, QUERIES, &uniform, 1, FrontendRouting::ByClient).0;
+        differ.extend(serve_differs(&cfg, &spec));
+        cases += 1;
+    }
+    assert!(
+        differ.is_empty(),
+        "{} of {cases} cases differ: {differ:#?}",
+        differ.len()
+    );
 }
 
 fn online_grid() -> Vec<SimConfig> {
