@@ -1,8 +1,13 @@
 //! Ablations A1–A8 from DESIGN.md: the design choices behind the headline
 //! result, each isolated and measured.
+//!
+//! Every ablation starts from [`Opts::sim`] and overrides only the axis
+//! it studies: A1 sweeps the selector, A2 the partitioner, A3 the
+//! replication factor and A4 the cache kind. Every other flag reaches
+//! the engine, which applies it or fails the group with its own error.
 
 use crate::opts::Opts;
-use crate::output::{fmt_f, JournalBook, Table};
+use crate::output::{fmt_f, GroupOutput, JournalBook, Table};
 use crate::Result;
 use scp_cluster::rebalance::{rebalance, RebalanceConfig};
 use scp_cluster::Cluster;
@@ -12,6 +17,7 @@ use scp_core::params::SystemParams;
 use scp_sim::assignments::collect_assignments;
 use scp_sim::config::{CacheKind, PartitionerKind, SelectorKind, SimConfig};
 use scp_sim::cost::{run_weighted_query_simulation, CostModel};
+use scp_sim::metrics::LoadReport;
 use scp_sim::multi_frontend::{run_multi_frontend_simulation, FrontendRouting};
 use scp_sim::query_engine::run_query_simulation;
 use scp_sim::rate_engine::{run_rate_simulation, run_rate_simulation_with};
@@ -20,21 +26,22 @@ use scp_sim::sweep::{repeat_sweep_journaled, SweepPoint};
 use scp_workload::permute::KeyMapping;
 use scp_workload::AccessPattern;
 
-fn base_sim(opts: &Opts) -> Result<SimConfig> {
-    let (nodes, items, cache) = if opts.fast {
-        (100, 100_000, 20)
-    } else {
-        (1000, 1_000_000, 200)
-    };
-    SimConfig::builder()
+/// The flags' base system at `n` nodes, `m` items and cache size `c`.
+fn sim(opts: &Opts, nodes: usize, items: u64, cache: usize) -> Result<SimConfig> {
+    opts.sim()
         .nodes(nodes)
-        .cache_kind(opts.cache)
-        .cache_capacity(cache)
         .items(items)
-        .partitioner(opts.partitioner)
-        .selector(opts.selector)
-        .seed(opts.seed)
+        .cache_capacity(cache)
         .build()
+}
+
+/// The shared base of A1–A3: the paper's system at `c = 200`.
+fn base_sim(opts: &Opts) -> Result<SimConfig> {
+    if opts.fast {
+        sim(opts, 100, 100_000, 20)
+    } else {
+        sim(opts, 1000, 1_000_000, 200)
+    }
 }
 
 /// A1 — replica-selection policies under the optimal attack.
@@ -74,7 +81,6 @@ pub fn selection(opts: &Opts, book: &mut JournalBook) -> Result<Table> {
 ///
 /// Propagates simulation errors.
 pub fn partitioning(opts: &Opts, book: &mut JournalBook) -> Result<Table> {
-    let runs = opts.effective_runs(30);
     let rule = opts.stop_rule(30);
     let mut t = Table::new(
         "Ablation A2: partitioning schemes (adversarial load, max gain)",
@@ -102,7 +108,7 @@ pub fn partitioning(opts: &Opts, book: &mut JournalBook) -> Result<Table> {
     let mut sim = base.clone();
     sim.partitioner = PartitionerKind::Range;
     sim.pattern = AccessPattern::uniform_subset(x, sim.items)?;
-    let reports = repeat(runs, opts.threads, |i| {
+    let reports = repeat(rule.max_runs, opts.threads, |i| {
         let cfg = sim.for_run(i as u64);
         let mut cluster = Cluster::new(cfg.build_partitioner()?, cfg.build_selector());
         run_rate_simulation_with(
@@ -241,6 +247,7 @@ pub fn cache_policies(opts: &Opts) -> Result<Table> {
         format!("Ablation A4: cache policies (n={nodes}, c={cache}, m={items}, {queries} queries)"),
         &["policy", "zipf_hit", "zipf_gain", "adv_hit", "adv_gain"],
     );
+    let base = sim(opts, nodes, items, cache)?;
     let zipf = AccessPattern::zipf(1.01, items)?;
     let adversarial = AccessPattern::uniform_subset(cache as u64 + 1, items)?;
     for kind in CacheKind::ALL {
@@ -249,15 +256,11 @@ pub fn cache_policies(opts: &Opts) -> Result<Table> {
         }
         let mut row = vec![kind.name().to_string()];
         for pattern in [&zipf, &adversarial] {
-            let sim = SimConfig::builder()
-                .nodes(nodes)
+            let sim = base
+                .to_builder()
                 .cache_kind(kind)
-                .cache_capacity(cache)
-                .items(items)
                 .pattern(pattern.clone())
-                .partitioner(opts.partitioner)
-                .selector(opts.selector)
-                .seed(opts.seed ^ 0xAB4)
+                .seed(base.seed ^ 0xAB4)
                 .build()?;
             let report = run_query_simulation(&sim, queries)?;
             let hit = report.cache_stats.map(|s| s.hit_rate()).unwrap_or_default();
@@ -286,14 +289,11 @@ pub fn multi_frontend(opts: &Opts) -> Result<Table> {
     // front ends, so the routing mode decides whether it is absorbed.
     let frontends = 4usize;
     let x = (frontends * cache) as u64 + 1;
-    let cfg = SimConfig::builder()
-        .nodes(nodes)
-        .cache_capacity(cache)
-        .items(items)
+    let base = sim(opts, nodes, items, cache)?;
+    let cfg = base
+        .to_builder()
         .attack_x(x)
-        .partitioner(opts.partitioner)
-        .selector(opts.selector)
-        .seed(opts.seed ^ 0xA5)
+        .seed(base.seed ^ 0xA5)
         .build()?;
     let mut t = Table::new(
         format!(
@@ -334,14 +334,8 @@ pub fn cost_model(opts: &Opts) -> Result<Table> {
         (200, 200_000, 300, 500_000u64)
     };
     // Cache provisioned above c* so the pure-read attack is ineffective.
-    let cfg = SimConfig::builder()
-        .nodes(nodes)
-        .cache_capacity(cache)
-        .items(items)
-        .partitioner(opts.partitioner)
-        .selector(opts.selector)
-        .seed(opts.seed ^ 0xA6)
-        .build()?;
+    let base = sim(opts, nodes, items, cache)?;
+    let cfg = base.to_builder().seed(base.seed ^ 0xA6).build()?;
     let mut t = Table::new(
         format!(
             "Ablation A6: read/write cost mixes under the x = c+1 attack              (n={nodes}, c={cache} >= c*, m={items})"
@@ -391,21 +385,18 @@ pub fn zipf_sensitivity(opts: &Opts, book: &mut JournalBook) -> Result<Table> {
         format!("Ablation A7: Zipf skew vs load (n={nodes}, c={cache}, m={items})"),
         &["alpha", "cache_fraction", "max_gain"],
     );
+    let base = sim(opts, nodes, items, cache)?;
     for alpha in [0.6, 0.8, 0.9, 1.01, 1.2, 1.5] {
-        let cfg = SimConfig::builder()
-            .nodes(nodes)
-            .cache_capacity(cache)
-            .items(items)
+        let cfg = base
+            .to_builder()
             .pattern(AccessPattern::zipf(alpha, items)?)
-            .partitioner(opts.partitioner)
-            .selector(opts.selector)
-            .seed(opts.seed ^ 0xA7)
+            .seed(base.seed ^ 0xA7)
             .build()?;
         let out = repeat_rate_simulation_journaled(&cfg, &rule, opts.threads)?;
         book.push(format!("a7/alpha={alpha}"), out.journal);
         t.push_row(vec![
             format!("{alpha}"),
-            fmt_f(out.reports[0].cache_fraction()),
+            fmt_f(out.reports.first().map_or(0.0, LoadReport::cache_fraction)),
             fmt_f(out.aggregate.max_gain()),
         ]);
     }
@@ -426,16 +417,14 @@ pub fn rebalance_vs_cache(opts: &Opts) -> Result<Table> {
     } else {
         (1000, 1_000_000)
     };
-    let c_star = critical_cache_size(nodes, 3, &KParam::paper_fitted());
-    let mk = |cache: usize, pattern: AccessPattern| {
-        SimConfig::builder()
-            .nodes(nodes)
+    let base = sim(opts, nodes, items, 0)?;
+    let c_star = critical_cache_size(nodes, base.replication, &KParam::paper_fitted());
+    let mk = |cache: usize, pattern: &AccessPattern| {
+        base.to_builder()
             .cache_capacity(cache)
-            .items(items)
-            .pattern(pattern)
-            .seed(opts.seed ^ 0xA8)
+            .pattern(pattern.clone())
+            .seed(base.seed ^ 0xA8)
             .build()
-            .expect("A8 config is valid")
     };
     let mut t = Table::new(
         format!("Ablation A8: rebalancing vs caching (n={nodes}, m={items}, c* = {c_star})"),
@@ -455,7 +444,7 @@ pub fn rebalance_vs_cache(opts: &Opts) -> Result<Table> {
     for (wl_name, pattern) in &workloads {
         // Defense 1: no cache, greedy in-group rebalancing (tight target
         // so it chases even the balls-into-bins gap).
-        let uncached = mk(0, pattern.clone());
+        let uncached = mk(0, pattern)?;
         let assignments = collect_assignments(&uncached, 0)?;
         let rb_cfg = RebalanceConfig {
             target_ratio: 1.001,
@@ -469,7 +458,7 @@ pub fn rebalance_vs_cache(opts: &Opts) -> Result<Table> {
             outcome.migrations.len().to_string(),
         ]);
         // Defense 2: provisioned cache, no rebalancing.
-        let cached = mk(c_star, pattern.clone());
+        let cached = mk(c_star, pattern)?;
         let report = run_rate_simulation(&cached)?;
         t.push_row(vec![
             format!("cache (c = {c_star})"),
@@ -481,15 +470,16 @@ pub fn rebalance_vs_cache(opts: &Opts) -> Result<Table> {
     Ok(t)
 }
 
-/// Runs all ablations, collecting the journals of the repetition-based
-/// ones (A1, A2, A3, A7; the others are single-run query sims).
+/// Runs all ablations as the tables `ablation_a1` … `ablation_a8`,
+/// collecting the journals of the repetition-based ones (A1, A2, A3,
+/// A7; the others are single-run query sims).
 ///
 /// # Errors
 ///
 /// Propagates simulation errors.
-pub fn run_all_journaled(opts: &Opts) -> Result<(Vec<Table>, JournalBook)> {
+pub fn run_all_journaled(opts: &Opts) -> Result<GroupOutput> {
     let mut book = JournalBook::new();
-    let tables = vec![
+    let tables = [
         selection(opts, &mut book)?,
         partitioning(opts, &mut book)?,
         replication(opts, &mut book)?,
@@ -499,16 +489,10 @@ pub fn run_all_journaled(opts: &Opts) -> Result<(Vec<Table>, JournalBook)> {
         zipf_sensitivity(opts, &mut book)?,
         rebalance_vs_cache(opts)?,
     ];
-    Ok((tables, book))
-}
-
-/// Runs all ablations, discarding the journals.
-///
-/// # Errors
-///
-/// Propagates simulation errors.
-pub fn run_all(opts: &Opts) -> Result<Vec<Table>> {
-    Ok(run_all_journaled(opts)?.0)
+    let named = (1..)
+        .zip(tables)
+        .map(|(i, t)| (format!("ablation_a{i}"), t));
+    Ok((named.collect(), book))
 }
 
 #[cfg(test)]
@@ -693,5 +677,19 @@ mod tests {
         let rendered = t.render();
         assert!(rendered.contains("perfect"));
         assert!(rendered.contains("tinylfu"));
+    }
+
+    #[test]
+    fn rebalance_vs_cache_follows_the_selector_flag() {
+        // A8 overrides no substrate axis, so `--selector` reaches both
+        // its rebalancer's assignments and its cached rate runs.
+        let random = Opts {
+            selector: SelectorKind::Random,
+            ..fast_opts()
+        };
+        assert_ne!(
+            rebalance_vs_cache(&fast_opts()).unwrap(),
+            rebalance_vs_cache(&random).unwrap()
+        );
     }
 }

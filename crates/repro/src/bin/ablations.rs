@@ -2,23 +2,12 @@
 //! front-end fleets, operation costs, Zipf skew, rebalancing).
 
 use scp_repro::ablation::run_all_journaled;
-use scp_repro::output::save_journals;
+use scp_repro::output::emit;
 use scp_repro::Opts;
 
 fn main() {
     let opts = Opts::from_env();
-    let (tables, book) = run_all_journaled(&opts).unwrap_or_else(|e| {
-        eprintln!("ablations failed: {e}");
+    if !emit(&opts, "ablations", run_all_journaled(&opts)) {
         std::process::exit(1);
-    });
-    for (i, t) in tables.iter().enumerate() {
-        t.print();
-        println!();
-        let name = format!("ablation_a{}", i + 1);
-        match t.save_csv(&opts.out, &name) {
-            Ok(path) => println!("wrote {}", path.display()),
-            Err(e) => eprintln!("could not write CSV: {e}"),
-        }
     }
-    save_journals(opts.journal.as_deref(), "ablations", &book);
 }

@@ -2,10 +2,10 @@
 //! smallest cache at which the best-response attack gain drops to 1.0.
 //!
 //! Paper setup: 1000 back-end nodes, replication 3, 1e6 stored keys
-//! (`--fast`: 100 nodes, 1e5 keys); 200 repetitions per probe.
+//! (`--fast`: 100 nodes, 1e5 keys); 200 repetitions per probe (the
+//! bisection runs the `--runs` ceiling; `--ci-target` does not apply).
 
 use scp_repro::Opts;
-use scp_sim::config::SimConfig;
 use scp_sim::critical::find_critical_cache_size;
 use scp_sim::SimError;
 
@@ -15,18 +15,14 @@ fn run(opts: &Opts) -> Result<(), SimError> {
     } else {
         (1000, 1_000_000)
     };
-    let base = SimConfig::builder()
+    let base = opts
+        .sim()
         .nodes(nodes)
-        .replication(3)
         .items(items)
         .rate(1e6)
-        .cache_capacity(0)
         .attack_x(items)
-        .partitioner(opts.partitioner)
-        .selector(opts.selector)
-        .seed(opts.seed)
         .build()?;
-    let runs = opts.effective_runs(200);
+    let runs = opts.stop_rule(200).max_runs;
     let point = find_critical_cache_size(&base, runs, opts.threads)?;
     println!(
         "empirical critical cache size: c* = {} (gain {:.4} there, {} probes, n={nodes}, m={items}, {runs} runs)",

@@ -1,22 +1,17 @@
 //! Reproduces Figure 3(b): x-sweep with a provisioned (c = 2000) cache.
 
 use scp_repro::fig3::{run_journaled, table, Fig3Config};
-use scp_repro::output::{save_journals, JournalBook};
+use scp_repro::output::{emit, JournalBook};
 use scp_repro::Opts;
 
 fn main() {
     let opts = Opts::from_env();
-    let cfg = Fig3Config::paper(2000, &opts);
-    let mut book = JournalBook::new();
-    let rows = run_journaled(&cfg, &mut book).unwrap_or_else(|e| {
-        eprintln!("fig3b failed: {e}");
-        std::process::exit(1);
+    let outcome = Fig3Config::paper(2000, &opts).and_then(|cfg| {
+        let mut book = JournalBook::new();
+        let rows = run_journaled(&cfg, &mut book)?;
+        Ok((vec![("fig3b".to_owned(), table(&cfg, &rows))], book))
     });
-    let t = table(&cfg, &rows);
-    t.print();
-    match t.save_csv(&opts.out, "fig3b") {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("could not write CSV: {e}"),
+    if !emit(&opts, "fig3b", outcome) {
+        std::process::exit(1);
     }
-    save_journals(opts.journal.as_deref(), "fig3b", &book);
 }

@@ -1,22 +1,17 @@
 //! Reproduces Figure 4: access-pattern comparison across cluster sizes.
 
 use scp_repro::fig4::{run_journaled, table, Fig4Config};
-use scp_repro::output::{save_journals, JournalBook};
+use scp_repro::output::{emit, JournalBook};
 use scp_repro::Opts;
 
 fn main() {
     let opts = Opts::from_env();
-    let cfg = Fig4Config::paper(&opts);
-    let mut book = JournalBook::new();
-    let rows = run_journaled(&cfg, &mut book).unwrap_or_else(|e| {
-        eprintln!("fig4 failed: {e}");
-        std::process::exit(1);
+    let outcome = Fig4Config::paper(&opts).and_then(|cfg| {
+        let mut book = JournalBook::new();
+        let rows = run_journaled(&cfg, &mut book)?;
+        Ok((vec![("fig4".to_owned(), table(&cfg, &rows))], book))
     });
-    let t = table(&cfg, &rows);
-    t.print();
-    match t.save_csv(&opts.out, "fig4") {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("could not write CSV: {e}"),
+    if !emit(&opts, "fig4", outcome) {
+        std::process::exit(1);
     }
-    save_journals(opts.journal.as_deref(), "fig4", &book);
 }

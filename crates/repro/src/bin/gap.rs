@@ -2,24 +2,27 @@
 //! curve (see `scp_repro::gap`).
 
 use scp_repro::gap::{run, table_margin, table_pow, table_rotation, GapConfig};
+use scp_repro::output::{emit, JournalBook};
 use scp_repro::Opts;
 
 fn main() {
     let opts = Opts::from_env();
-    let cfg = GapConfig::paper(&opts);
-    let outcome = run(&cfg).unwrap_or_else(|e| {
-        eprintln!("gap failed: {e}");
-        std::process::exit(1);
+    let outcome = GapConfig::paper(&opts).and_then(|cfg| {
+        let outcome = run(&cfg)?;
+        let tables = vec![
+            (
+                "gap_margin".to_owned(),
+                table_margin(&cfg, &outcome.margins),
+            ),
+            (
+                "gap_rotation".to_owned(),
+                table_rotation(&cfg, &outcome.rotations),
+            ),
+            ("gap_pow".to_owned(), table_pow(&cfg, &outcome.pow)),
+        ];
+        Ok((tables, JournalBook::new()))
     });
-    for (table, name) in [
-        (table_margin(&cfg, &outcome.margins), "gap_margin"),
-        (table_rotation(&cfg, &outcome.rotations), "gap_rotation"),
-        (table_pow(&cfg, &outcome.pow), "gap_pow"),
-    ] {
-        table.print();
-        match table.save_csv(&opts.out, name) {
-            Ok(path) => println!("\nwrote {}\n", path.display()),
-            Err(e) => eprintln!("could not write {name}.csv: {e}"),
-        }
+    if !emit(&opts, "gap", outcome) {
+        std::process::exit(1);
     }
 }

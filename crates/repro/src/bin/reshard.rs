@@ -2,30 +2,27 @@
 //! scheme on a join/leave, and empirical `c*` drift across the epochs
 //! of a join→leave schedule (see `scp_repro::reshard`).
 
+use scp_repro::output::{emit, JournalBook};
 use scp_repro::reshard::{run, table_disruption, table_drift, ReshardConfig};
 use scp_repro::Opts;
 
 fn main() {
     let opts = Opts::from_env();
-    let cfg = ReshardConfig::paper(&opts);
-    let outcome = run(&cfg, opts.partitioner).unwrap_or_else(|e| {
-        eprintln!("reshard failed: {e}");
-        std::process::exit(1);
+    let outcome = ReshardConfig::paper(&opts).and_then(|cfg| {
+        let outcome = run(&cfg)?;
+        let tables = vec![
+            (
+                "reshard_disruption".to_owned(),
+                table_disruption(&cfg, &outcome.disruption),
+            ),
+            (
+                "reshard_cstar_drift".to_owned(),
+                table_drift(&cfg, &outcome.drift),
+            ),
+        ];
+        Ok((tables, JournalBook::new()))
     });
-    for (table, name) in [
-        (
-            table_disruption(&cfg, &outcome.disruption),
-            "reshard_disruption",
-        ),
-        (
-            table_drift(&cfg, opts.partitioner, &outcome.drift),
-            "reshard_cstar_drift",
-        ),
-    ] {
-        table.print();
-        match table.save_csv(&opts.out, name) {
-            Ok(path) => println!("\nwrote {}\n", path.display()),
-            Err(e) => eprintln!("could not write {name}.csv: {e}"),
-        }
+    if !emit(&opts, "reshard", outcome) {
+        std::process::exit(1);
     }
 }

@@ -7,75 +7,58 @@
 //! `k = 1.2`. Panel (a) uses `c = 200` (below the critical size), panel
 //! (b) `c = 2000` (above it).
 
-use crate::opts::{stop_rule, Opts};
 use crate::output::{fmt_f, JournalBook, Table};
-use crate::Result;
+use crate::{Opts, Result};
 use scp_core::bounds::{attack_gain_bound, KParam};
-use scp_sim::config::{CacheKind, PartitionerKind, SelectorKind, SimConfig};
+use scp_sim::config::SimConfig;
+use scp_sim::runner::StopRule;
 use scp_sim::sweep::{repeat_sweep_journaled, SweepPoint};
 
 /// Configuration of an x-sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fig3Config {
-    /// Back-end nodes `n`.
-    pub nodes: usize,
-    /// Replication factor `d`.
-    pub replication: usize,
-    /// Stored items `m`.
-    pub items: u64,
-    /// Client rate `R`.
-    pub rate: f64,
-    /// Cache size `c`.
-    pub cache: usize,
-    /// Sweep points (all must exceed `cache`).
-    pub x_values: Vec<u64>,
+    /// The system under attack: `n`, `d`, `m`, `R`, the cache size `c`
+    /// and the substrate flags.
+    pub base: SimConfig,
     /// Repetitions per point.
-    pub runs: usize,
-    /// Target gain CI half-width for adaptive stopping (0 = fixed runs).
-    pub ci_target: f64,
+    pub rule: StopRule,
     /// Worker threads (0 = all).
     pub threads: usize,
-    /// Master seed.
-    pub seed: u64,
+    /// Sweep points (all must exceed the cache size).
+    pub x_values: Vec<u64>,
     /// Bound constant for the reference curve.
     pub k: KParam,
-    /// Front-end cache policy.
-    pub cache_kind: CacheKind,
-    /// Partitioning scheme.
-    pub partitioner: PartitionerKind,
-    /// Replica selection rule.
-    pub selector: SelectorKind,
 }
 
 impl Fig3Config {
     /// The paper's configuration for the given cache size (`--fast`
     /// shrinks the cluster and key space by 10x).
-    pub fn paper(cache: usize, opts: &Opts) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// Rejects an invalid base system.
+    pub fn paper(cache: usize, opts: &Opts) -> Result<Self> {
         let (nodes, items, cache) = if opts.fast {
             (100, 100_000, cache / 10)
         } else {
             (1000, 1_000_000, cache)
         };
-        Self {
-            nodes,
-            replication: 3,
-            items,
-            rate: 1e5,
+        Ok(Self {
+            base: opts
+                .sim()
+                .nodes(nodes)
+                .items(items)
+                .cache_capacity(cache)
+                .build()?,
+            rule: opts.stop_rule(200),
+            threads: opts.threads,
             // 60 log-spaced points: with the incremental sweep engine an
             // additional grid point costs amortized O(Δx), so the curve
             // can afford to be dense (the per-point engine priced grids
             // at O(x) per point, which kept this at 15).
             x_values: log_spaced(cache as u64 + 1, items, 60),
-            cache,
-            runs: opts.effective_runs(200),
-            ci_target: opts.ci_target,
-            threads: opts.threads,
-            seed: opts.seed,
             k: KParam::paper_fitted(),
-            cache_kind: opts.cache,
-            partitioner: opts.partitioner,
-            selector: opts.selector,
-        }
+        })
     }
 }
 
@@ -99,13 +82,15 @@ pub fn log_spaced(lo: u64, hi: u64, points: usize) -> Vec<u64> {
     assert!(lo >= 1 && hi >= lo && points >= 2);
     let (flo, fhi) = (lo as f64, hi as f64);
     let mut out: Vec<u64> = (0..points)
-        .map(|i| {
-            let t = i as f64 / (points - 1) as f64;
-            (flo * (fhi / flo).powf(t)).round() as u64
+        .map(|i| match i {
+            0 => lo,
+            i if i == points - 1 => hi,
+            i => {
+                let t = i as f64 / (points - 1) as f64;
+                (flo * (fhi / flo).powf(t)).round() as u64
+            }
         })
         .collect();
-    out[0] = lo;
-    *out.last_mut().expect("non-empty") = hi;
     out.dedup();
     out
 }
@@ -119,37 +104,27 @@ pub fn log_spaced(lo: u64, hi: u64, points: usize) -> Vec<u64> {
 ///
 /// # Errors
 ///
-/// Propagates simulation errors.
+/// Propagates simulation errors. The sweep engine models the steady-state
+/// oracle only, so a base with a policy other than `perfect`/`none` or
+/// with online admission fails here.
 pub fn run_journaled(cfg: &Fig3Config, book: &mut JournalBook) -> Result<Vec<Fig3Row>> {
-    let rule = stop_rule(cfg.runs, cfg.ci_target);
-    let base = SimConfig::builder()
-        .nodes(cfg.nodes)
-        .replication(cfg.replication)
-        .cache_kind(cfg.cache_kind)
-        .cache_capacity(cfg.cache)
-        .items(cfg.items)
-        .rate(cfg.rate)
-        .attack_x(
-            *cfg.x_values
-                .first()
-                .ok_or_else(|| scp_sim::SimError::InvalidConfig {
-                    field: "x_values",
-                    reason: "empty sweep grid".to_owned(),
-                })?,
-        )
-        .partitioner(cfg.partitioner)
-        .selector(cfg.selector)
-        .seed(cfg.seed)
-        .build()?;
+    let first = cfg
+        .x_values
+        .first()
+        .ok_or_else(|| scp_sim::SimError::InvalidConfig {
+            field: "x_values",
+            reason: "empty sweep grid".to_owned(),
+        })?;
+    let base = cfg.base.to_builder().attack_x(*first).build()?;
     let points: Vec<SweepPoint> = cfg
         .x_values
         .iter()
         .map(|&x| SweepPoint {
-            cache: cfg.cache,
+            cache: base.cache_capacity,
             x,
         })
         .collect();
-    let swept = repeat_sweep_journaled(&base, &points, &rule, cfg.threads)?;
+    let swept = repeat_sweep_journaled(&base, &points, &cfg.rule, cfg.threads)?;
     let mut rows = Vec::with_capacity(cfg.x_values.len());
     for run in swept {
         let x = run.point.x;
@@ -166,21 +141,16 @@ pub fn run_journaled(cfg: &Fig3Config, book: &mut JournalBook) -> Result<Vec<Fig
     Ok(rows)
 }
 
-/// Runs the sweep, discarding the journals.
-///
-/// # Errors
-///
-/// Propagates simulation errors.
-pub fn run(cfg: &Fig3Config) -> Result<Vec<Fig3Row>> {
-    run_journaled(cfg, &mut JournalBook::new())
-}
-
 /// Renders the sweep as a table.
 pub fn table(cfg: &Fig3Config, rows: &[Fig3Row]) -> Table {
     let mut t = Table::new(
         format!(
             "Figure 3 (cache={}): normalized max load vs x (n={}, d={}, m={}, {} runs)",
-            cfg.cache, cfg.nodes, cfg.replication, cfg.items, cfg.runs
+            cfg.base.cache_capacity,
+            cfg.base.nodes,
+            cfg.base.replication,
+            cfg.base.items,
+            cfg.rule.max_runs
         ),
         &[
             "x",
@@ -207,24 +177,27 @@ pub fn table(cfg: &Fig3Config, rows: &[Fig3Row]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scp_sim::config::AdmissionKind;
 
     fn tiny(cache: usize) -> Fig3Config {
         Fig3Config {
-            nodes: 50,
-            replication: 3,
-            items: 20_000,
-            rate: 1e4,
-            cache,
-            x_values: log_spaced(cache as u64 + 1, 20_000, 6),
-            runs: 8,
-            ci_target: 0.0,
+            base: SimConfig::builder()
+                .nodes(50)
+                .items(20_000)
+                .rate(1e4)
+                .cache_capacity(cache)
+                .seed(1)
+                .build()
+                .unwrap(),
+            rule: StopRule::fixed(8),
             threads: 0,
-            seed: 1,
+            x_values: log_spaced(cache as u64 + 1, 20_000, 6),
             k: KParam::paper_fitted(),
-            cache_kind: CacheKind::Perfect,
-            partitioner: PartitionerKind::Hash,
-            selector: SelectorKind::LeastLoaded,
         }
+    }
+
+    fn run(cfg: &Fig3Config) -> Vec<Fig3Row> {
+        run_journaled(cfg, &mut JournalBook::new()).unwrap()
     }
 
     #[test]
@@ -240,8 +213,7 @@ mod tests {
     fn small_cache_panel_shape() {
         // c far below c* (1.2*50+1 = 61): decreasing gains, effective at
         // x = c+1.
-        let cfg = tiny(20);
-        let rows = run(&cfg).unwrap();
+        let rows = run(&tiny(20));
         assert!(rows[0].sim_max_gain > 1.0, "x=c+1 must be effective");
         let last = rows.last().unwrap();
         assert!(
@@ -253,8 +225,7 @@ mod tests {
     #[test]
     fn large_cache_panel_shape() {
         // c above c*: gain below 1 everywhere, increasing toward x=m.
-        let cfg = tiny(100);
-        let rows = run(&cfg).unwrap();
+        let rows = run(&tiny(100));
         for r in &rows {
             assert!(r.sim_max_gain <= 1.05, "x={} gain {}", r.x, r.sim_max_gain);
         }
@@ -267,8 +238,7 @@ mod tests {
         // the paper's visual fit, the theoretical k must dominate the
         // mean across runs (the max-over-runs can poke slightly above).
         for cache in [20usize, 100] {
-            let cfg = tiny(cache);
-            for r in run(&cfg).unwrap() {
+            for r in run(&tiny(cache)) {
                 assert!(
                     r.bound_theory >= r.sim_mean_gain - 0.1,
                     "theory bound {} below mean {} at x={} (c={cache})",
@@ -284,7 +254,7 @@ mod tests {
     #[test]
     fn table_has_row_per_point() {
         let cfg = tiny(20);
-        let rows = run(&cfg).unwrap();
+        let rows = run(&cfg);
         let t = table(&cfg, &rows);
         assert_eq!(t.len(), rows.len());
     }
@@ -296,7 +266,7 @@ mod tests {
         let rows = run_journaled(&cfg, &mut book).unwrap();
         assert_eq!(book.len(), rows.len());
         for j in book.journals() {
-            assert_eq!(j.len(), cfg.runs);
+            assert_eq!(j.len(), cfg.rule.max_runs);
             assert!(!j.stopping.stopped_early);
         }
         let labels: Vec<&str> = book.labels().collect();
@@ -308,18 +278,23 @@ mod tests {
         // A generous CI target lets most points stop early; every journal
         // must still hold at least the floor and at most the ceiling.
         let mut cfg = tiny(20);
-        cfg.runs = 16;
-        cfg.ci_target = 0.5;
+        cfg.rule = Opts {
+            runs: 16,
+            ci_target: 0.5,
+            ..Opts::default()
+        }
+        .stop_rule(200);
         let mut book = JournalBook::new();
         run_journaled(&cfg, &mut book).unwrap();
-        let floor = crate::opts::stop_rule(cfg.runs, cfg.ci_target).min_runs;
+        let (floor, ceiling) = (cfg.rule.min_runs, cfg.rule.max_runs);
+        assert_eq!(ceiling, 16);
         for j in book.journals() {
             assert!(
-                j.len() >= floor && j.len() <= cfg.runs,
+                j.len() >= floor && j.len() <= ceiling,
                 "{} runs kept",
                 j.len()
             );
-            assert_eq!(j.stopping.stopped_early, j.len() < cfg.runs);
+            assert_eq!(j.stopping.stopped_early, j.len() < ceiling);
         }
         assert!(
             book.journals().any(|j| j.stopping.stopped_early),
@@ -335,11 +310,27 @@ mod tests {
                 fast: true,
                 ..Opts::default()
             },
-        );
-        assert_eq!(fast.nodes, 100);
-        assert_eq!(fast.cache, 20);
-        let full = Fig3Config::paper(200, &Opts::default());
-        assert_eq!(full.nodes, 1000);
-        assert_eq!(full.runs, 200);
+        )
+        .unwrap();
+        assert_eq!(fast.base.nodes, 100);
+        assert_eq!(fast.base.cache_capacity, 20);
+        let full = Fig3Config::paper(200, &Opts::default()).unwrap();
+        assert_eq!(full.base.nodes, 1000);
+        assert_eq!(full.rule.max_runs, 200);
+    }
+
+    #[test]
+    fn online_admission_reaches_the_sweep_engine() {
+        // `--admission online` must not fall back to oracle rows: the
+        // sweep engine cannot model the learned cache and says so.
+        let opts = Opts {
+            fast: true,
+            runs: 2,
+            admission: AdmissionKind::Online,
+            ..Opts::default()
+        };
+        let cfg = Fig3Config::paper(200, &opts).unwrap();
+        let err = run_journaled(&cfg, &mut JournalBook::new()).unwrap_err();
+        assert!(err.to_string().contains("cache_kind"), "{err}");
     }
 }

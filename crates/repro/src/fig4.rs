@@ -7,71 +7,48 @@
 //! pattern (`x = c + 1` equal-rate keys) concentrates uncached load and
 //! grows roughly linearly with `n`.
 
-use crate::opts::{stop_rule, Opts};
 use crate::output::{fmt_f, JournalBook, Table};
-use crate::Result;
-use scp_sim::config::{AdmissionKind, CacheKind, PartitionerKind, SelectorKind, SimConfig};
-use scp_sim::runner::repeat_rate_simulation_journaled;
+use crate::{Opts, Result};
+use scp_sim::config::{AdmissionKind, CacheKind, SimConfig};
+use scp_sim::runner::{repeat_rate_simulation_journaled, JournaledRun, StopRule};
 use scp_sim::sweep::{repeat_sweep_journaled, SweepPoint};
 use scp_workload::AccessPattern;
 
 /// Configuration of the n-sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fig4Config {
-    /// Node counts to sweep.
-    pub node_counts: Vec<usize>,
-    /// Replication factor `d`.
-    pub replication: usize,
-    /// Stored items `m`.
-    pub items: u64,
-    /// Client rate `R`.
-    pub rate: f64,
-    /// Cache size `c`.
-    pub cache: usize,
-    /// Zipf exponent for the organic workload.
-    pub zipf_alpha: f64,
+    /// The system: `d`, `m`, `R`, the cache size `c` and the substrate
+    /// flags (its node count is replaced by each of `node_counts`).
+    pub base: SimConfig,
     /// Repetitions per point.
-    pub runs: usize,
-    /// Target gain CI half-width for adaptive stopping (0 = fixed runs).
-    pub ci_target: f64,
+    pub rule: StopRule,
     /// Worker threads (0 = all).
     pub threads: usize,
-    /// Master seed.
-    pub seed: u64,
-    /// Front-end cache policy.
-    pub cache_kind: CacheKind,
-    /// Oracle-informed vs online-learned cache admission.
-    pub admission: AdmissionKind,
-    /// Partitioning scheme.
-    pub partitioner: PartitionerKind,
-    /// Replica selection rule.
-    pub selector: SelectorKind,
+    /// Node counts to sweep.
+    pub node_counts: Vec<usize>,
+    /// Zipf exponent for the organic workload.
+    pub zipf_alpha: f64,
 }
 
 impl Fig4Config {
     /// The paper's configuration (`--fast` shrinks key space and sweep).
-    pub fn paper(opts: &Opts) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// Rejects an invalid base system.
+    pub fn paper(opts: &Opts) -> Result<Self> {
         let (node_counts, items) = if opts.fast {
             (vec![50, 100, 200, 400], 100_000)
         } else {
             (vec![100, 200, 500, 1000, 2000, 5000, 10_000], 1_000_000)
         };
-        Self {
-            node_counts,
-            replication: 3,
-            items,
-            rate: 1e5,
-            cache: 100,
-            zipf_alpha: 1.01,
-            runs: opts.effective_runs(20),
-            ci_target: opts.ci_target,
+        Ok(Self {
+            base: opts.sim().items(items).cache_capacity(100).build()?,
+            rule: opts.stop_rule(20),
             threads: opts.threads,
-            seed: opts.seed,
-            cache_kind: opts.cache,
-            admission: opts.admission,
-            partitioner: opts.partitioner,
-            selector: opts.selector,
-        }
+            node_counts,
+            zipf_alpha: 1.01,
+        })
     }
 }
 
@@ -88,31 +65,63 @@ pub struct Fig4Row {
     pub adversarial: f64,
 }
 
-fn gain_for(
-    base: &Fig4Config,
+/// One rate-engine data point at `n` nodes under `pattern`.
+fn rate_point(
+    cfg: &Fig4Config,
     n: usize,
     pattern: AccessPattern,
     salt: u64,
-    label: &str,
-    book: &mut JournalBook,
-) -> Result<f64> {
-    let sim = SimConfig::builder()
+) -> Result<JournaledRun> {
+    let sim = cfg
+        .base
+        .to_builder()
         .nodes(n)
-        .replication(base.replication)
-        .cache_kind(base.cache_kind)
-        .admission(base.admission)
-        .cache_capacity(base.cache)
-        .items(base.items)
-        .rate(base.rate)
         .pattern(pattern)
-        .partitioner(base.partitioner)
-        .selector(base.selector)
-        .seed(base.seed ^ (n as u64) ^ (salt << 32))
+        .seed(cfg.base.seed ^ (n as u64) ^ (salt << 32))
         .build()?;
-    let rule = stop_rule(base.runs, base.ci_target);
-    let out = repeat_rate_simulation_journaled(&sim, &rule, base.threads)?;
-    book.push(format!("n={n}/{label}"), out.journal);
-    Ok(out.aggregate.max_gain())
+    repeat_rate_simulation_journaled(&sim, &cfg.rule, cfg.threads)
+}
+
+/// The equal-rate plays at `n` nodes — the whole key space and
+/// `x = adversarial_x` — from one incremental sweep over shared per-run
+/// partitions.
+fn sweep_pair(
+    cfg: &Fig4Config,
+    n: usize,
+    adversarial_x: u64,
+) -> Result<(JournaledRun, JournaledRun)> {
+    let (items, cache) = (cfg.base.items, cfg.base.cache_capacity);
+    let base = cfg
+        .base
+        .to_builder()
+        .nodes(n)
+        .attack_x(items)
+        .seed(cfg.base.seed ^ (n as u64))
+        .build()?;
+    let mut points = vec![SweepPoint { cache, x: items }];
+    if adversarial_x < items {
+        points.insert(
+            0,
+            SweepPoint {
+                cache,
+                x: adversarial_x,
+            },
+        );
+    }
+    let mut swept = repeat_sweep_journaled(&base, &points, &cfg.rule, cfg.threads)?;
+    let uniform = swept
+        .pop()
+        .ok_or_else(|| scp_sim::SimError::InvalidConfig {
+            field: "points",
+            reason: "internal: sweep returned no plays".to_owned(),
+        })?
+        .journaled;
+    // `x = c + 1` saturates to the whole key space: same play.
+    let adversarial = match swept.pop() {
+        Some(run) => run.journaled,
+        None => uniform.clone(),
+    };
+    Ok((uniform, adversarial))
 }
 
 /// Runs the sweep, collecting one journal per `(n, pattern)` data point
@@ -127,113 +136,44 @@ fn gain_for(
 ///
 /// Propagates simulation errors.
 pub fn run_journaled(cfg: &Fig4Config, book: &mut JournalBook) -> Result<Vec<Fig4Row>> {
-    let rule = stop_rule(cfg.runs, cfg.ci_target);
+    let items = cfg.base.items;
+    let adversarial_x = (cfg.base.cache_capacity as u64 + 1).min(items);
     // The incremental sweep models the steady-state oracle; under online
     // admission the equal-rate rows fall back to the per-point rate
     // engine, whose online path measures the learned cache empirically.
-    let online = cfg.admission == AdmissionKind::Online && cfg.cache_kind != CacheKind::None;
+    let online =
+        cfg.base.admission == AdmissionKind::Online && cfg.base.cache_kind != CacheKind::None;
     let mut rows = Vec::with_capacity(cfg.node_counts.len());
     for &n in &cfg.node_counts {
-        let adversarial_x = (cfg.cache as u64 + 1).min(cfg.items);
-        if online {
-            let uniform = gain_for(
-                cfg,
-                n,
-                AccessPattern::uniform_subset(cfg.items, cfg.items)?,
-                0,
-                "uniform",
-                book,
-            )?;
-            let zipf = gain_for(
-                cfg,
-                n,
-                AccessPattern::zipf(cfg.zipf_alpha, cfg.items)?,
-                2,
-                "zipf",
-                book,
-            )?;
-            let adversarial = gain_for(
-                cfg,
-                n,
-                AccessPattern::uniform_subset(adversarial_x, cfg.items)?,
-                1,
-                "adversarial",
-                book,
-            )?;
-            rows.push(Fig4Row {
-                nodes: n,
-                uniform,
-                zipf,
-                adversarial,
-            });
-            continue;
-        }
-        let base = SimConfig::builder()
-            .nodes(n)
-            .replication(cfg.replication)
-            .cache_kind(cfg.cache_kind)
-            .admission(cfg.admission)
-            .cache_capacity(cfg.cache)
-            .items(cfg.items)
-            .rate(cfg.rate)
-            .attack_x(cfg.items)
-            .partitioner(cfg.partitioner)
-            .selector(cfg.selector)
-            .seed(cfg.seed ^ (n as u64))
-            .build()?;
-        let mut points = vec![SweepPoint {
-            cache: cfg.cache,
-            x: cfg.items,
-        }];
-        if adversarial_x < cfg.items {
-            points.insert(
-                0,
-                SweepPoint {
-                    cache: cfg.cache,
-                    x: adversarial_x,
-                },
-            );
-        }
-        let mut swept = repeat_sweep_journaled(&base, &points, &rule, cfg.threads)?;
-        let Some(uniform_run) = swept.pop() else {
-            return Err(scp_sim::SimError::InvalidConfig {
-                field: "points",
-                reason: "internal: sweep returned no plays".to_owned(),
-            });
+        let (uniform, adversarial) = if online {
+            (
+                rate_point(cfg, n, AccessPattern::uniform_subset(items, items)?, 0)?,
+                rate_point(
+                    cfg,
+                    n,
+                    AccessPattern::uniform_subset(adversarial_x, items)?,
+                    1,
+                )?,
+            )
+        } else {
+            sweep_pair(cfg, n, adversarial_x)?
         };
-        let uniform = uniform_run.journaled.aggregate.max_gain();
-        // `x = c + 1` saturates to the whole key space: same play.
-        let (adversarial, adversarial_journal) = match swept.pop() {
-            Some(run) => (run.journaled.aggregate.max_gain(), run.journaled.journal),
-            None => (uniform, uniform_run.journaled.journal.clone()),
-        };
-        book.push(format!("n={n}/uniform"), uniform_run.journaled.journal);
-        let zipf = gain_for(
-            cfg,
-            n,
-            AccessPattern::zipf(cfg.zipf_alpha, cfg.items)?,
-            2,
-            "zipf",
-            book,
-        )?;
-        book.push(format!("n={n}/adversarial"), adversarial_journal);
+        let zipf = rate_point(cfg, n, AccessPattern::zipf(cfg.zipf_alpha, items)?, 2)?;
         rows.push(Fig4Row {
             nodes: n,
-            uniform,
-            zipf,
-            adversarial,
+            uniform: uniform.aggregate.max_gain(),
+            zipf: zipf.aggregate.max_gain(),
+            adversarial: adversarial.aggregate.max_gain(),
         });
+        for (label, run) in [
+            ("uniform", uniform),
+            ("zipf", zipf),
+            ("adversarial", adversarial),
+        ] {
+            book.push(format!("n={n}/{label}"), run.journal);
+        }
     }
     Ok(rows)
-}
-
-/// Runs the sweep, discarding the journals.
-///
-/// # Errors
-///
-/// Propagates simulation errors.
-pub fn run(cfg: &Fig4Config) -> Result<Vec<Fig4Row>> {
-    run_journaled(cfg, &mut JournalBook::new())
 }
 
 /// Renders the sweep as a table.
@@ -241,7 +181,11 @@ pub fn table(cfg: &Fig4Config, rows: &[Fig4Row]) -> Table {
     let mut t = Table::new(
         format!(
             "Figure 4: normalized max load vs n (c={}, d={}, m={}, Zipf({}), {} runs)",
-            cfg.cache, cfg.replication, cfg.items, cfg.zipf_alpha, cfg.runs
+            cfg.base.cache_capacity,
+            cfg.base.replication,
+            cfg.base.items,
+            cfg.zipf_alpha,
+            cfg.rule.max_runs
         ),
         &["n", "uniform", "zipf", "adversarial"],
     );
@@ -262,21 +206,22 @@ mod tests {
 
     fn tiny() -> Fig4Config {
         Fig4Config {
-            node_counts: vec![50, 100, 200],
-            replication: 3,
-            items: 20_000,
-            rate: 1e4,
-            cache: 20,
-            zipf_alpha: 1.01,
-            runs: 5,
-            ci_target: 0.0,
+            base: SimConfig::builder()
+                .items(20_000)
+                .rate(1e4)
+                .cache_capacity(20)
+                .seed(2)
+                .build()
+                .unwrap(),
+            rule: StopRule::fixed(5),
             threads: 0,
-            seed: 2,
-            cache_kind: CacheKind::Perfect,
-            admission: AdmissionKind::Oracle,
-            partitioner: PartitionerKind::Hash,
-            selector: SelectorKind::LeastLoaded,
+            node_counts: vec![50, 100, 200],
+            zipf_alpha: 1.01,
         }
+    }
+
+    fn run(cfg: &Fig4Config) -> Vec<Fig4Row> {
+        run_journaled(cfg, &mut JournalBook::new()).unwrap()
     }
 
     #[test]
@@ -284,9 +229,9 @@ mod tests {
         // The sweep cannot model online admission; the fallback must
         // produce clean, journaled rows for every pattern.
         let mut cfg = tiny();
-        cfg.admission = AdmissionKind::Online;
+        cfg.base.admission = AdmissionKind::Online;
         cfg.node_counts = vec![50];
-        cfg.runs = 2;
+        cfg.rule = StopRule::fixed(2);
         let mut book = JournalBook::new();
         let rows = run_journaled(&cfg, &mut book).unwrap();
         assert_eq!(rows.len(), 1);
@@ -304,7 +249,7 @@ mod tests {
 
     #[test]
     fn adversarial_dominates_and_grows_with_n() {
-        let rows = run(&tiny()).unwrap();
+        let rows = run(&tiny());
         for r in &rows {
             assert!(
                 r.adversarial >= r.uniform,
@@ -326,7 +271,7 @@ mod tests {
 
     #[test]
     fn organic_patterns_stay_benign() {
-        for r in run(&tiny()).unwrap() {
+        for r in run(&tiny()) {
             assert!(
                 r.uniform < 1.6,
                 "uniform gain {} at n={}",
@@ -344,23 +289,22 @@ mod tests {
         // direct run that Zipf's backend fraction is smaller.
         let cfg = tiny();
         let mk = |pattern| {
-            SimConfig::builder()
+            cfg.base
+                .to_builder()
                 .nodes(100)
-                .cache_capacity(cfg.cache)
-                .items(cfg.items)
-                .rate(cfg.rate)
                 .pattern(pattern)
                 .seed(3)
                 .build()
                 .unwrap()
         };
         let zipf = scp_sim::rate_engine::run_rate_simulation(&mk(AccessPattern::zipf(
-            1.01, cfg.items,
+            1.01,
+            cfg.base.items,
         )
         .unwrap()))
         .unwrap();
         let uniform = scp_sim::rate_engine::run_rate_simulation(&mk(AccessPattern::uniform(
-            cfg.items,
+            cfg.base.items,
         )
         .unwrap()))
         .unwrap();
@@ -370,7 +314,7 @@ mod tests {
     #[test]
     fn table_shape() {
         let cfg = tiny();
-        let rows = run(&cfg).unwrap();
+        let rows = run(&cfg);
         assert_eq!(table(&cfg, &rows).len(), 3);
     }
 
@@ -384,7 +328,7 @@ mod tests {
         assert!(labels.contains(&"n=50/uniform"));
         assert!(labels.contains(&"n=200/adversarial"));
         for j in book.journals() {
-            assert_eq!(j.len(), cfg.runs);
+            assert_eq!(j.len(), cfg.rule.max_runs);
         }
     }
 
@@ -393,8 +337,9 @@ mod tests {
         let fast = Fig4Config::paper(&Opts {
             fast: true,
             ..Opts::default()
-        });
-        assert!(fast.items < 1_000_000);
+        })
+        .unwrap();
+        assert!(fast.base.items < 1_000_000);
         assert!(fast.node_counts.len() < 7);
     }
 }

@@ -6,47 +6,36 @@
 //! bound `c* = n·k + 1`. Panel (b): the number of keys the best adversary
 //! queries — `c + 1` below the critical point, the whole key space above.
 
-use crate::opts::{stop_rule, Opts};
 use crate::output::{fmt_f, JournalBook, Table};
-use crate::Result;
+use crate::{Opts, Result};
 use scp_core::bounds::{critical_cache_size, KParam};
-use scp_sim::config::{CacheKind, PartitionerKind, SelectorKind, SimConfig};
+use scp_sim::config::SimConfig;
+use scp_sim::runner::StopRule;
 use scp_sim::sweep::{repeat_sweep_journaled, SweepPoint};
 
 /// Configuration of the cache-size sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fig5Config {
-    /// Back-end nodes `n`.
-    pub nodes: usize,
-    /// Replication factor `d`.
-    pub replication: usize,
-    /// Stored items `m`.
-    pub items: u64,
-    /// Client rate `R`.
-    pub rate: f64,
-    /// Cache sizes to sweep.
-    pub cache_sizes: Vec<usize>,
+    /// The system: `n`, `d`, `m`, `R` and the substrate flags (its cache
+    /// size is replaced by each of `cache_sizes`).
+    pub base: SimConfig,
     /// Repetitions per point.
-    pub runs: usize,
-    /// Target gain CI half-width for adaptive stopping (0 = fixed runs).
-    pub ci_target: f64,
+    pub rule: StopRule,
     /// Worker threads (0 = all).
     pub threads: usize,
-    /// Master seed.
-    pub seed: u64,
+    /// Cache sizes to sweep.
+    pub cache_sizes: Vec<usize>,
     /// Bound constant for the reference `c*`.
     pub k: KParam,
-    /// Front-end cache policy.
-    pub cache_kind: CacheKind,
-    /// Partitioning scheme.
-    pub partitioner: PartitionerKind,
-    /// Replica selection rule.
-    pub selector: SelectorKind,
 }
 
 impl Fig5Config {
     /// The paper's configuration (`--fast` shrinks everything 10x).
-    pub fn paper(opts: &Opts) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// Rejects an invalid base system.
+    pub fn paper(opts: &Opts) -> Result<Self> {
         let (nodes, items, cache_sizes) = if opts.fast {
             (
                 100,
@@ -63,21 +52,13 @@ impl Fig5Config {
                 ],
             )
         };
-        Self {
-            nodes,
-            replication: 3,
-            items,
-            rate: 1e5,
-            cache_sizes,
-            runs: opts.effective_runs(20),
-            ci_target: opts.ci_target,
+        Ok(Self {
+            base: opts.sim().nodes(nodes).items(items).build()?,
+            rule: opts.stop_rule(20),
             threads: opts.threads,
-            seed: opts.seed,
+            cache_sizes,
             k: KParam::paper_fitted(),
-            cache_kind: opts.cache,
-            partitioner: opts.partitioner,
-            selector: opts.selector,
-        }
+        })
     }
 }
 
@@ -118,45 +99,38 @@ pub struct Fig5Outcome {
 ///
 /// # Errors
 ///
-/// Propagates simulation errors.
+/// Propagates simulation errors. The sweep engine models the steady-state
+/// oracle only, so a base with a policy other than `perfect`/`none` or
+/// with online admission fails here.
 pub fn run_journaled(cfg: &Fig5Config, book: &mut JournalBook) -> Result<Fig5Outcome> {
-    let bound_critical = critical_cache_size(cfg.nodes, cfg.replication, &cfg.k);
-    if cfg.cache_sizes.is_empty() {
+    let items = cfg.base.items;
+    let bound_critical = critical_cache_size(cfg.base.nodes, cfg.base.replication, &cfg.k);
+    let Some(&first) = cfg.cache_sizes.first() else {
         return Ok(Fig5Outcome {
             rows: Vec::new(),
             empirical_critical: None,
             bound_critical,
         });
-    }
-    let rule = stop_rule(cfg.runs, cfg.ci_target);
-    let base = SimConfig::builder()
-        .nodes(cfg.nodes)
-        .replication(cfg.replication)
-        .cache_kind(cfg.cache_kind)
-        .cache_capacity(cfg.cache_sizes.first().copied().unwrap_or(0))
-        .items(cfg.items)
-        .rate(cfg.rate)
-        .attack_x(cfg.items)
-        .partitioner(cfg.partitioner)
-        .selector(cfg.selector)
-        .seed(cfg.seed)
+    };
+    let base = cfg
+        .base
+        .to_builder()
+        .cache_capacity(first)
+        .attack_x(items)
         .build()?;
     // Per cache size: the `x = c + 1` play when it is a distinct subset,
     // then the whole-key-space play.
     let mut points = Vec::with_capacity(2 * cfg.cache_sizes.len());
     for &c in &cfg.cache_sizes {
-        if (c as u64) + 1 < cfg.items {
+        if (c as u64) + 1 < items {
             points.push(SweepPoint {
                 cache: c,
                 x: c as u64 + 1,
             });
         }
-        points.push(SweepPoint {
-            cache: c,
-            x: cfg.items,
-        });
+        points.push(SweepPoint { cache: c, x: items });
     }
-    let swept = repeat_sweep_journaled(&base, &points, &rule, cfg.threads)?;
+    let swept = repeat_sweep_journaled(&base, &points, &cfg.rule, cfg.threads)?;
 
     let mut plays = swept.into_iter();
     let mut next_play = || {
@@ -169,7 +143,7 @@ pub fn run_journaled(cfg: &Fig5Config, book: &mut JournalBook) -> Result<Fig5Out
     };
     let mut rows = Vec::with_capacity(cfg.cache_sizes.len());
     for &c in &cfg.cache_sizes {
-        let small_run = if (c as u64) + 1 < cfg.items {
+        let small_run = if (c as u64) + 1 < items {
             Some(next_play()?)
         } else {
             None
@@ -179,17 +153,17 @@ pub fn run_journaled(cfg: &Fig5Config, book: &mut JournalBook) -> Result<Fig5Out
         let gain_small_x = match &small_run {
             Some(run) => run.journaled.aggregate.max_gain(),
             // `x = c + 1` saturates to the whole key space: same play.
-            None if (c as u64) < cfg.items => gain_all_keys,
+            None if (c as u64) < items => gain_all_keys,
             None => 0.0,
         };
         if let Some(run) = small_run {
             book.push(format!("c={c}/x={}", run.point.x), run.journaled.journal);
         }
-        book.push(format!("c={c}/x={}", cfg.items), all_run.journaled.journal);
+        book.push(format!("c={c}/x={items}"), all_run.journaled.journal);
         let (best_gain, best_x) = if gain_small_x >= gain_all_keys {
             (gain_small_x, c as u64 + 1)
         } else {
-            (gain_all_keys, cfg.items)
+            (gain_all_keys, items)
         };
         rows.push(Fig5Row {
             cache: c,
@@ -208,21 +182,15 @@ pub fn run_journaled(cfg: &Fig5Config, book: &mut JournalBook) -> Result<Fig5Out
     })
 }
 
-/// Runs the sweep, discarding the journals.
-///
-/// # Errors
-///
-/// Propagates simulation errors.
-pub fn run(cfg: &Fig5Config) -> Result<Fig5Outcome> {
-    run_journaled(cfg, &mut JournalBook::new())
-}
-
 fn find_crossing(rows: &[Fig5Row]) -> Option<f64> {
-    let below = rows.iter().position(|r| r.best_gain <= 1.0)?;
-    if below == 0 {
-        return Some(rows[0].cache as f64);
+    let first = rows.first()?;
+    if first.best_gain <= 1.0 {
+        return Some(first.cache as f64);
     }
-    let (a, b) = (&rows[below - 1], &rows[below]);
+    let (a, b) = rows
+        .iter()
+        .zip(rows.iter().skip(1))
+        .find(|(_, b)| b.best_gain <= 1.0)?;
     // Linear interpolation of the gain-1.0 crossing between the two sizes.
     let span = b.best_gain - a.best_gain;
     if span.abs() < 1e-12 {
@@ -238,10 +206,10 @@ pub fn table_panel_a(cfg: &Fig5Config, outcome: &Fig5Outcome) -> Table {
         format!(
             "Figure 5(a): best achievable normalized max load vs cache size \
              (n={}, d={}, m={}, {} runs; empirical critical ~ {}, bound c* = {})",
-            cfg.nodes,
-            cfg.replication,
-            cfg.items,
-            cfg.runs,
+            cfg.base.nodes,
+            cfg.base.replication,
+            cfg.base.items,
+            cfg.rule.max_runs,
             outcome
                 .empirical_critical
                 .map(|c| format!("{c:.0}"))
@@ -274,7 +242,7 @@ pub fn table_panel_b(cfg: &Fig5Config, outcome: &Fig5Outcome) -> Table {
         format!(
             "Figure 5(b): keys queried by the best adversary vs cache size \
              (n={}, d={}, m={})",
-            cfg.nodes, cfg.replication, cfg.items
+            cfg.base.nodes, cfg.base.replication, cfg.base.items
         ),
         &["cache", "best_x"],
     );
@@ -290,26 +258,28 @@ mod tests {
 
     fn tiny() -> Fig5Config {
         Fig5Config {
-            nodes: 50,
-            replication: 3,
-            items: 20_000,
-            rate: 1e4,
+            base: SimConfig::builder()
+                .nodes(50)
+                .items(20_000)
+                .rate(1e4)
+                .seed(4)
+                .build()
+                .unwrap(),
+            rule: StopRule::fixed(6),
+            threads: 0,
             // Theory c* (k=1.2) = 61.
             cache_sizes: vec![10, 30, 50, 70, 90, 120, 200],
-            runs: 6,
-            ci_target: 0.0,
-            threads: 0,
-            seed: 4,
             k: KParam::paper_fitted(),
-            cache_kind: CacheKind::Perfect,
-            partitioner: PartitionerKind::Hash,
-            selector: SelectorKind::LeastLoaded,
         }
+    }
+
+    fn run(cfg: &Fig5Config) -> Fig5Outcome {
+        run_journaled(cfg, &mut JournalBook::new()).unwrap()
     }
 
     #[test]
     fn best_gain_decreases_with_cache_size() {
-        let out = run(&tiny()).unwrap();
+        let out = run(&tiny());
         let gains: Vec<f64> = out.rows.iter().map(|r| r.best_gain).collect();
         // Allow small local noise but require overall monotone decline.
         assert!(gains.first().unwrap() > gains.last().unwrap());
@@ -319,7 +289,7 @@ mod tests {
 
     #[test]
     fn adversary_switches_from_small_x_to_whole_space() {
-        let out = run(&tiny()).unwrap();
+        let out = run(&tiny());
         let first = &out.rows[0];
         let last = out.rows.last().unwrap();
         assert_eq!(first.best_x, first.cache as u64 + 1);
@@ -328,7 +298,7 @@ mod tests {
 
     #[test]
     fn empirical_critical_is_near_bound() {
-        let out = run(&tiny()).unwrap();
+        let out = run(&tiny());
         let empirical = out.empirical_critical.expect("sweep crosses 1.0");
         let bound = out.bound_critical as f64; // 61
         assert!(
@@ -392,15 +362,29 @@ mod tests {
         assert!(labels.contains(&"c=10/x=11"));
         assert!(labels.contains(&"c=10/x=20000"));
         for j in book.journals() {
-            assert_eq!(j.len(), cfg.runs);
+            assert_eq!(j.len(), cfg.rule.max_runs);
         }
     }
 
     #[test]
     fn tables_render() {
         let cfg = tiny();
-        let out = run(&cfg).unwrap();
+        let out = run(&cfg);
         assert_eq!(table_panel_a(&cfg, &out).len(), out.rows.len());
         assert_eq!(table_panel_b(&cfg, &out).len(), out.rows.len());
+    }
+
+    #[test]
+    fn online_admission_reaches_the_sweep_engine() {
+        // `--admission online` must not fall back to oracle rows.
+        let opts = Opts {
+            fast: true,
+            runs: 2,
+            admission: scp_sim::config::AdmissionKind::Online,
+            ..Opts::default()
+        };
+        let cfg = Fig5Config::paper(&opts).unwrap();
+        let err = run_journaled(&cfg, &mut JournalBook::new()).unwrap_err();
+        assert!(err.to_string().contains("cache_kind"), "{err}");
     }
 }

@@ -18,6 +18,11 @@
 //!    `2^difficulty` hash attempts. A solving client pays the work
 //!    factor but keeps its hits; a workless attacker is rejected at
 //!    admission and its attack gain collapses to zero.
+//!
+//! The study fixes the cache kind (the perfect oracle, demoted to
+//! W-TinyLFU where it runs online) and sets the admission per
+//! experiment, so `--cache` and `--admission` do not reach it; the
+//! partitioner, selector and seed flags reach every run.
 
 use crate::opts::Opts;
 use crate::output::{fmt_f, Table};
@@ -31,16 +36,10 @@ use scp_workload::AccessPattern;
 /// Configuration of the three-part gap study.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GapConfig {
-    /// Back-end nodes `n`.
-    pub nodes: usize,
-    /// Replication factor `d`.
-    pub replication: usize,
-    /// Stored items `m`.
-    pub items: u64,
-    /// Client rate `R`.
-    pub rate: f64,
-    /// Cache size `c`.
-    pub cache: usize,
+    /// The system: `n`, `d`, `m`, `R`, the cache size `c` and the
+    /// partitioner, selector and seed flags. The study fixes the perfect
+    /// cache and sets the admission per experiment.
+    pub base: SimConfig,
     /// Zipf exponent of the organic workload.
     pub zipf_alpha: f64,
     /// Attacker working-set size `x` for the rotation sweep.
@@ -51,13 +50,15 @@ pub struct GapConfig {
     pub pow_difficulties: Vec<u32>,
     /// Queries per query-engine / serving run.
     pub queries: u64,
-    /// Master seed.
-    pub seed: u64,
 }
 
 impl GapConfig {
     /// The study's default configuration (`--fast` shrinks runs).
-    pub fn paper(opts: &Opts) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// Rejects an invalid base system.
+    pub fn paper(opts: &Opts) -> Result<Self> {
         let queries = if opts.fast { 200_000 } else { 600_000 };
         let rotation_periods = if opts.fast {
             vec![500, 2_000, 10_000]
@@ -69,19 +70,20 @@ impl GapConfig {
         } else {
             vec![0, 2, 4, 6, 8, 10]
         };
-        Self {
-            nodes: 50,
-            replication: 3,
-            items: 20_000,
-            rate: 1e4,
-            cache: 100,
+        Ok(Self {
+            base: opts
+                .sim()
+                .nodes(50)
+                .items(20_000)
+                .rate(1e4)
+                .cache_capacity(100)
+                .build()?,
             zipf_alpha: 1.01,
             attack_x: 500,
             rotation_periods,
             pow_difficulties,
             queries,
-            seed: opts.seed,
-        }
+        })
     }
 
     fn sim(
@@ -90,16 +92,12 @@ impl GapConfig {
         admission: AdmissionKind,
         salt: u64,
     ) -> Result<SimConfig> {
-        SimConfig::builder()
-            .nodes(self.nodes)
-            .replication(self.replication)
+        self.base
+            .to_builder()
             .cache_kind(CacheKind::Perfect)
             .admission(admission)
-            .cache_capacity(self.cache)
-            .items(self.items)
-            .rate(self.rate)
             .pattern(pattern)
-            .seed(self.seed ^ (salt << 24))
+            .seed(self.base.seed ^ (salt << 24))
             .build()
     }
 }
@@ -198,9 +196,9 @@ fn margin_row(
 
 fn rotation_row(cfg: &GapConfig, period: u64) -> Result<RotationRow> {
     let pattern = if period == 0 {
-        AccessPattern::uniform_subset(cfg.attack_x, cfg.items)?
+        AccessPattern::uniform_subset(cfg.attack_x, cfg.base.items)?
     } else {
-        AccessPattern::rotating_subset(cfg.attack_x, cfg.items, period)?
+        AccessPattern::rotating_subset(cfg.attack_x, cfg.base.items, period)?
     };
     // The serving path draws the identical query stream as the query
     // engine and additionally reports the sketch's halving resets.
@@ -224,7 +222,8 @@ fn rotation_row(cfg: &GapConfig, period: u64) -> Result<RotationRow> {
 fn pow_serve(cfg: &GapConfig, difficulty: u32, attacker: bool) -> Result<scp_serve::ServeReport> {
     // The shield targets the underprovisioned regime: a concentrated
     // x = c + 1 attack that the cache cannot absorb.
-    let pattern = AccessPattern::uniform_subset(cfg.cache as u64 + 1, cfg.items)?;
+    let pattern =
+        AccessPattern::uniform_subset(cfg.base.cache_capacity as u64 + 1, cfg.base.items)?;
     let sim = cfg.sim(pattern, AdmissionKind::Oracle, 3)?;
     let mut serve = ServeConfig::new(sim);
     serve.total_queries = cfg.queries.min(100_000);
@@ -268,9 +267,10 @@ fn pow_row(cfg: &GapConfig, difficulty: u32) -> Result<PowRow> {
 ///
 /// Propagates simulation and serving errors.
 pub fn run(cfg: &GapConfig) -> Result<GapOutcome> {
-    let zipf = AccessPattern::zipf(cfg.zipf_alpha, cfg.items)?;
-    let uniform = AccessPattern::uniform(cfg.items)?;
-    let adversarial = AccessPattern::uniform_subset(cfg.attack_x, cfg.items)?;
+    let items = cfg.base.items;
+    let zipf = AccessPattern::zipf(cfg.zipf_alpha, items)?;
+    let uniform = AccessPattern::uniform(items)?;
+    let adversarial = AccessPattern::uniform_subset(cfg.attack_x, items)?;
     let margins = vec![
         margin_row(cfg, "zipf", &zipf, 0)?,
         margin_row(cfg, "uniform", &uniform, 0)?,
@@ -301,7 +301,7 @@ pub fn table_margin(cfg: &GapConfig, rows: &[MarginRow]) -> Table {
     let mut t = Table::new(
         format!(
             "Admission gap 1/3: oracle vs online on stationary workloads (c={}, m={}, n={})",
-            cfg.cache, cfg.items, cfg.nodes
+            cfg.base.cache_capacity, cfg.base.items, cfg.base.nodes
         ),
         &[
             "pattern",
@@ -331,7 +331,7 @@ pub fn table_rotation(cfg: &GapConfig, rows: &[RotationRow]) -> Table {
     let mut t = Table::new(
         format!(
             "Admission gap 2/3: rotating attacker vs online TinyLFU (x={}, c={}, {} queries)",
-            cfg.attack_x, cfg.cache, cfg.queries
+            cfg.attack_x, cfg.base.cache_capacity, cfg.queries
         ),
         &["period", "hit", "gap_vs_static", "sketch_resets", "gain"],
     );
@@ -356,7 +356,7 @@ pub fn table_pow(cfg: &GapConfig, rows: &[PowRow]) -> Table {
     let mut t = Table::new(
         format!(
             "Admission gap 3/3: proof-of-work shield (x=c+1={}, {} queries/run)",
-            cfg.cache + 1,
+            cfg.base.cache_capacity + 1,
             cfg.queries.min(100_000)
         ),
         &[
@@ -384,20 +384,23 @@ pub fn table_pow(cfg: &GapConfig, rows: &[PowRow]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scp_sim::config::SelectorKind;
 
     fn tiny() -> GapConfig {
         GapConfig {
-            nodes: 20,
-            replication: 3,
-            items: 5_000,
-            rate: 1e4,
-            cache: 50,
+            base: SimConfig::builder()
+                .nodes(20)
+                .items(5_000)
+                .rate(1e4)
+                .cache_capacity(50)
+                .seed(11)
+                .build()
+                .unwrap(),
             zipf_alpha: 1.01,
             attack_x: 250,
             rotation_periods: vec![500, 5_000],
             pow_difficulties: vec![0, 3],
             queries: 60_000,
-            seed: 11,
         }
     }
 
@@ -407,7 +410,7 @@ mod tests {
         let row = margin_row(
             &cfg,
             "zipf",
-            &AccessPattern::zipf(cfg.zipf_alpha, cfg.items).unwrap(),
+            &AccessPattern::zipf(cfg.zipf_alpha, cfg.base.items).unwrap(),
             0,
         )
         .unwrap();
@@ -430,7 +433,7 @@ mod tests {
         let Some((stat, rest)) = rows.split_first() else {
             panic!("no rotation rows");
         };
-        let ideal = cfg.cache as f64 / cfg.attack_x as f64;
+        let ideal = cfg.base.cache_capacity as f64 / cfg.attack_x as f64;
         assert!(
             (stat.hit - ideal).abs() < 0.05,
             "static online hit {} vs ideal {ideal}",
@@ -468,8 +471,8 @@ mod tests {
         // A shape where the x = c + 1 attack actually overloads a shard:
         // gain ~ n / (x · d) needs n well above x · d.
         let mut cfg = tiny();
-        cfg.cache = 10;
-        cfg.nodes = 100;
+        cfg.base.cache_capacity = 10;
+        cfg.base.nodes = 100;
         let off = pow_row(&cfg, 0).unwrap();
         let on = pow_row(&cfg, 3).unwrap();
         assert_eq!(off.attack_rejected, 0.0);
@@ -511,10 +514,32 @@ mod tests {
         let fast = GapConfig::paper(&Opts {
             fast: true,
             ..Opts::default()
-        });
-        let full = GapConfig::paper(&Opts::default());
+        })
+        .unwrap();
+        let full = GapConfig::paper(&Opts::default()).unwrap();
         assert!(fast.queries < full.queries);
         assert!(fast.rotation_periods.len() < full.rotation_periods.len());
         assert!(fast.pow_difficulties.len() < full.pow_difficulties.len());
+    }
+
+    #[test]
+    fn margins_follow_the_selector_flag() {
+        // The study fixes the cache and the admission, nothing else: a
+        // memoryless selector spreads each key over its group and moves
+        // the margin table.
+        let zipf_margin = |selector| {
+            let opts = Opts {
+                fast: true,
+                selector,
+                ..Opts::default()
+            };
+            let cfg = GapConfig::paper(&opts).unwrap();
+            let zipf = AccessPattern::zipf(cfg.zipf_alpha, cfg.base.items).unwrap();
+            margin_row(&cfg, "zipf", &zipf, 0).unwrap()
+        };
+        assert_ne!(
+            zipf_margin(SelectorKind::LeastLoaded),
+            zipf_margin(SelectorKind::Random)
+        );
     }
 }

@@ -1,7 +1,8 @@
 //! Minimal command-line options shared by all reproduction binaries.
 
-use scp_sim::config::{AdmissionKind, CacheKind, PartitionerKind, SelectorKind};
+use scp_sim::config::{AdmissionKind, CacheKind, PartitionerKind, SelectorKind, SimConfig};
 use scp_sim::runner::StopRule;
+use scp_sim::SimConfigBuilder;
 use std::path::PathBuf;
 
 /// Options common to every reproduction binary.
@@ -22,17 +23,11 @@ pub struct Opts {
     /// Target 95% CI half-width on the per-run gain; `> 0` enables
     /// adaptive early stopping of the repetition loop.
     pub ci_target: f64,
-    /// Front-end cache policy (experiments that sweep policies, like the
-    /// fig. 4 cache ablation, ignore this and sweep anyway).
+    /// Front-end cache policy (ablation A4 sweeps policies and ignores
+    /// this; `gap` fixes the perfect cache).
     pub cache: CacheKind,
     /// Oracle-informed vs online-learned cache admission.
     pub admission: AdmissionKind,
-    /// Proof-of-work difficulty in leading zero bits (0 = shield off);
-    /// consumed by the serving-path experiments.
-    pub pow_difficulty: u32,
-    /// Attacker key-set rotation period in queries (0 = static attack);
-    /// consumed by the admission-gap experiments.
-    pub attack_rotate: u64,
     /// Partitioning scheme mapping keys to replica groups.
     pub partitioner: PartitionerKind,
     /// Replica selection rule within a group.
@@ -51,8 +46,6 @@ impl Default for Opts {
             ci_target: 0.0,
             cache: CacheKind::Perfect,
             admission: AdmissionKind::Oracle,
-            pow_difficulty: 0,
-            attack_rotate: 0,
             partitioner: PartitionerKind::Hash,
             selector: SelectorKind::LeastLoaded,
         }
@@ -62,41 +55,37 @@ impl Default for Opts {
 impl Opts {
     /// Parses `--runs N --threads N --out DIR --fast --seed N
     /// --journal DIR --ci-target X --cache KIND --admission KIND
-    /// --pow-difficulty D --attack-rotate P --partitioner KIND
-    /// --selector KIND` from an argument iterator (unknown flags abort
-    /// with a usage message).
+    /// --partitioner KIND --selector KIND` from an argument iterator
+    /// (unknown flags abort with a usage message).
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Self {
+        Self::try_parse(args).unwrap_or_else(|msg| usage(&msg))
+    }
+
+    /// [`Opts::parse`] without the exit: a bad flag is `Err(message)`,
+    /// `--help` is `Err("")`.
+    fn try_parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
         let mut opts = Self::default();
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
             match arg.as_str() {
-                "--runs" => opts.runs = expect_parse(&mut it, "--runs"),
-                "--threads" => opts.threads = expect_parse(&mut it, "--threads"),
-                "--seed" => opts.seed = expect_parse(&mut it, "--seed"),
-                "--ci-target" => opts.ci_target = expect_parse(&mut it, "--ci-target"),
-                "--cache" => opts.cache = expect_kind(&mut it, "--cache"),
-                "--admission" => opts.admission = expect_kind(&mut it, "--admission"),
-                "--pow-difficulty" => {
-                    opts.pow_difficulty = expect_parse(&mut it, "--pow-difficulty")
-                }
-                "--attack-rotate" => opts.attack_rotate = expect_parse(&mut it, "--attack-rotate"),
-                "--partitioner" => opts.partitioner = expect_kind(&mut it, "--partitioner"),
-                "--selector" => opts.selector = expect_kind(&mut it, "--selector"),
-                "--out" => {
-                    opts.out =
-                        PathBuf::from(it.next().unwrap_or_else(|| usage("--out needs a dir")))
-                }
+                "--runs" => opts.runs = expect_parse(&mut it, "--runs")?,
+                "--threads" => opts.threads = expect_parse(&mut it, "--threads")?,
+                "--seed" => opts.seed = expect_parse(&mut it, "--seed")?,
+                "--ci-target" => opts.ci_target = expect_parse(&mut it, "--ci-target")?,
+                "--cache" => opts.cache = expect_kind(&mut it, "--cache")?,
+                "--admission" => opts.admission = expect_kind(&mut it, "--admission")?,
+                "--partitioner" => opts.partitioner = expect_kind(&mut it, "--partitioner")?,
+                "--selector" => opts.selector = expect_kind(&mut it, "--selector")?,
+                "--out" => opts.out = PathBuf::from(it.next().ok_or("--out needs a dir")?),
                 "--journal" => {
-                    opts.journal = Some(PathBuf::from(
-                        it.next().unwrap_or_else(|| usage("--journal needs a dir")),
-                    ))
+                    opts.journal = Some(PathBuf::from(it.next().ok_or("--journal needs a dir")?))
                 }
                 "--fast" => opts.fast = true,
-                "--help" | "-h" => usage(""),
-                other => usage(&format!("unknown flag `{other}`")),
+                "--help" | "-h" => return Err(String::new()),
+                other => return Err(format!("unknown flag `{other}`")),
             }
         }
-        opts
+        Ok(opts)
     }
 
     /// Parses from the process arguments.
@@ -104,60 +93,65 @@ impl Opts {
         Self::parse(std::env::args().skip(1))
     }
 
-    /// The repetition count to use: explicit `--runs`, else `--fast`'s
-    /// small count, else the experiment default.
-    pub fn effective_runs(&self, default: usize) -> usize {
-        if self.runs > 0 {
+    /// The base of every experiment: the paper's Section IV system (see
+    /// [`SimConfig::builder`]) under the `--cache`, `--admission`,
+    /// `--partitioner`, `--selector` and `--seed` flags. This is the only
+    /// place those five flags are read; a driver overrides only the axes
+    /// its study sweeps or fixes, so every other flag reaches the engine,
+    /// which applies it or fails the group with its own error.
+    pub fn sim(&self) -> SimConfigBuilder {
+        SimConfig::builder()
+            .cache_kind(self.cache)
+            .admission(self.admission)
+            .partitioner(self.partitioner)
+            .selector(self.selector)
+            .seed(self.seed)
+    }
+
+    /// The stopping rule for a data point whose default repetition count
+    /// is `default`.
+    ///
+    /// The count is `--runs` if set, else `--fast`'s tenth (at least 3),
+    /// else `default`. A non-positive `--ci-target` runs exactly that
+    /// many. A positive target turns the count into a ceiling and allows
+    /// stopping as soon as the gain CI is tight enough, but never before
+    /// a floor of `max(4, runs/5)` runs so the variance estimate is
+    /// meaningful.
+    pub fn stop_rule(&self, default: usize) -> StopRule {
+        let runs = if self.runs > 0 {
             self.runs
         } else if self.fast {
             default.div_ceil(10).max(3)
         } else {
             default
+        };
+        if self.ci_target <= 0.0 || runs == 0 {
+            StopRule::fixed(runs)
+        } else {
+            let min = runs.div_ceil(5).max(4).min(runs);
+            StopRule::adaptive(min, runs, self.ci_target)
         }
     }
-
-    /// The stopping rule for a data point whose default repetition count
-    /// is `default`: fixed at [`Opts::effective_runs`] unless a positive
-    /// `--ci-target` enables early stopping (see [`stop_rule`]).
-    pub fn stop_rule(&self, default: usize) -> StopRule {
-        stop_rule(self.effective_runs(default), self.ci_target)
-    }
 }
 
-/// Builds the [`StopRule`] for `runs` repetitions under `ci_target`.
-///
-/// A non-positive target keeps the historical fixed-count behavior. A
-/// positive target turns `runs` into a ceiling and allows stopping as
-/// soon as the gain CI is tight enough, but never before a floor of
-/// `max(4, runs/5)` runs so the variance estimate is meaningful.
-pub fn stop_rule(runs: usize, ci_target: f64) -> StopRule {
-    if ci_target <= 0.0 || runs == 0 {
-        StopRule::fixed(runs)
-    } else {
-        let min = runs.div_ceil(5).max(4).min(runs);
-        StopRule::adaptive(min, runs, ci_target)
-    }
-}
-
-fn expect_parse<T: std::str::FromStr>(it: &mut impl Iterator<Item = String>, flag: &str) -> T {
+fn expect_parse<T: std::str::FromStr>(
+    it: &mut impl Iterator<Item = String>,
+    flag: &str,
+) -> Result<T, String> {
     it.next()
         .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| usage(&format!("{flag} needs a numeric value")))
+        .ok_or_else(|| format!("{flag} needs a numeric value"))
 }
 
 /// Parses a kind-enum flag value, surfacing the enum's own error message
 /// (which lists the valid names) on a bad spelling.
-fn expect_kind<T>(it: &mut impl Iterator<Item = String>, flag: &str) -> T
+fn expect_kind<T>(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<T, String>
 where
     T: std::str::FromStr,
     T::Err: std::fmt::Display,
 {
-    let value = it
-        .next()
-        .unwrap_or_else(|| usage(&format!("{flag} needs a value")));
-    value
-        .parse()
-        .unwrap_or_else(|e| usage(&format!("{flag}: {e}")))
+    let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    value.parse().map_err(|e| format!("{flag}: {e}"))
 }
 
 fn usage(msg: &str) -> ! {
@@ -167,7 +161,7 @@ fn usage(msg: &str) -> ! {
     eprintln!(
         "usage: <bin> [--runs N] [--threads N] [--out DIR] [--seed N] [--fast]\n\
          \x20            [--journal DIR] [--ci-target X] [--cache KIND]\n\
-         \x20            [--partitioner KIND] [--selector KIND]\n\
+         \x20            [--admission KIND] [--partitioner KIND] [--selector KIND]\n\
          \n\
          --runs N      repetitions per data point (default: per-experiment)\n\
          --threads N   worker threads (default: all cores)\n\
@@ -180,9 +174,6 @@ fn usage(msg: &str) -> ! {
          --cache KIND  front-end cache policy (default: perfect):\n\
          \x20             {}\n\
          --admission KIND    cache admission (default: oracle): {}\n\
-         --pow-difficulty D  proof-of-work leading zero bits (default: 0 = off)\n\
-         --attack-rotate P   attacker redraws its keys every P queries\n\
-         \x20             (default: 0 = static attack)\n\
          --partitioner KIND  key partitioning (default: hash):\n\
          \x20             {}\n\
          --selector KIND     replica selection (default: least-loaded):\n\
@@ -203,6 +194,10 @@ mod tests {
         Opts::parse(args.iter().map(|s| s.to_string()))
     }
 
+    fn try_parse(args: &[&str]) -> Result<Opts, String> {
+        Opts::try_parse(args.iter().map(|s| s.to_string()))
+    }
+
     #[test]
     fn defaults() {
         let o = parse(&[]);
@@ -214,28 +209,29 @@ mod tests {
         assert_eq!(o.ci_target, 0.0);
         assert_eq!(o.cache, CacheKind::Perfect);
         assert_eq!(o.admission, AdmissionKind::Oracle);
-        assert_eq!(o.pow_difficulty, 0);
-        assert_eq!(o.attack_rotate, 0);
         assert_eq!(o.partitioner, PartitionerKind::Hash);
         assert_eq!(o.selector, SelectorKind::LeastLoaded);
+        // The default base is the builder's paper baseline verbatim.
+        assert_eq!(o.sim().build(), SimConfig::builder().build());
     }
 
     #[test]
     fn parses_admission_and_shield_flags() {
-        let o = parse(&[
-            "--admission",
-            "online",
-            "--pow-difficulty",
-            "8",
-            "--attack-rotate",
-            "5000",
-        ]);
+        let o = parse(&["--admission", "online"]);
         assert_eq!(o.admission, AdmissionKind::Online);
-        assert_eq!(o.pow_difficulty, 8);
-        assert_eq!(o.attack_rotate, 5000);
         for kind in AdmissionKind::ALL {
             assert_eq!(parse(&["--admission", kind.name()]).admission, kind);
         }
+        // The shield and rotation knobs belong to `scp-serve` and the
+        // `gap` study's own grid; here they are unknown flags.
+        for flag in ["--pow-difficulty", "--attack-rotate"] {
+            assert_eq!(
+                try_parse(&[flag, "8"]),
+                Err(format!("unknown flag `{flag}`"))
+            );
+        }
+        assert_eq!(try_parse(&["--help"]), Err(String::new()));
+        assert!(try_parse(&["--runs", "many"]).is_err());
     }
 
     #[test]
@@ -282,6 +278,14 @@ mod tests {
             "/tmp/j",
             "--ci-target",
             "0.05",
+            "--cache",
+            "none",
+            "--admission",
+            "online",
+            "--partitioner",
+            "ring",
+            "--selector",
+            "random",
         ]);
         assert_eq!(o.runs, 7);
         assert_eq!(o.threads, 2);
@@ -290,31 +294,47 @@ mod tests {
         assert_eq!(o.seed, 9);
         assert_eq!(o.journal, Some(PathBuf::from("/tmp/j")));
         assert_eq!(o.ci_target, 0.05);
+        // The five substrate flags all land in the base.
+        let base = o.sim().build().unwrap();
+        assert_eq!(base.cache_kind, CacheKind::None);
+        assert_eq!(base.admission, AdmissionKind::Online);
+        assert_eq!(base.partitioner, PartitionerKind::Ring);
+        assert_eq!(base.selector, SelectorKind::Random);
+        assert_eq!(base.seed, 9);
     }
 
     #[test]
     fn effective_runs_precedence() {
         let mut o = Opts::default();
-        assert_eq!(o.effective_runs(200), 200);
+        assert_eq!(o.stop_rule(200).max_runs, 200);
         o.fast = true;
-        assert_eq!(o.effective_runs(200), 20);
+        assert_eq!(o.stop_rule(200).max_runs, 20);
+        assert_eq!(o.stop_rule(20).max_runs, 3);
         o.runs = 5;
-        assert_eq!(o.effective_runs(200), 5);
+        assert_eq!(o.stop_rule(200).max_runs, 5);
     }
 
     #[test]
     fn stop_rule_shapes() {
+        let rule = |runs: usize, ci_target: f64| {
+            Opts {
+                runs,
+                ci_target,
+                ..Opts::default()
+            }
+            .stop_rule(200)
+        };
         // No target: fixed at the effective count.
-        assert_eq!(stop_rule(200, 0.0), StopRule::fixed(200));
-        assert!(!stop_rule(200, 0.0).is_adaptive());
+        assert_eq!(rule(200, 0.0), StopRule::fixed(200));
+        assert!(!rule(200, 0.0).is_adaptive());
         // Positive target: adaptive with a floor of max(4, runs/5).
-        let r = stop_rule(200, 0.05);
+        let r = rule(200, 0.05);
         assert_eq!((r.min_runs, r.max_runs, r.ci_target), (40, 200, 0.05));
         assert!(r.is_adaptive());
-        assert_eq!(stop_rule(10, 0.05).min_runs, 4);
+        assert_eq!(rule(10, 0.05).min_runs, 4);
         // Tiny counts degenerate to fixed (floor == ceiling).
-        assert!(!stop_rule(3, 0.05).is_adaptive());
-        assert_eq!(stop_rule(3, 0.05).max_runs, 3);
+        assert!(!rule(3, 0.05).is_adaptive());
+        assert_eq!(rule(3, 0.05).max_runs, 3);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Table rendering, CSV output and journal files.
 
+use crate::{Opts, Result};
 use scp_json::Json;
 use scp_sim::journal::{RunJournal, CSV_HEADER};
 use std::fmt::Write as _;
@@ -213,6 +214,35 @@ pub fn save_journals(dir: Option<&Path>, name: &str, book: &JournalBook) {
         }
         Err(e) => eprintln!("could not write {name} journals: {e}"),
     }
+}
+
+/// The named tables of one experiment group plus the journals of its
+/// repeated runs (empty for groups without repetitions).
+pub type GroupOutput = (Vec<(String, Table)>, JournalBook);
+
+/// Prints one experiment group's tables and saves each as
+/// `--out/<name>.csv` and its journals as `--journal/<group>.*`, or
+/// reports the group's failure. Returns whether the group ran.
+pub fn emit(opts: &Opts, group: &str, outcome: Result<GroupOutput>) -> bool {
+    let (tables, book) = match outcome {
+        Ok(output) => output,
+        Err(e) => {
+            eprintln!("{group} failed: {e}");
+            return false;
+        }
+    };
+    for (name, table) in &tables {
+        table.print();
+        println!();
+        match table.save_csv(&opts.out, name) {
+            Ok(path) => println!("wrote {}\n", path.display()),
+            Err(e) => eprintln!("could not write {name}.csv: {e}"),
+        }
+    }
+    if !book.is_empty() {
+        save_journals(opts.journal.as_deref(), group, &book);
+    }
+    true
 }
 
 /// Formats a float with sensible experiment precision.

@@ -21,6 +21,13 @@
 //!    schedule and compares it with theory, quantifying how much cache
 //!    headroom elasticity demands.
 //!
+//! The disruption table sweeps every partitioner, so `--partitioner`
+//! reaches only the drift table; every other flag reaches the drift
+//! table's engine. The bisection needs a gain of at most 1 at its upper
+//! bound, which the memoryless selectors reach only on the `range`
+//! partitioner, so under them the study fails with the engine's own
+//! error on every other placement.
+//!
 //! [`Partitioner::rebuild`]: scp_cluster::Partitioner::rebuild
 
 use crate::output::{fmt_f, Table};
@@ -29,41 +36,49 @@ use scp_cluster::{KeyId, MigrationPlan, NodeId, PartitionerKind, PartitionerSpec
 use scp_core::bounds::{critical_cache_size, KParam};
 use scp_sim::config::SimConfig;
 use scp_sim::critical::find_critical_cache_size;
+use scp_sim::runner::StopRule;
 use scp_sim::SimError;
 
 /// Configuration for the elastic-membership study.
 #[derive(Debug, Clone)]
 pub struct ReshardConfig {
-    /// Member count before the membership event.
-    pub nodes: usize,
-    /// Replication factor `d`.
-    pub replication: usize,
-    /// Keys sampled when computing migration plans.
-    pub keys: u64,
-    /// Key-space size for the `c*` searches (and the range partitioner).
-    pub items: u64,
-    /// Repetitions per `c*` probe.
-    pub runs: usize,
+    /// The `c*` search system before the membership event: `n`, `d`, the
+    /// key space `m` (also the range partitioner's), `R`, the uncached
+    /// `x = m` attack and the substrate flags.
+    pub base: SimConfig,
+    /// Repetitions per `c*` probe (the bisection runs the ceiling).
+    pub rule: StopRule,
     /// Worker threads for the `c*` searches (0 = all cores).
     pub threads: usize,
-    /// Placement / simulation master seed.
-    pub seed: u64,
+    /// Keys sampled when computing migration plans.
+    pub keys: u64,
 }
 
 impl ReshardConfig {
     /// The default study: a 100-node cluster with `d = 3`, 200k sampled
     /// keys; `--fast` shrinks to 50 nodes and 50k keys.
-    pub fn paper(opts: &Opts) -> Self {
-        let fast = opts.fast;
-        Self {
-            nodes: if fast { 50 } else { 100 },
-            replication: 3,
-            keys: if fast { 50_000 } else { 200_000 },
-            items: if fast { 50_000 } else { 100_000 },
-            runs: opts.effective_runs(50),
+    ///
+    /// # Errors
+    ///
+    /// Rejects an invalid base system.
+    pub fn paper(opts: &Opts) -> Result<Self> {
+        let (nodes, keys, items) = if opts.fast {
+            (50, 50_000, 50_000)
+        } else {
+            (100, 200_000, 100_000)
+        };
+        Ok(Self {
+            base: opts
+                .sim()
+                .nodes(nodes)
+                .items(items)
+                .rate(1e6)
+                .attack_x(items)
+                .build()?,
+            rule: opts.stop_rule(50),
             threads: opts.threads,
-            seed: opts.seed,
-        }
+            keys,
+        })
     }
 }
 
@@ -147,9 +162,9 @@ pub struct Outcome {
 fn spec(cfg: &ReshardConfig, kind: PartitionerKind, topology: Topology) -> PartitionerSpec {
     PartitionerSpec::new(kind)
         .topology(topology)
-        .replication(cfg.replication)
-        .items(cfg.items)
-        .seed(cfg.seed)
+        .replication(cfg.base.replication)
+        .items(cfg.base.items)
+        .seed(cfg.base.seed)
 }
 
 /// Measures placement disruption for one scheme under one event, going
@@ -165,14 +180,15 @@ pub fn measure_disruption(
     kind: PartitionerKind,
     event: Event,
 ) -> Result<DisruptionRow> {
-    let before = Topology::with_nodes(cfg.nodes).map_err(SimError::from)?;
+    let nodes = cfg.base.nodes;
+    let before = Topology::with_nodes(nodes).map_err(SimError::from)?;
     let mut after = before.clone();
     match event {
         Event::Join => after
-            .join(NodeId::from_index(cfg.nodes))
+            .join(NodeId::from_index(nodes))
             .map_err(SimError::from)?,
         Event::Leave => after
-            .leave(NodeId::from_index(cfg.nodes / 2))
+            .leave(NodeId::from_index(nodes / 2))
             .map_err(SimError::from)?,
     }
     let old = spec(cfg, kind, before.clone())
@@ -192,8 +208,8 @@ pub fn measure_disruption(
         (0..cfg.keys).map(KeyId::new),
     );
     let ideal_primary = match event {
-        Event::Join => 1.0 / (cfg.nodes as f64 + 1.0),
-        Event::Leave => 1.0 / cfg.nodes as f64,
+        Event::Join => 1.0 / (nodes as f64 + 1.0),
+        Event::Leave => 1.0 / nodes as f64,
     };
     Ok(DisruptionRow {
         kind,
@@ -228,33 +244,22 @@ pub fn run_disruption(cfg: &ReshardConfig) -> Result<Vec<DisruptionRow>> {
 /// # Errors
 ///
 /// Propagates simulation errors from the bisection probes.
-pub fn run_drift(cfg: &ReshardConfig, partitioner: PartitionerKind) -> Result<Vec<DriftRow>> {
-    let schedule: [(&'static str, usize); 3] = [
-        ("start", cfg.nodes),
-        ("join", cfg.nodes + 1),
-        ("leave", cfg.nodes),
-    ];
+pub fn run_drift(cfg: &ReshardConfig) -> Result<Vec<DriftRow>> {
+    let nodes = cfg.base.nodes;
+    let schedule: [(&'static str, usize); 3] =
+        [("start", nodes), ("join", nodes + 1), ("leave", nodes)];
     let mut rows = Vec::with_capacity(schedule.len());
     for (epoch, (label, members)) in schedule.into_iter().enumerate() {
-        let base = SimConfig::builder()
-            .nodes(members)
-            .replication(cfg.replication)
-            .items(cfg.items)
-            .rate(1e6)
-            .cache_capacity(0)
-            .attack_x(cfg.items)
-            .partitioner(partitioner)
-            // Same seed at every epoch: the member count is the *only*
-            // variable, and equal-count epochs (start vs post-leave)
-            // must reproduce the identical empirical c*.
-            .seed(cfg.seed)
-            .build()?;
-        let point = find_critical_cache_size(&base, cfg.runs, cfg.threads)?;
+        // Same seed at every epoch: the member count is the *only*
+        // variable, and equal-count epochs (start vs post-leave) must
+        // reproduce the identical empirical c*.
+        let base = cfg.base.to_builder().nodes(members).build()?;
+        let point = find_critical_cache_size(&base, cfg.rule.max_runs, cfg.threads)?;
         rows.push(DriftRow {
             epoch: epoch as u64,
             label,
             members,
-            theory: critical_cache_size(members, cfg.replication, &KParam::theory()),
+            theory: critical_cache_size(members, base.replication, &KParam::theory()),
             empirical: point.cache_size,
             gain_at: point.gain_at,
         });
@@ -262,16 +267,16 @@ pub fn run_drift(cfg: &ReshardConfig, partitioner: PartitionerKind) -> Result<Ve
     Ok(rows)
 }
 
-/// Runs the whole study (disruption for every scheme, drift under
-/// `opts.partitioner`).
+/// Runs the whole study (disruption for every scheme, drift under the
+/// base's partitioner).
 ///
 /// # Errors
 ///
 /// Propagates any simulation or construction error.
-pub fn run(cfg: &ReshardConfig, partitioner: PartitionerKind) -> Result<Outcome> {
+pub fn run(cfg: &ReshardConfig) -> Result<Outcome> {
     Ok(Outcome {
         disruption: run_disruption(cfg)?,
-        drift: run_drift(cfg, partitioner)?,
+        drift: run_drift(cfg)?,
     })
 }
 
@@ -280,7 +285,7 @@ pub fn table_disruption(cfg: &ReshardConfig, rows: &[DisruptionRow]) -> Table {
     let mut t = Table::new(
         format!(
             "placement disruption on one membership event (n={}, d={}, {} keys)",
-            cfg.nodes, cfg.replication, cfg.keys
+            cfg.base.nodes, cfg.base.replication, cfg.keys
         ),
         &[
             "partitioner",
@@ -309,14 +314,14 @@ pub fn table_disruption(cfg: &ReshardConfig, rows: &[DisruptionRow]) -> Table {
 }
 
 /// The `c*`-drift table.
-pub fn table_drift(cfg: &ReshardConfig, partitioner: PartitionerKind, rows: &[DriftRow]) -> Table {
+pub fn table_drift(cfg: &ReshardConfig, rows: &[DriftRow]) -> Table {
     let mut t = Table::new(
         format!(
             "critical cache size across epochs ({}, d={}, m={}, {} runs/probe)",
-            partitioner.name(),
-            cfg.replication,
-            cfg.items,
-            cfg.runs
+            cfg.base.partitioner.name(),
+            cfg.base.replication,
+            cfg.base.items,
+            cfg.rule.max_runs
         ),
         &[
             "epoch",
@@ -346,13 +351,16 @@ mod tests {
 
     fn cfg() -> ReshardConfig {
         ReshardConfig {
-            nodes: 50,
-            replication: 3,
-            keys: 40_000,
-            items: 40_000,
-            runs: 3,
+            base: SimConfig::builder()
+                .nodes(50)
+                .items(40_000)
+                .rate(1e6)
+                .attack_x(40_000)
+                .build()
+                .unwrap(),
+            rule: StopRule::fixed(3),
             threads: 0,
-            seed: 20130708,
+            keys: 40_000,
         }
     }
 
@@ -404,10 +412,17 @@ mod tests {
     #[test]
     fn drift_tracks_member_count() {
         let mut c = cfg();
-        c.nodes = 30;
-        c.items = 10_000;
+        c.base = c
+            .base
+            .to_builder()
+            .nodes(30)
+            .items(10_000)
+            .attack_x(10_000)
+            .partitioner(PartitionerKind::MultiProbe)
+            .build()
+            .unwrap();
         c.keys = 10_000;
-        let rows = run_drift(&c, PartitionerKind::MultiProbe).unwrap();
+        let rows = run_drift(&c).unwrap();
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].members, 30);
         assert_eq!(rows[1].members, 31);
@@ -421,7 +436,7 @@ mod tests {
         for r in &rows {
             assert!(r.empirical > 0, "bisection found nothing at {}", r.label);
         }
-        let t = table_drift(&c, PartitionerKind::MultiProbe, &rows);
+        let t = table_drift(&c, &rows);
         assert_eq!(t.len(), 3);
     }
 }

@@ -15,6 +15,9 @@
 //! were rewritten onto one front end and one rate loop; any change to an
 //! outcome moves one.
 
+mod golden;
+
+use golden::Digest;
 use secure_cache_provision::cache::{Cache, CacheStats};
 use secure_cache_provision::cluster::load::LoadSnapshot;
 use secure_cache_provision::cluster::partition::Partitioner;
@@ -424,21 +427,7 @@ fn online_grid() -> Vec<SimConfig> {
 // Part two: golden vectors.
 // ---------------------------------------------------------------------
 
-/// FNV-1a over 64-bit words.
-struct Digest(u64);
-
 impl Digest {
-    fn new() -> Self {
-        Self(0xCBF2_9CE4_8422_2325)
-    }
-
-    fn word(&mut self, w: u64) {
-        for byte in w.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0100_0000_01B3);
-        }
-    }
-
     fn float(&mut self, x: f64) {
         self.word(x.to_bits());
     }
@@ -479,10 +468,6 @@ impl Digest {
             self.float(x);
         }
         self.report(&r.load);
-    }
-
-    fn hex(&self) -> String {
-        format!("{:016x}", self.0)
     }
 }
 

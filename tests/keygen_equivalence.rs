@@ -19,6 +19,9 @@
 //! Two more tests pin which streams draw directly, and that their keys
 //! are uniform (chi-square at p = 10^-6 on fixed seeds).
 
+mod golden;
+
+use golden::Digest;
 use secure_cache_provision::workload::permute::KeyMapping;
 use secure_cache_provision::workload::rng::mix;
 use secure_cache_provision::workload::stream::QueryStream;
@@ -27,26 +30,6 @@ use secure_cache_provision::workload::AccessPattern;
 const DRAWS: usize = 200_000;
 /// Domains around the `2^14` boundary, a small one and the paper's scale.
 const DOMAINS: [u64; 5] = [5_000, (1 << 14) - 1, 1 << 14, (1 << 14) + 1, 100_000];
-
-/// FNV-1a over 64-bit words.
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Self {
-        Self(0xCBF2_9CE4_8422_2325)
-    }
-
-    fn word(&mut self, w: u64) {
-        for byte in w.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0100_0000_01B3);
-        }
-    }
-
-    fn hex(&self) -> String {
-        format!("{:016x}", self.0)
-    }
-}
 
 /// The five patterns over an `m`-key space.
 fn patterns(m: u64) -> [AccessPattern; 5] {

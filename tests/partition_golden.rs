@@ -8,6 +8,9 @@
 //! `serve_elastic` benchmark digests, the `reshard` figure CSVs and the
 //! `MigrationPlan`s all derive from these groups.
 
+mod golden;
+
+use golden::Digest;
 use secure_cache_provision::cluster::{
     KeyId, MigrationPlan, MultiProbePartitioner, NodeId, Partitioner, PartitionerKind,
     PartitionerSpec, Topology,
@@ -27,21 +30,7 @@ fn keys() -> Vec<KeyId> {
     out.into_iter().map(KeyId::new).collect()
 }
 
-/// FNV-1a over 64-bit words.
-struct Digest(u64);
-
 impl Digest {
-    fn new() -> Self {
-        Self(0xCBF2_9CE4_8422_2325)
-    }
-
-    fn word(&mut self, w: u64) {
-        for byte in w.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0100_0000_01B3);
-        }
-    }
-
     /// Folds every key's group, node by node, with its length.
     fn groups(&mut self, p: &dyn Partitioner) {
         for key in keys() {
@@ -67,10 +56,6 @@ impl Digest {
                 self.word(u64::from(node.value()));
             }
         }
-    }
-
-    fn hex(&self) -> String {
-        format!("{:016x}", self.0)
     }
 }
 

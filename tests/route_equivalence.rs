@@ -27,6 +27,9 @@
 //! at commit `6713e17`, whose cluster still computed every group after the
 //! first reshard.
 
+mod golden;
+
+use golden::Digest;
 use secure_cache_provision::cluster::select::{RateAssignment, DENSE_KEY_CAP};
 use secure_cache_provision::cluster::{
     Cluster, ClusterError, KeyId, NodeId, PartitionerKind, Topology,
@@ -76,21 +79,7 @@ const GOLDEN: [[&str; 4]; 5] = [
     ],
 ];
 
-/// FNV-1a over 64-bit words.
-struct Digest(u64);
-
 impl Digest {
-    fn new() -> Self {
-        Self(0xCBF2_9CE4_8422_2325)
-    }
-
-    fn word(&mut self, w: u64) {
-        for byte in w.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0100_0000_01B3);
-        }
-    }
-
     /// A routing outcome: the node, or the key of a `NoLiveReplica`.
     fn routed(&mut self, outcome: Result<NodeId, ClusterError>) {
         match outcome {
@@ -116,10 +105,6 @@ impl Digest {
         }
         self.word(cluster.queries_served());
         self.word(cluster.unserved().to_bits());
-    }
-
-    fn hex(&self) -> String {
-        format!("{:016x}", self.0)
     }
 }
 

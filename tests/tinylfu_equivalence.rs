@@ -28,6 +28,9 @@
 //! per list). SLRU's `evictions` is left out because that layout dropped
 //! a full probation segment's LRU entry without counting it.
 
+mod golden;
+
+use golden::Digest;
 use secure_cache_provision::cache::arc::ArcCache;
 use secure_cache_provision::cache::lru::LruCache;
 use secure_cache_provision::cache::slru::SlruCache;
@@ -43,21 +46,7 @@ const FRACTIONS: [f64; 4] = [0.0, 0.01, 0.2, 1.0];
 /// Steps between two folds of the counters and frequency probes.
 const PROBE_EVERY: usize = 61;
 
-/// FNV-1a over 64-bit words.
-struct Digest(u64);
-
 impl Digest {
-    fn new() -> Self {
-        Self(0xCBF2_9CE4_8422_2325)
-    }
-
-    fn word(&mut self, w: u64) {
-        for byte in w.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0100_0000_01B3);
-        }
-    }
-
     /// Folds every counter the cache exports.
     fn counters(&mut self, cache: &TinyLfuCache<u64>) {
         let stats = cache.stats();
@@ -177,7 +166,7 @@ fn digests() -> [String; 8] {
         d.word(run_case(case));
         *slot = d.0;
     }
-    per_capacity.map(|h| format!("{h:016x}"))
+    per_capacity.map(|h| Digest(h).hex())
 }
 
 #[test]
@@ -292,7 +281,7 @@ fn golden_decision_streams_of_lru_slru_and_arc() {
         for case in 0..CASES {
             d.word(run_list_case(policy, case));
         }
-        format!("{:016x}", d.0)
+        d.hex()
     });
     for ((name, got), want) in ListPolicy::NAMES.iter().zip(&got).zip(want) {
         assert_eq!(got, want, "{name} decision-stream digest");
