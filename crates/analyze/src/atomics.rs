@@ -37,11 +37,6 @@ use crate::files::{FileKind, SourceFile};
 use crate::rules::Finding;
 use crate::syntax::{self, at, sub, tail, Item, ItemKind};
 
-/// Files exempt from pairing: the interleaving explorer interprets
-/// `Ordering` values handed to its shim, so its accesses are the model,
-/// not the protocol.
-pub const ATOMIC_PAIRING_EXEMPT: &[&str] = &["crates/analyze/src/interleave.rs"];
-
 /// Memory-ordering argument of an access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mo {
@@ -230,7 +225,7 @@ pub(crate) fn relaxed_load_lines(file: &SourceFile) -> Vec<usize> {
 /// `atomic-unpaired` findings.
 pub fn check_file(file: &SourceFile) -> Vec<Finding> {
     let mut findings = Vec::new();
-    if ATOMIC_PAIRING_EXEMPT.contains(&file.rel_path.as_str()) {
+    if file.is_model() {
         return findings;
     }
     let index = index_file(file);

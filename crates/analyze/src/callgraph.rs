@@ -61,8 +61,8 @@ pub struct FnNode {
     pub owner_is_impl: bool,
     /// 1-based line the declaration starts on.
     pub decl_line: usize,
-    /// Number of panic-capable sites (`panic-path` / `slice-index`
-    /// findings, pre-suppression) lexically inside this function.
+    /// Number of panic-capable sites ([`crate::rules::panic_site_lines`])
+    /// lexically inside this function.
     pub local_sites: usize,
     /// Whether the function can transitively reach a panic-capable site
     /// (including its own).

@@ -27,6 +27,12 @@ pub enum FileKind {
     Example,
 }
 
+/// Files that *model* atomics and schedules rather than use them: the
+/// interleaving explorer interprets every `Ordering` value handed to its
+/// shim and enumerates the schedule space deterministically. Atomic
+/// pairing, `ordering-comment` and taint seeding skip them.
+pub const MODEL_FILES: &[&str] = &["crates/analyze/src/interleave.rs"];
+
 /// One source file, masked and classified.
 #[derive(Debug, Clone)]
 pub struct SourceFile {
@@ -61,6 +67,11 @@ impl SourceFile {
             in_test,
             lines: text.lines().map(str::to_owned).collect(),
         }
+    }
+
+    /// Whether this is one of the [`MODEL_FILES`].
+    pub fn is_model(&self) -> bool {
+        MODEL_FILES.contains(&self.rel_path.as_str())
     }
 
     /// Whether 1-based `line` is test code.

@@ -48,6 +48,10 @@
 use scp_serve::spsc::{AtomicWord, RingCore, SlotCell};
 use std::cell::Cell;
 use std::sync::atomic::Ordering;
+#[expect(
+    clippy::disallowed_types,
+    reason = "the explorer models a scheduler with a real lock/condvar pair"
+)]
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Model thread count: one producer, one consumer.
@@ -169,6 +173,10 @@ struct Model {
     weaken_head_release: bool,
 }
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "the explorer models a scheduler with a real lock/condvar pair"
+)]
 struct Ctl {
     state: Mutex<Model>,
     cv: Condvar,
@@ -275,6 +283,10 @@ struct ShimSlot {
 impl Default for ShimSlot {
     // Only exists to satisfy `from_parts`'s empty-`slots` fallback bound;
     // the explorer always passes a non-empty slot vector.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the explorer models a scheduler with a real lock/condvar pair"
+    )]
     fn default() -> Self {
         Self {
             ctl: Arc::new(Ctl {
@@ -413,6 +425,11 @@ fn consumer_loop(ctl: &Arc<Ctl>, ring: &Arc<ShimRing>, pops: u64, batch: Option<
 /// The exploration runs a violating schedule's remaining steps to the end
 /// (the programs always terminate), so a violation never wedges the
 /// worker threads; it stops launching *new* schedules once one is found.
+#[expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the explorer sequences its shim threads with a real lock/condvar pair"
+)]
 pub fn explore(cfg: &Config) -> Stats {
     let capacity = cfg.capacity.max(1);
     let ctl = Arc::new(Ctl {

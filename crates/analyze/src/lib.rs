@@ -1,13 +1,16 @@
 //! `scp-analyze` — in-repo static analysis for determinism and
 //! panic-safety.
 //!
-//! PR 1 made bit-for-bit replayable run journals and thread-count-invariant
-//! adaptive stopping this workspace's headline guarantee. That guarantee
-//! rests on *code* properties nothing used to enforce: no hash-order
+//! Bit-for-bit replayable run journals and thread-count-invariant adaptive
+//! stopping are this workspace's headline guarantee. That guarantee rests
+//! on *code* properties nothing used to enforce: no hash-order
 //! iteration feeding results, no wall-clock or ambient entropy in result
-//! paths, no panics tearing down a sweep halfway. This crate is a
-//! dependency-free checker for exactly those properties, in the same
-//! offline, in-repo spirit as `scp-json` and `scp_bench::harness`.
+//! paths, no panics tearing down a sweep halfway. Where a stock clippy
+//! lint checks a property by type (panic paths, indexing, clock reads,
+//! entropy, threads, locks, `unsafe` blocks — see `[workspace.lints]` and
+//! `clippy.toml`), the lint does; this crate is a dependency-free checker
+//! for the rest, in the same offline, in-repo spirit as `scp-json` and
+//! `scp_bench::harness`.
 //!
 //! Pipeline: [`files`] walks the workspace and classifies every `.rs`
 //! file; [`lexer`] masks comments and literals so rules only ever see
@@ -15,20 +18,18 @@
 //! Release/Acquire pairing per atomic field, and [`callgraph`] +
 //! [`taint`] compute transitive panic reachability and nondeterminism
 //! taint; all raw findings are merged per file before `scp-allow`
-//! suppressions apply ([`pragma`]); [`baseline`] ratchets pre-existing
-//! debt and [`surface`] set-ratchets the panic and determinism surfaces;
-//! [`report`] classifies findings into violations and renders human/JSON
-//! output.
+//! suppressions apply ([`pragma`]); [`surface`] set-ratchets the panic and
+//! determinism surfaces; [`report`] collects the violations and renders
+//! human/JSON output.
 //!
 //! Three consumers: the `scp-analyze` binary (CI runs it with `--deny
 //! --check-baseline`), the tier-1 gate tests (`cargo test -p scp-analyze`
-//! and the root suite), and developers iterating with
+//! and the root suite), and developers re-locking the surfaces with
 //! `--update-baseline`.
 
 #![warn(missing_docs)]
 
 pub mod atomics;
-pub mod baseline;
 pub mod callgraph;
 pub mod files;
 pub mod interleave;
@@ -40,51 +41,43 @@ pub mod surface;
 pub mod syntax;
 pub mod taint;
 
-use baseline::{Baseline, BASELINE_FILE};
 use files::SourceFile;
 use report::Report;
 use std::io;
 use std::path::Path;
-use surface::{Surface, SurfaceReport, DET_SURFACE_FILE, SURFACE_FILE};
+use surface::{Surface, SurfaceReport, SURFACE_FILE};
 
 /// Everything one full analyzer run produces: the line/flow findings
 /// report plus both ratcheted call-graph surfaces.
 #[derive(Debug)]
 pub struct Analysis {
-    /// Findings classified against the ratcheted baseline. Includes the
-    /// flow passes: `atomic-unpaired` findings, `nondet-taint` findings
-    /// for functions that entered the determinism surface, and
-    /// `DETERMINISM:` pragma hygiene.
+    /// Findings of every rule. Includes the flow passes:
+    /// `atomic-unpaired` findings, `nondet-taint` findings for functions
+    /// that entered the determinism surface, and `DETERMINISM:` pragma
+    /// hygiene.
     pub report: Report,
-    /// The panic surface against `panic-surface.json`.
+    /// The panic surface against the committed one.
     pub panic_surface: SurfaceReport,
-    /// The determinism surface against `determinism-surface.json`.
+    /// The determinism surface against the committed one.
     pub det_surface: SurfaceReport,
 }
 
-/// Runs every pass over the workspace under `root`, classifying findings
-/// against the committed baseline and both committed surfaces (absent
-/// files are empty).
+/// Runs every pass over the workspace under `root`, classifying both
+/// surfaces against the committed [`SURFACE_FILE`] (an absent file holds
+/// two empty surfaces).
 ///
 /// # Errors
 ///
-/// Returns an I/O error if sources cannot be read, or a baseline/surface
-/// parse error as [`io::ErrorKind::InvalidData`].
+/// Returns an I/O error if sources cannot be read, or a surface parse
+/// error as [`io::ErrorKind::InvalidData`].
 pub fn analyze_all(root: &Path) -> io::Result<Analysis> {
-    let baseline = load_baseline(root)?;
-    let panic_committed = load_surface(root)?;
-    let det_committed = load_det_surface(root)?;
+    let (panic_committed, det_committed) = load_surface(root)?;
     let sources = files::collect_sources(root)?;
-    Ok(analyze_sources(
-        &sources,
-        &baseline,
-        &panic_committed,
-        &det_committed,
-    ))
+    Ok(analyze_sources(&sources, &panic_committed, &det_committed))
 }
 
 /// Runs every pass over an explicit source set and explicit committed
-/// artifacts. This is the whole pipeline in one place: line rules and
+/// surfaces. This is the whole pipeline in one place: line rules and
 /// atomic-pairing checks produce raw per-file findings, the call graph
 /// produces both surfaces plus `nondet-taint` findings for determinism
 /// regressions and `DETERMINISM:` pragma hygiene, and `scp-allow`
@@ -93,7 +86,6 @@ pub fn analyze_all(root: &Path) -> io::Result<Analysis> {
 /// sees everything.
 pub fn analyze_sources(
     sources: &[SourceFile],
-    baseline: &Baseline,
     panic_committed: &Surface,
     det_committed: &Surface,
 ) -> Analysis {
@@ -108,13 +100,7 @@ pub fn analyze_sources(
         raw.extend(
             taint_findings
                 .iter()
-                .filter(|f| f.file == file.rel_path)
-                .cloned(),
-        );
-        raw.extend(
-            graph
-                .determinism_findings
-                .iter()
+                .chain(&graph.determinism_findings)
                 .filter(|f| f.file == file.rel_path)
                 .cloned(),
         );
@@ -122,157 +108,38 @@ pub fn analyze_sources(
         findings.extend(rules::apply_pragmas(file, raw));
     }
     Analysis {
-        report: Report::build(sources.len(), findings, baseline),
+        report: Report::build(sources.len(), findings),
         panic_surface,
         det_surface,
     }
 }
 
-/// Analyzes every workspace `.rs` file under `root` and classifies the
-/// findings against the committed baseline (an absent baseline file is an
-/// empty baseline).
-///
-/// # Errors
-///
-/// Returns an I/O error if sources cannot be read, or a baseline parse
-/// error as [`io::ErrorKind::InvalidData`].
-pub fn analyze_workspace(root: &Path) -> io::Result<Report> {
-    let committed = load_baseline(root)?;
-    analyze_workspace_against(root, &committed)
-}
-
-/// Like [`analyze_workspace`], with an explicit baseline. The committed
-/// surfaces are still loaded from `root` (absent files are empty), since
-/// the `nondet-taint` deny findings are defined relative to the
-/// committed determinism surface.
-///
-/// # Errors
-///
-/// Returns an I/O error if sources cannot be read, or a surface parse
-/// error as [`io::ErrorKind::InvalidData`].
-pub fn analyze_workspace_against(root: &Path, committed: &Baseline) -> io::Result<Report> {
-    let panic_committed = load_surface(root)?;
-    let det_committed = load_det_surface(root)?;
-    let sources = files::collect_sources(root)?;
-    Ok(analyze_sources(&sources, committed, &panic_committed, &det_committed).report)
-}
-
-/// Loads the committed baseline from `root`, or an empty one if the file
-/// does not exist yet.
-///
-/// # Errors
-///
-/// Returns [`io::ErrorKind::InvalidData`] for a malformed baseline file.
-pub fn load_baseline(root: &Path) -> io::Result<Baseline> {
-    let path = root.join(BASELINE_FILE);
-    if !path.exists() {
-        return Ok(Baseline::default());
-    }
-    let text = std::fs::read_to_string(&path)?;
-    Baseline::parse(&text)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{BASELINE_FILE}: {e}")))
-}
-
-/// Writes `baseline` to its committed location under `root`.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn store_baseline(root: &Path, baseline: &Baseline) -> io::Result<()> {
-    std::fs::write(
-        root.join(BASELINE_FILE),
-        baseline.to_json().to_pretty_string(),
-    )
-}
-
-/// Builds the workspace call graph and classifies its panic surface
-/// against the committed `panic-surface.json` (an absent file is an
-/// empty surface).
-///
-/// # Errors
-///
-/// Returns an I/O error if sources cannot be read, or a surface parse
-/// error as [`io::ErrorKind::InvalidData`].
-pub fn analyze_panic_surface(root: &Path) -> io::Result<SurfaceReport> {
-    let committed = load_surface(root)?;
-    let sources = files::collect_sources(root)?;
-    let graph = callgraph::build(&sources);
-    Ok(SurfaceReport::build(&graph, &committed))
-}
-
-/// Loads the committed panic surface from `root`, or an empty one if the
-/// file does not exist yet.
+/// Loads the committed `(panic, determinism)` surfaces from `root`, or
+/// two empty ones if the file does not exist yet.
 ///
 /// # Errors
 ///
 /// Returns [`io::ErrorKind::InvalidData`] for a malformed surface file.
-pub fn load_surface(root: &Path) -> io::Result<Surface> {
+pub fn load_surface(root: &Path) -> io::Result<(Surface, Surface)> {
     let path = root.join(SURFACE_FILE);
     if !path.exists() {
-        return Ok(Surface::default());
+        return Ok((Surface::default(), Surface::default()));
     }
     let text = std::fs::read_to_string(&path)?;
     Surface::parse(&text)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{SURFACE_FILE}: {e}")))
 }
 
-/// Writes the observed surface (with its per-crate summary) to the
+/// Writes both observed surfaces (with their per-crate summaries) to the
 /// committed location under `root`.
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors.
-pub fn store_surface(root: &Path, report: &SurfaceReport) -> io::Result<()> {
-    std::fs::write(
-        root.join(SURFACE_FILE),
-        report.observed.to_json().to_pretty_string(),
-    )
-}
-
-/// Builds the workspace call graph and classifies its determinism
-/// surface against the committed `determinism-surface.json` (an absent
-/// file is an empty surface).
-///
-/// # Errors
-///
-/// Returns an I/O error if sources cannot be read, or a surface parse
-/// error as [`io::ErrorKind::InvalidData`].
-pub fn analyze_det_surface(root: &Path) -> io::Result<SurfaceReport> {
-    let committed = load_det_surface(root)?;
-    let sources = files::collect_sources(root)?;
-    let graph = callgraph::build(&sources);
-    Ok(SurfaceReport::build_by(&graph, &committed, |f| f.tainted))
-}
-
-/// Loads the committed determinism surface from `root`, or an empty one
-/// if the file does not exist yet.
-///
-/// # Errors
-///
-/// Returns [`io::ErrorKind::InvalidData`] for a malformed surface file.
-pub fn load_det_surface(root: &Path) -> io::Result<Surface> {
-    let path = root.join(DET_SURFACE_FILE);
-    if !path.exists() {
-        return Ok(Surface::default());
-    }
-    let text = std::fs::read_to_string(&path)?;
-    Surface::parse(&text).map_err(|e| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("{DET_SURFACE_FILE}: {e}"),
-        )
-    })
-}
-
-/// Writes the observed determinism surface (with its per-crate summary)
-/// to the committed location under `root`.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn store_det_surface(root: &Path, report: &SurfaceReport) -> io::Result<()> {
-    std::fs::write(
-        root.join(DET_SURFACE_FILE),
-        report.observed.to_json().to_pretty_string(),
-    )
+pub fn store_surface(root: &Path, analysis: &Analysis) -> io::Result<()> {
+    let json = surface::surfaces_to_json(
+        &analysis.panic_surface.observed,
+        &analysis.det_surface.observed,
+    );
+    std::fs::write(root.join(SURFACE_FILE), json.to_pretty_string())
 }

@@ -6,12 +6,12 @@
 //! ```
 //!
 //! Exit codes: `0` clean, `1` gate failure (`--deny` violations or
-//! `--check-baseline` drift), `2` usage or I/O error.
+//! `--check-baseline` drift of the committed surfaces), `2` usage or I/O
+//! error. `--update-baseline` re-locks both surfaces.
 
-use scp_analyze::baseline::BASELINE_FILE;
 use scp_analyze::files::find_workspace_root;
-use scp_analyze::surface::{DET_SURFACE_FILE, SURFACE_FILE};
-use scp_analyze::{analyze_all, store_baseline, store_det_surface, store_surface};
+use scp_analyze::surface::SURFACE_FILE;
+use scp_analyze::{analyze_all, store_surface};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -80,40 +80,21 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let report = analysis.report;
-    let surface = analysis.panic_surface;
-    let det = analysis.det_surface;
-
     if opts.update_baseline {
-        if let Err(e) = store_baseline(&root, &report.observed) {
-            eprintln!("scp-analyze: writing {BASELINE_FILE}: {e}");
-            return ExitCode::from(2);
-        }
-        println!(
-            "scp-analyze: wrote {} ({} files with ratcheted debt)",
-            BASELINE_FILE,
-            report.observed.counts.len()
-        );
-        if let Err(e) = store_surface(&root, &surface) {
+        if let Err(e) = store_surface(&root, &analysis) {
             eprintln!("scp-analyze: writing {SURFACE_FILE}: {e}");
             return ExitCode::from(2);
         }
         println!(
-            "scp-analyze: wrote {} ({} panic-reachable pub fns)",
-            SURFACE_FILE,
-            surface.observed.functions.len()
-        );
-        if let Err(e) = store_det_surface(&root, &det) {
-            eprintln!("scp-analyze: writing {DET_SURFACE_FILE}: {e}");
-            return ExitCode::from(2);
-        }
-        println!(
-            "scp-analyze: wrote {} ({} taint-reachable pub fns)",
-            DET_SURFACE_FILE,
-            det.observed.functions.len()
+            "scp-analyze: wrote {SURFACE_FILE} ({} panic-reachable, {} taint-reachable pub fns)",
+            analysis.panic_surface.observed.functions.len(),
+            analysis.det_surface.observed.functions.len()
         );
         // Violations of deny rules still gate below even after an update.
     }
+    let report = analysis.report;
+    let surface = analysis.panic_surface;
+    let det = analysis.det_surface;
 
     match opts.json.as_deref() {
         Some("-") => println!("{}", report.render_json().to_pretty_string()),
@@ -198,24 +179,12 @@ fn main() -> ExitCode {
         );
         failed = true;
     }
-    if opts.check_baseline && !opts.update_baseline && !report.baseline_in_sync() {
-        eprintln!(
-            "scp-analyze: --check-baseline: {BASELINE_FILE} out of sync ({} difference(s))",
-            report.baseline_diff.len()
-        );
-        failed = true;
-    }
-    if opts.check_baseline && !opts.update_baseline && !surface.in_sync() {
+    let drift =
+        |r: &scp_analyze::surface::SurfaceReport| r.added.len() + r.removed.len() + r.drifted.len();
+    if opts.check_baseline && !opts.update_baseline && !(surface.in_sync() && det.in_sync()) {
         eprintln!(
             "scp-analyze: --check-baseline: {SURFACE_FILE} out of sync ({} difference(s))",
-            surface.added.len() + surface.removed.len() + surface.drifted.len()
-        );
-        failed = true;
-    }
-    if opts.check_baseline && !opts.update_baseline && !det.in_sync() {
-        eprintln!(
-            "scp-analyze: --check-baseline: {DET_SURFACE_FILE} out of sync ({} difference(s))",
-            det.added.len() + det.removed.len() + det.drifted.len()
+            drift(&surface) + drift(&det)
         );
         failed = true;
     }

@@ -188,7 +188,7 @@ mod tests {
     use crate::files::{FileKind, SourceFile};
     use crate::lexer::mask;
 
-    const RULES: &[&str] = &["panic-path", "float-eq"];
+    const RULES: &[&str] = &["narrow-cast", "float-eq"];
 
     fn file(src: &str) -> SourceFile {
         let masked = mask(src);
@@ -205,13 +205,13 @@ mod tests {
     #[test]
     fn same_line_pragma_targets_itself() {
         let (p, e) = parse_pragmas(
-            &file("x.unwrap(); // scp-allow(panic-path): invariant holds\n"),
+            &file("x as u32; // scp-allow(narrow-cast): invariant holds\n"),
             RULES,
         );
         assert!(e.is_empty());
         assert_eq!(p.len(), 1);
         assert_eq!(p[0].target_line, 1);
-        assert_eq!(p[0].rule, "panic-path");
+        assert_eq!(p[0].rule, "narrow-cast");
         assert_eq!(p[0].reason, "invariant holds");
     }
 
@@ -225,7 +225,7 @@ mod tests {
 
     #[test]
     fn unknown_rule_and_missing_reason_are_errors() {
-        let src = "// scp-allow(no-such-rule): x\nlet a = 1;\n// scp-allow(panic-path)\nlet b = 2;\n// scp-allow(panic-path):   \nlet c = 3;\n";
+        let src = "// scp-allow(no-such-rule): x\nlet a = 1;\n// scp-allow(narrow-cast)\nlet b = 2;\n// scp-allow(narrow-cast):   \nlet c = 3;\n";
         let (p, e) = parse_pragmas(&file(src), RULES);
         assert!(p.is_empty());
         assert_eq!(e.len(), 3);
@@ -233,7 +233,7 @@ mod tests {
 
     #[test]
     fn pragma_in_string_is_ignored() {
-        let src = "let s = \"// scp-allow(panic-path): nope\";\n";
+        let src = "let s = \"// scp-allow(narrow-cast): nope\";\n";
         let (p, e) = parse_pragmas(&file(src), RULES);
         assert!(p.is_empty() && e.is_empty());
     }

@@ -1,78 +1,30 @@
 //! Classified analysis results and their human/JSON renderings.
 
-use crate::baseline::Baseline;
-use crate::rules::{rule_info, Enforcement, Finding, RULES};
+use crate::rules::{Finding, RULES};
 use scp_json::Json;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Outcome of analyzing the whole workspace, classified against a
-/// committed baseline.
+/// Outcome of analyzing the whole workspace.
 #[derive(Debug, Clone)]
 pub struct Report {
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
     /// Every finding, including suppressed ones.
     pub findings: Vec<Finding>,
-    /// Observed counts for ratcheted rules (unsuppressed findings only).
-    pub observed: Baseline,
-    /// Findings that the gate rejects: deny-rule findings plus ratcheted
-    /// findings in files whose count exceeds the baseline.
+    /// Findings that the gate rejects: every unsuppressed finding.
     pub violations: Vec<Finding>,
-    /// `(file, rule)` pairs over their baseline, with (observed, allowed).
-    pub regressions: Vec<(String, String, u64, u64)>,
-    /// Non-empty when the committed baseline differs from observed counts.
-    pub baseline_diff: Vec<String>,
 }
 
 impl Report {
-    /// Classifies raw findings against the committed baseline.
-    pub fn build(files_scanned: usize, findings: Vec<Finding>, committed: &Baseline) -> Self {
-        let mut counts: BTreeMap<String, BTreeMap<String, u64>> = BTreeMap::new();
-        for f in &findings {
-            if f.suppressed {
-                continue;
-            }
-            if rule_info(f.rule).is_some_and(|r| r.enforcement == Enforcement::Ratcheted) {
-                *counts
-                    .entry(f.file.clone())
-                    .or_default()
-                    .entry(f.rule.to_owned())
-                    .or_insert(0) += 1;
-            }
-        }
-        let observed = Baseline::from_counts(&counts);
-
-        let mut regressions = Vec::new();
-        for (file, rules) in &observed.counts {
-            for (rule, &n) in rules {
-                let allowed = committed.allowed(file, rule);
-                if n > allowed {
-                    regressions.push((file.clone(), rule.clone(), n, allowed));
-                }
-            }
-        }
-
-        let violations: Vec<Finding> = findings
-            .iter()
-            .filter(|f| !f.suppressed)
-            .filter(|f| match rule_info(f.rule).map(|r| r.enforcement) {
-                Some(Enforcement::Deny) | None => true,
-                Some(Enforcement::Ratcheted) => {
-                    observed.allowed(&f.file, f.rule) > committed.allowed(&f.file, f.rule)
-                }
-            })
-            .cloned()
-            .collect();
-
-        let baseline_diff = committed.diff(&observed);
+    /// Classifies raw findings: every rule is deny, so each unsuppressed
+    /// finding is a violation.
+    pub fn build(files_scanned: usize, findings: Vec<Finding>) -> Self {
+        let violations = findings.iter().filter(|f| !f.suppressed).cloned().collect();
         Self {
             files_scanned,
             findings,
-            observed,
             violations,
-            regressions,
-            baseline_diff,
         }
     }
 
@@ -81,17 +33,11 @@ impl Report {
         self.violations.is_empty()
     }
 
-    /// Whether the committed baseline matches observed counts exactly.
-    pub fn baseline_in_sync(&self) -> bool {
-        self.baseline_diff.is_empty()
-    }
-
-    fn suppressed_count(&self) -> usize {
-        self.findings.iter().filter(|f| f.suppressed).count()
-    }
-
-    fn baselined_count(&self) -> usize {
-        self.findings.len() - self.suppressed_count() - self.violations.len()
+    /// `(active, allowed by pragma)` findings of `rule`.
+    fn totals(&self, rule: &str) -> (usize, usize) {
+        let of_rule = self.findings.iter().filter(|f| f.rule == rule);
+        let allowed = of_rule.clone().filter(|f| f.suppressed).count();
+        (of_rule.count() - allowed, allowed)
     }
 
     /// Renders the human-readable report.
@@ -99,11 +45,10 @@ impl Report {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "scp-analyze: {} files, {} findings ({} baselined, {} allowed by pragma, {} violations)",
+            "scp-analyze: {} files, {} findings ({} allowed by pragma, {} violations)",
             self.files_scanned,
             self.findings.len(),
-            self.baselined_count(),
-            self.suppressed_count(),
+            self.findings.len() - self.violations.len(),
             self.violations.len(),
         );
         if !self.violations.is_empty() {
@@ -113,38 +58,14 @@ impl Report {
                 let _ = writeln!(out, "      {}", f.snippet);
             }
         }
-        if !self.regressions.is_empty() {
-            let _ = writeln!(out, "\nratchet regressions (observed > baseline):");
-            for (file, rule, n, allowed) in &self.regressions {
-                let _ = writeln!(out, "  {file}: {rule} {n} > {allowed}");
-            }
-        }
-        if !self.baseline_in_sync() {
-            let _ = writeln!(
-                out,
-                "\nbaseline out of sync (run `scp-analyze --update-baseline`):"
-            );
-            for d in &self.baseline_diff {
-                let _ = writeln!(out, "  {d}");
-            }
-        }
         if verbose {
             let _ = writeln!(out, "\nper-rule totals:");
             for rule in RULES {
-                let n = self
-                    .findings
-                    .iter()
-                    .filter(|f| f.rule == rule.name && !f.suppressed)
-                    .count();
-                let s = self
-                    .findings
-                    .iter()
-                    .filter(|f| f.rule == rule.name && f.suppressed)
-                    .count();
+                let (active, allowed) = self.totals(rule.name);
                 let _ = writeln!(
                     out,
                     "  {:16} {:4} active, {:3} allowed  ({})",
-                    rule.name, n, s, rule.description
+                    rule.name, active, allowed, rule.description
                 );
             }
         }
@@ -165,25 +86,12 @@ impl Report {
         let rule_totals: BTreeMap<String, Json> = RULES
             .iter()
             .map(|rule| {
-                let active = self
-                    .findings
-                    .iter()
-                    .filter(|f| f.rule == rule.name && !f.suppressed)
-                    .count();
-                let allowed = self
-                    .findings
-                    .iter()
-                    .filter(|f| f.rule == rule.name && f.suppressed)
-                    .count();
+                let (active, allowed) = self.totals(rule.name);
                 (
                     rule.name.to_owned(),
                     Json::obj([
                         ("active", Json::Num(active as f64)),
                         ("allowed", Json::Num(allowed as f64)),
-                        (
-                            "ratcheted",
-                            Json::Bool(rule.enforcement == Enforcement::Ratcheted),
-                        ),
                     ]),
                 )
             })
@@ -195,13 +103,7 @@ impl Report {
                 "violations",
                 Json::arr(self.violations.iter().map(finding_json)),
             ),
-            ("baseline_in_sync", Json::Bool(self.baseline_in_sync())),
-            (
-                "baseline_diff",
-                Json::arr(self.baseline_diff.iter().map(|d| Json::Str(d.clone()))),
-            ),
             ("rules", Json::Obj(rule_totals)),
-            ("observed_baseline", self.observed.to_json()),
         ])
     }
 }
@@ -210,9 +112,9 @@ impl Report {
 mod tests {
     use super::*;
 
-    fn finding(file: &str, rule: &'static str, suppressed: bool) -> Finding {
+    fn finding(rule: &'static str, suppressed: bool) -> Finding {
         Finding {
-            file: file.to_owned(),
+            file: "a.rs".to_owned(),
             line: 1,
             rule,
             message: "m".to_owned(),
@@ -222,81 +124,27 @@ mod tests {
     }
 
     #[test]
-    fn deny_rule_findings_are_always_violations() {
-        let r = Report::build(
-            1,
-            vec![finding("a.rs", "wall-clock", false)],
-            &Baseline::default(),
-        );
+    fn unsuppressed_findings_are_violations() {
+        let r = Report::build(1, vec![finding("float-eq", false)]);
         assert!(!r.deny_clean());
         assert_eq!(r.violations.len(), 1);
-    }
-
-    #[test]
-    fn suppressed_findings_are_not_violations() {
-        let r = Report::build(
-            1,
-            vec![finding("a.rs", "wall-clock", true)],
-            &Baseline::default(),
-        );
+        let r = Report::build(1, vec![finding("float-eq", true)]);
         assert!(r.deny_clean());
-    }
-
-    #[test]
-    fn ratcheted_findings_within_baseline_pass() {
-        let committed = {
-            let mut counts = BTreeMap::new();
-            let mut rules = BTreeMap::new();
-            rules.insert("panic-path".to_owned(), 1u64);
-            counts.insert("a.rs".to_owned(), rules);
-            Baseline { counts }
-        };
-        let r = Report::build(1, vec![finding("a.rs", "panic-path", false)], &committed);
-        assert!(r.deny_clean(), "{:?}", r.violations);
-        assert!(r.baseline_in_sync());
-    }
-
-    #[test]
-    fn ratcheted_findings_above_baseline_fail() {
-        let r = Report::build(
-            1,
-            vec![finding("a.rs", "panic-path", false)],
-            &Baseline::default(),
-        );
-        assert!(!r.deny_clean());
-        assert_eq!(r.regressions.len(), 1);
-        assert!(!r.baseline_in_sync());
-    }
-
-    #[test]
-    fn improvement_passes_deny_but_fails_sync() {
-        let committed = {
-            let mut counts = BTreeMap::new();
-            let mut rules = BTreeMap::new();
-            rules.insert("panic-path".to_owned(), 2u64);
-            counts.insert("a.rs".to_owned(), rules);
-            Baseline { counts }
-        };
-        let r = Report::build(1, vec![finding("a.rs", "panic-path", false)], &committed);
-        assert!(r.deny_clean());
-        assert!(!r.baseline_in_sync());
     }
 
     #[test]
     fn renders_both_forms() {
-        let r = Report::build(
-            2,
-            vec![finding("a.rs", "wall-clock", false)],
-            &Baseline::default(),
-        );
+        let r = Report::build(2, vec![finding("narrow-cast", false)]);
         let human = r.render_human(true);
         assert!(human.contains("violations"));
-        assert!(human.contains("wall-clock"));
+        assert!(human.contains("narrow-cast"));
         let json = r.render_json();
         assert_eq!(json.get("files_scanned").and_then(Json::as_u64), Some(2));
         assert_eq!(
-            json.get("baseline_in_sync").and_then(Json::as_bool),
-            Some(true), // no ratcheted findings -> empty baselines match
+            json.get("violations")
+                .and_then(Json::as_array)
+                .map(<[Json]>::len),
+            Some(1)
         );
     }
 }

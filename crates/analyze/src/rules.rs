@@ -1,52 +1,37 @@
 //! The rule set and the engine that runs it over masked sources.
 //!
 //! Every rule scans the *code mask* of a file (see [`crate::lexer`]), so
-//! comments and literals are invisible to it. Rules fall into two
-//! enforcement classes:
+//! comments and literals are invisible to it, and every rule is deny:
+//! zero unsuppressed findings. Panic paths, indexing, wall-clock reads,
+//! ambient entropy, threads, locks and undocumented `unsafe` blocks are
+//! deny-level clippy lints instead (`[workspace.lints.clippy]` in the
+//! root `Cargo.toml`, paths in `clippy.toml`); this crate keeps what no
+//! stock lint checks:
 //!
-//! * **deny** rules must have zero unsuppressed findings — they protect
-//!   the determinism guarantees PR 1 made headline claims about;
-//! * **ratcheted** rules are enforced against the committed
-//!   `analyze-baseline.json`: existing debt is grandfathered per
-//!   `(file, rule)`, any count increase fails (see [`crate::baseline`]).
+//! | rule | fires on |
+//! |------|----------|
+//! | `float-eq` | `==`/`!=` against a float literal, `0.0` included (clippy's `float_cmp` exempts zero) |
+//! | `narrow-cast` | narrowing `as` cast (`as u32` & co.) in library code |
+//! | `ordering-comment` | atomic `Ordering::` use without an `// ORDERING:` justification |
+//! | `unsafe-hygiene` | an `unsafe` declaration (not a block or impl) without a `// SAFETY:` comment nearby; `static mut` anywhere |
+//! | `nondet-taint` | a `pub` fn entering the determinism surface (see [`crate::taint`]) |
+//! | `atomic-unpaired` | unpaired Release/Acquire (or mixed SeqCst/Relaxed) on one atomic field (see [`crate::atomics`]) |
+//! | `invalid-pragma` | malformed `scp-allow` comment |
+//! | `unused-allow` | `scp-allow` that suppressed nothing |
 //!
-//! | rule | class | fires on |
-//! |------|-------|----------|
-//! | `hash-iteration` | deny | iterating a `HashMap`/`HashSet` binding in `scp-core`/`scp-cluster`/`scp-sim`/`scp-cache` library code |
-//! | `wall-clock` | deny | `Instant::now`/`SystemTime`/`.elapsed()` outside the timing whitelist |
-//! | `env-entropy` | deny | `RandomState`, `env::var`, other ambient entropy |
-//! | `unsafe-hygiene` | deny | an `unsafe` token without a `// SAFETY:` comment nearby |
-//! | `invalid-pragma` | deny | malformed `scp-allow` comment |
-//! | `unused-allow` | deny | `scp-allow` that suppressed nothing |
-//! | `ordering-comment` | deny | atomic `Ordering::` use without an `// ORDERING:` justification |
-//! | `concurrency-primitive` | deny | locks outside the lock whitelist, `spawn` outside the spawn whitelist, `static mut` anywhere |
-//! | `narrow-cast` | deny | narrowing `as` cast (`as u32` & co.) in library code |
-//! | `panic-path` | ratcheted | `unwrap`/`expect`/`panic!`-family in library code |
-//! | `slice-index` | ratcheted | `expr[...]` indexing in library code |
-//! | `float-eq` | ratcheted | `==`/`!=` against a float literal |
-//! | `nondet-taint` | deny | a `pub` fn entering the determinism surface (see [`crate::taint`]) |
-//! | `atomic-unpaired` | deny | unpaired Release/Acquire (or mixed SeqCst/Relaxed) on one atomic field (see [`crate::atomics`]) |
+//! The panic-site and nondeterminism-source matchers stay here as *site
+//! detectors*: they feed the panic surface and the taint pass
+//! ([`panic_site_lines`], [`taint_site_lines`]), not findings.
 
 use crate::files::{FileKind, SourceFile};
 use crate::pragma::parse_pragmas;
 use crate::syntax::{at, sub, tail};
 
-/// Enforcement class of a rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Enforcement {
-    /// Zero unsuppressed findings allowed.
-    Deny,
-    /// Bounded per `(file, rule)` by the committed baseline.
-    Ratcheted,
-}
-
 /// Static description of one rule.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleInfo {
-    /// Stable rule name (used in pragmas and the baseline).
+    /// Stable rule name (used in pragmas and reports).
     pub name: &'static str,
-    /// Enforcement class.
-    pub enforcement: Enforcement,
     /// One-line description for reports.
     pub description: &'static str,
 }
@@ -54,76 +39,38 @@ pub struct RuleInfo {
 /// All rules, in report order.
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
-        name: "hash-iteration",
-        enforcement: Enforcement::Deny,
-        description: "HashMap/HashSet iteration order must not reach results",
-    },
-    RuleInfo {
-        name: "wall-clock",
-        enforcement: Enforcement::Deny,
-        description: "wall-clock reads outside the timing whitelist",
-    },
-    RuleInfo {
-        name: "env-entropy",
-        enforcement: Enforcement::Deny,
-        description: "environment-derived entropy (RandomState, env::var, ...)",
-    },
-    RuleInfo {
-        name: "unsafe-hygiene",
-        enforcement: Enforcement::Deny,
-        description: "`unsafe` without an adjacent `// SAFETY:` comment",
-    },
-    RuleInfo {
-        name: "invalid-pragma",
-        enforcement: Enforcement::Deny,
-        description: "malformed scp-allow pragma",
-    },
-    RuleInfo {
-        name: "unused-allow",
-        enforcement: Enforcement::Deny,
-        description: "scp-allow pragma that suppresses nothing",
-    },
-    RuleInfo {
-        name: "ordering-comment",
-        enforcement: Enforcement::Deny,
-        description: "atomic `Ordering::` use without an `// ORDERING:` justification",
-    },
-    RuleInfo {
-        name: "concurrency-primitive",
-        enforcement: Enforcement::Deny,
-        description:
-            "locks/threads (`Mutex`, `RwLock`, `spawn`) outside their whitelists; `static mut` anywhere",
-    },
-    RuleInfo {
-        name: "narrow-cast",
-        enforcement: Enforcement::Deny,
-        description: "narrowing `as` cast in library code; prefer `try_from` or a lossless `from`",
-    },
-    RuleInfo {
-        name: "panic-path",
-        enforcement: Enforcement::Ratcheted,
-        description: "unwrap/expect/panic! in non-test library code",
-    },
-    RuleInfo {
-        name: "slice-index",
-        enforcement: Enforcement::Ratcheted,
-        description: "panicking slice/array indexing in non-test library code",
-    },
-    RuleInfo {
         name: "float-eq",
-        enforcement: Enforcement::Ratcheted,
         description: "exact ==/!= comparison against a float literal",
     },
     RuleInfo {
+        name: "narrow-cast",
+        description: "narrowing `as` cast in library code; prefer `try_from` or a lossless `from`",
+    },
+    RuleInfo {
+        name: "ordering-comment",
+        description: "atomic `Ordering::` use without an `// ORDERING:` justification",
+    },
+    RuleInfo {
+        name: "unsafe-hygiene",
+        description: "`unsafe` declaration without a `// SAFETY:` comment; `static mut` anywhere",
+    },
+    RuleInfo {
         name: "nondet-taint",
-        enforcement: Enforcement::Deny,
         description:
             "pub fn entered the determinism surface (nondeterminism can transitively reach it)",
     },
     RuleInfo {
         name: "atomic-unpaired",
-        enforcement: Enforcement::Deny,
-        description: "atomic field with unpaired Release/Acquire (or mixed SeqCst/Relaxed) orderings",
+        description:
+            "atomic field with unpaired Release/Acquire (or mixed SeqCst/Relaxed) orderings",
+    },
+    RuleInfo {
+        name: "invalid-pragma",
+        description: "malformed scp-allow pragma",
+    },
+    RuleInfo {
+        name: "unused-allow",
+        description: "scp-allow pragma that suppresses nothing",
     },
 ];
 
@@ -137,57 +84,7 @@ pub fn suppressible_rules() -> Vec<&'static str> {
         .collect()
 }
 
-/// Looks up a rule's static info.
-pub fn rule_info(name: &str) -> Option<&'static RuleInfo> {
-    RULES.iter().find(|r| r.name == name)
-}
-
-/// Crates whose library code the `hash-iteration` rule polices. Cache
-/// *membership* tests are fine everywhere; these are the crates whose
-/// outputs feed journals and reports, where iteration order could leak.
-const HASH_ITER_CRATES: &[&str] = &["scp-core", "scp-cluster", "scp-sim", "scp-cache"];
-
-/// Files allowed to read wall clocks: the runner measures wall time for
-/// journal metadata explicitly, the bench harness is a timing tool, and
-/// the serving engine's clock module is the single place the live path
-/// reads wall time (everything else in `crates/serve` must go through
-/// it, so shedding and reports stay a function of logical time).
-const WALL_CLOCK_WHITELIST: &[&str] = &[
-    "crates/sim/src/runner.rs",
-    "crates/bench/",
-    "crates/serve/src/clock.rs",
-];
-
-/// Files allowed to use blocking lock types (`Mutex`, `RwLock`,
-/// `Condvar`). Only the interleaving explorer, which *models* a
-/// scheduler and needs a real lock/condvar pair to sequence its shim
-/// threads. The serving pipeline (loadgen, the SPSC ring, the batch
-/// rings) is lock-free by design — PR 8 removed the
-/// `Mutex<VecDeque> + Condvar` intake funnel, and this list is what
-/// keeps a lock from quietly coming back: a `Mutex` reappearing in
-/// `crates/serve/src/loadgen.rs` fires `concurrency-primitive`.
-const LOCK_WHITELIST: &[&str] = &["crates/analyze/src/interleave.rs"];
-
-/// Files allowed to start threads (`thread::spawn` / scoped spawns).
-/// Everything else must be single-threaded: the determinism claims
-/// hinge on thread interactions being confined to the audited fan-out
-/// sites (the sweep/runner pool, the load generator's pipeline, and the
-/// interleaving explorer's shim threads). `static mut` is never
-/// whitelisted — an unsynchronized global is wrong everywhere.
-const SPAWN_WHITELIST: &[&str] = &[
-    "crates/sim/src/runner.rs",
-    "crates/sim/src/sweep.rs",
-    "crates/serve/src/loadgen.rs",
-    "crates/analyze/src/interleave.rs",
-];
-
-/// Files exempt from `ordering-comment`: the interleaving explorer
-/// *interprets* `Ordering` values handed to its shim (matching on every
-/// variant), so per-use justifications would be noise there. Real atomic
-/// call sites — spsc.rs, loadgen.rs — still justify every ordering.
-const ORDERING_COMMENT_EXEMPT: &[&str] = &["crates/analyze/src/interleave.rs"];
-
-/// One finding, before suppression/baseline classification.
+/// One finding, before suppression.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// Workspace-relative path.
@@ -206,7 +103,7 @@ pub struct Finding {
 
 /// Runs every line rule over one file, applies its pragmas, and reports
 /// pragma-hygiene findings alongside the code findings. The full
-/// workspace pipeline ([`crate::analyze_workspace`]) instead collects
+/// workspace pipeline ([`crate::analyze_sources`]) instead collects
 /// raw findings from every pass (`check_file_raw`, the atomics and
 /// taint passes) and applies pragmas once over the merged set, so a
 /// pragma can target any rule's finding and unused-pragma detection sees
@@ -219,10 +116,11 @@ pub fn check_file(file: &SourceFile) -> Vec<Finding> {
 /// pragma processing.
 pub(crate) fn check_file_raw(file: &SourceFile) -> Vec<Finding> {
     let mut findings = Vec::new();
+    if !library_code(file.kind) {
+        return findings;
+    }
     let code_lines = file.masked.code_lines();
     let comment_lines = file.masked.comment_lines();
-
-    let hash_names = hash_bound_names(&code_lines);
     for (idx, line) in code_lines.iter().enumerate() {
         let lineno = idx + 1;
         if file.is_test_line(lineno) {
@@ -234,43 +132,17 @@ pub(crate) fn check_file_raw(file: &SourceFile) -> Vec<Finding> {
                 line: lineno,
                 rule,
                 message,
-                snippet: file
-                    .lines
-                    .get(idx)
-                    .map(|l| l.trim().to_owned())
-                    .unwrap_or_default(),
+                snippet: snippet_at(file, lineno),
                 suppressed: false,
             });
         };
-
-        if library_code(file.kind) {
-            check_panic_path(line, &mut emit);
-            check_slice_index(line, &mut emit);
-            check_float_eq(line, &mut emit);
-            check_narrow_cast(line, &mut emit);
-            if HASH_ITER_CRATES.contains(&file.crate_name.as_str()) {
-                check_hash_iteration(line, &hash_names, &mut emit);
-            }
-            if !WALL_CLOCK_WHITELIST
-                .iter()
-                .any(|w| file.rel_path.starts_with(w) || file.rel_path == *w)
-            {
-                check_wall_clock(line, &mut emit);
-            }
-            check_concurrency(
-                line,
-                LOCK_WHITELIST.contains(&file.rel_path.as_str()),
-                SPAWN_WHITELIST.contains(&file.rel_path.as_str()),
-                &mut emit,
-            );
-            if !ORDERING_COMMENT_EXEMPT.contains(&file.rel_path.as_str()) {
-                check_ordering_comment(line, idx, &code_lines, &comment_lines, &mut emit);
-            }
-            check_env_entropy(line, &mut emit);
+        check_float_eq(line, &mut emit);
+        check_narrow_cast(line, &mut emit);
+        if !file.is_model() {
+            check_ordering_comment(line, idx, &code_lines, &comment_lines, &mut emit);
         }
         check_unsafe(line, idx, &comment_lines, &mut emit);
     }
-
     findings
 }
 
@@ -278,11 +150,12 @@ fn library_code(kind: FileKind) -> bool {
     matches!(kind, FileKind::Library | FileKind::Binary)
 }
 
-/// 1-based lines of `file` carrying a panic-capable site (`panic-path` or
-/// `slice-index`), **before** suppression — the call-graph panic surface
-/// counts these even when an `scp-allow` pragma justifies them, because a
-/// justified `unwrap` can still panic; the pragma documents why it should
-/// not, the surface report records that it could.
+/// 1-based lines of `file` carrying a panic-capable site
+/// (`unwrap`/`expect`/`panic!`-family or `expr[...]` indexing). The
+/// call-graph panic surface counts these even where an `#[expect]`
+/// justifies them, because a justified `unwrap` can still panic; the
+/// attribute documents why it should not, the surface records that it
+/// could.
 pub fn panic_site_lines(file: &SourceFile) -> Vec<usize> {
     let mut out = Vec::new();
     if !library_code(file.kind) {
@@ -294,7 +167,7 @@ pub fn panic_site_lines(file: &SourceFile) -> Vec<usize> {
             continue;
         }
         let mut hit = false;
-        let mut emit = |_rule: &'static str, _msg: String| hit = true;
+        let mut emit = |_msg: String| hit = true;
         check_panic_path(line, &mut emit);
         check_slice_index(line, &mut emit);
         if hit {
@@ -313,21 +186,16 @@ pub struct TaintSite {
     pub what: String,
 }
 
-/// Files whose sources never seed taint: the interleaving explorer
-/// *models* atomics and schedules — its nondeterminism is the explored
-/// schedule space, which it enumerates deterministically.
-const TAINT_EXEMPT: &[&str] = &["crates/analyze/src/interleave.rs"];
-
-/// 1-based nondeterminism source sites of `file`, **before** suppression
-/// and **ignoring the wall-clock whitelist and hash-iteration crate
-/// scoping**. The line rules answer "is this site justified where it
-/// stands"; the taint pass answers "where do its values flow", and a
-/// whitelisted clock read is still a real source whose flow must be cut
-/// by a `// DETERMINISM:` pragma (or end at a non-`pub` sink) to stay
-/// out of the determinism surface.
-pub(crate) fn taint_site_lines(file: &SourceFile) -> Vec<TaintSite> {
+/// 1-based nondeterminism source sites of `file`: wall-clock reads, env
+/// entropy, `HashMap`/`HashSet` iteration and fully-`Relaxed` atomic
+/// loads, in every library crate. A clock read clippy lets stand where
+/// it is is still a real source whose flow must be cut by a
+/// `// DETERMINISM:` pragma (or end at a non-`pub` sink) to stay out of
+/// the determinism surface. Model files ([`SourceFile::is_model`]) seed
+/// nothing: their nondeterminism is the schedule space they enumerate.
+pub fn taint_site_lines(file: &SourceFile) -> Vec<TaintSite> {
     let mut out = Vec::new();
-    if !library_code(file.kind) || TAINT_EXEMPT.contains(&file.rel_path.as_str()) {
+    if !library_code(file.kind) || file.is_model() {
         return out;
     }
     let code_lines = file.masked.code_lines();
@@ -337,12 +205,7 @@ pub(crate) fn taint_site_lines(file: &SourceFile) -> Vec<TaintSite> {
         if file.is_test_line(lineno) {
             continue;
         }
-        let mut emit = |_rule: &'static str, msg: String| {
-            out.push(TaintSite {
-                line: lineno,
-                what: msg,
-            });
-        };
+        let mut emit = |what: String| out.push(TaintSite { line: lineno, what });
         check_wall_clock(line, &mut emit);
         check_env_entropy(line, &mut emit);
         check_hash_iteration(line, &hash_names, &mut emit);
@@ -460,14 +323,14 @@ fn call_is_tried(line: &str, open: usize) -> bool {
     false
 }
 
-// ------------------------------------------------------------------ rules
+// ------------------------------------------------------- site detectors
 
-fn check_panic_path(line: &str, emit: &mut impl FnMut(&'static str, String)) {
+fn check_panic_path(line: &str, emit: &mut impl FnMut(String)) {
     for method in ["unwrap", "unwrap_err"] {
         for pos in token_positions(line, method) {
             let prefixed = pos > 0 && at(line.as_bytes(), pos - 1) == b'.';
             if prefixed && tail(line, pos + method.len()).starts_with("()") {
-                emit("panic-path", format!(".{method}() can panic"));
+                emit(format!(".{method}() can panic"));
             }
         }
     }
@@ -476,20 +339,20 @@ fn check_panic_path(line: &str, emit: &mut impl FnMut(&'static str, String)) {
             let prefixed = pos > 0 && at(line.as_bytes(), pos - 1) == b'.';
             let open = pos + method.len();
             if prefixed && tail(line, open).starts_with('(') && !call_is_tried(line, open) {
-                emit("panic-path", format!(".{method}(...) can panic"));
+                emit(format!(".{method}(...) can panic"));
             }
         }
     }
     for mac in ["panic", "unreachable", "todo", "unimplemented"] {
         for pos in token_positions(line, mac) {
             if tail(line, pos + mac.len()).starts_with("!(") {
-                emit("panic-path", format!("{mac}! aborts this path"));
+                emit(format!("{mac}! aborts this path"));
             }
         }
     }
 }
 
-fn check_slice_index(line: &str, emit: &mut impl FnMut(&'static str, String)) {
+fn check_slice_index(line: &str, emit: &mut impl FnMut(String)) {
     let bytes = line.as_bytes();
     for (i, &b) in bytes.iter().enumerate() {
         if b != b'[' || i == 0 {
@@ -497,70 +360,9 @@ fn check_slice_index(line: &str, emit: &mut impl FnMut(&'static str, String)) {
         }
         let prev = at(bytes, i - 1);
         if is_ident(prev) || prev == b')' || prev == b']' {
-            emit(
-                "slice-index",
-                "indexing panics when out of bounds; prefer .get()".to_owned(),
-            );
+            emit("indexing panics when out of bounds; prefer .get()".to_owned());
         }
     }
-}
-
-fn check_float_eq(line: &str, emit: &mut impl FnMut(&'static str, String)) {
-    let bytes = line.as_bytes();
-    for op in ["==", "!="] {
-        let mut from = 0usize;
-        while let Some(off) = tail(line, from).find(op) {
-            let opos = from + off;
-            from = opos + op.len();
-            // Exclude `<=`/`>=`-style composites and pattern `=>`.
-            if opos > 0 && matches!(at(bytes, opos - 1), b'<' | b'>' | b'=' | b'!') {
-                continue;
-            }
-            if bytes.get(opos + op.len()) == Some(&b'=') {
-                continue;
-            }
-            let right = tail(line, opos + op.len()).trim_start();
-            let left = sub(line, 0, opos).trim_end();
-            if is_float_literal_prefix(right) || is_float_literal_suffix(left) {
-                emit(
-                    "float-eq",
-                    format!("`{op}` against a float literal; compare via an epsilon helper"),
-                );
-            }
-        }
-    }
-}
-
-/// Does `s` *start* with a float literal (`1.0`, `-.5`, `2e-3`, `1f64`)?
-fn is_float_literal_prefix(s: &str) -> bool {
-    let s = s.strip_prefix('-').unwrap_or(s).trim_start();
-    let bytes = s.as_bytes();
-    if bytes.first().is_none_or(|b| !b.is_ascii_digit()) {
-        return false;
-    }
-    let mut i = 0usize;
-    while bytes
-        .get(i)
-        .is_some_and(|&b| b.is_ascii_digit() || b == b'_')
-    {
-        i += 1;
-    }
-    match bytes.get(i) {
-        Some(b'.') => bytes.get(i + 1).is_some_and(u8::is_ascii_digit),
-        Some(b'e') | Some(b'E') => true,
-        Some(b'f') => tail(s, i).starts_with("f32") || tail(s, i).starts_with("f64"),
-        _ => false,
-    }
-}
-
-/// Does `s` *end* with a float literal?
-fn is_float_literal_suffix(s: &str) -> bool {
-    let bytes = s.as_bytes();
-    let mut i = bytes.len();
-    while i > 0 && (is_ident(at(bytes, i - 1)) || at(bytes, i - 1) == b'.') {
-        i -= 1;
-    }
-    is_float_literal_prefix(tail(s, i))
 }
 
 /// Names in this file bound to a `HashMap`/`HashSet` (let bindings with
@@ -658,11 +460,7 @@ const ITERATING_METHODS: &[&str] = &[
     "symmetric_difference",
 ];
 
-fn check_hash_iteration(
-    line: &str,
-    hash_names: &[String],
-    emit: &mut impl FnMut(&'static str, String),
-) {
+fn check_hash_iteration(line: &str, hash_names: &[String], emit: &mut impl FnMut(String)) {
     let bytes = line.as_bytes();
     for name in hash_names {
         for pos in token_positions(line, name) {
@@ -670,10 +468,9 @@ fn check_hash_iteration(
             if let Some(rest) = after.strip_prefix('.') {
                 for m in ITERATING_METHODS {
                     if rest.starts_with(m) && tail(rest, m.len()).starts_with('(') {
-                        emit(
-                            "hash-iteration",
-                            format!("`{name}.{m}()` iterates a hash collection in nondeterministic order"),
-                        );
+                        emit(format!(
+                            "`{name}.{m}()` iterates a hash collection in nondeterministic order"
+                        ));
                     }
                 }
             }
@@ -685,46 +482,39 @@ fn check_hash_iteration(
                 .trim_end();
             if before.ends_with(" in") || before.ends_with("\tin") {
                 let has_for = token_positions(line, "for").iter().any(|&f| f < pos);
-                // A trailing `.` means a method-call rule owns the site
+                // A trailing `.` means the method-call match owns the site
                 // (`for k in m.keys()` is reported as `m.keys()`).
                 let follows = bytes.get(pos + name.len()).copied();
                 let follows_ident = follows.is_some_and(|b| is_ident(b) || b == b'.');
                 if has_for && !follows_ident {
-                    emit(
-                        "hash-iteration",
-                        format!("`for ... in {name}` iterates a hash collection in nondeterministic order"),
-                    );
+                    emit(format!(
+                        "`for ... in {name}` iterates a hash collection in nondeterministic order"
+                    ));
                 }
             }
         }
     }
 }
 
-fn check_wall_clock(line: &str, emit: &mut impl FnMut(&'static str, String)) {
+fn check_wall_clock(line: &str, emit: &mut impl FnMut(String)) {
     for tok in ["Instant", "SystemTime"] {
         for pos in token_positions(line, tok) {
             let after = tail(line, pos + tok.len());
             // Imports and type positions are fine; *reads* are not.
             if after.starts_with("::now") {
-                emit(
-                    "wall-clock",
-                    format!("`{tok}` wall-clock read outside the timing whitelist"),
-                );
+                emit(format!("`{tok}` wall-clock read"));
             }
         }
     }
     for pos in token_positions(line, "elapsed") {
         let prefixed = pos > 0 && at(line.as_bytes(), pos - 1) == b'.';
         if prefixed && tail(line, pos + "elapsed".len()).starts_with('(') {
-            emit(
-                "wall-clock",
-                "`.elapsed()` reads a wall clock outside the timing whitelist".to_owned(),
-            );
+            emit("`.elapsed()` reads a wall clock".to_owned());
         }
     }
 }
 
-fn check_env_entropy(line: &str, emit: &mut impl FnMut(&'static str, String)) {
+fn check_env_entropy(line: &str, emit: &mut impl FnMut(String)) {
     for tok in [
         "RandomState",
         "thread_rng",
@@ -733,23 +523,81 @@ fn check_env_entropy(line: &str, emit: &mut impl FnMut(&'static str, String)) {
         "getrandom",
     ] {
         if !token_positions(line, tok).is_empty() {
-            emit(
-                "env-entropy",
-                format!("`{tok}` injects ambient entropy into a deterministic system"),
-            );
+            emit(format!(
+                "`{tok}` injects ambient entropy into a deterministic system"
+            ));
         }
     }
     for tok in ["var", "var_os", "vars", "vars_os"] {
         for pos in token_positions(line, tok) {
             let prefixed = sub(line, 0, pos).ends_with("env::");
             if prefixed && tail(line, pos + tok.len()).starts_with('(') {
+                emit(format!(
+                    "`env::{tok}` makes behavior depend on the environment"
+                ));
+            }
+        }
+    }
+}
+
+// ------------------------------------------------------------------ rules
+
+fn check_float_eq(line: &str, emit: &mut impl FnMut(&'static str, String)) {
+    let bytes = line.as_bytes();
+    for op in ["==", "!="] {
+        let mut from = 0usize;
+        while let Some(off) = tail(line, from).find(op) {
+            let opos = from + off;
+            from = opos + op.len();
+            // Exclude `<=`/`>=`-style composites and pattern `=>`.
+            if opos > 0 && matches!(at(bytes, opos - 1), b'<' | b'>' | b'=' | b'!') {
+                continue;
+            }
+            if bytes.get(opos + op.len()) == Some(&b'=') {
+                continue;
+            }
+            let right = tail(line, opos + op.len()).trim_start();
+            let left = sub(line, 0, opos).trim_end();
+            if is_float_literal_prefix(right) || is_float_literal_suffix(left) {
                 emit(
-                    "env-entropy",
-                    format!("`env::{tok}` makes behavior depend on the environment"),
+                    "float-eq",
+                    format!("`{op}` against a float literal; compare via an epsilon helper"),
                 );
             }
         }
     }
+}
+
+/// Does `s` *start* with a float literal (`1.0`, `-.5`, `2e-3`, `1f64`)?
+fn is_float_literal_prefix(s: &str) -> bool {
+    let s = s.strip_prefix('-').unwrap_or(s).trim_start();
+    let bytes = s.as_bytes();
+    if bytes.first().is_none_or(|b| !b.is_ascii_digit()) {
+        return false;
+    }
+    let mut i = 0usize;
+    while bytes
+        .get(i)
+        .is_some_and(|&b| b.is_ascii_digit() || b == b'_')
+    {
+        i += 1;
+    }
+    match bytes.get(i) {
+        Some(b'.') => bytes.get(i + 1).is_some_and(u8::is_ascii_digit),
+        Some(b'e') | Some(b'E') => true,
+        Some(b'f') => tail(s, i).starts_with("f32") || tail(s, i).starts_with("f64"),
+        _ => false,
+    }
+}
+
+/// Does `s` *end* with a float literal?
+fn is_float_literal_suffix(s: &str) -> bool {
+    let bytes = s.as_bytes();
+    let mut i = bytes.len();
+    while i > 0 && (is_ident(at(bytes, i - 1)) || at(bytes, i - 1) == b'.') {
+        i -= 1;
+    }
+    is_float_literal_prefix(tail(s, i))
 }
 
 /// Memory-ordering variant names (`std::sync::atomic::Ordering`). The
@@ -808,48 +656,6 @@ fn ordering_documented(idx: usize, code_lines: &[&str], comment_lines: &[&str]) 
     false
 }
 
-fn check_concurrency(
-    line: &str,
-    locks_allowed: bool,
-    spawns_allowed: bool,
-    emit: &mut impl FnMut(&'static str, String),
-) {
-    if !locks_allowed {
-        for ty in ["Mutex", "RwLock", "Condvar"] {
-            if !token_positions(line, ty).is_empty() {
-                emit(
-                    "concurrency-primitive",
-                    format!("`{ty}` outside the lock whitelist"),
-                );
-            }
-        }
-    }
-    if !spawns_allowed {
-        for method in ["spawn", "scope"] {
-            for pos in token_positions(line, method) {
-                let before = line.get(..pos).unwrap_or("");
-                let after = line.get(pos + method.len()..).unwrap_or("");
-                if after.starts_with('(') && (before.ends_with("thread::") || before.ends_with('.'))
-                {
-                    emit(
-                        "concurrency-primitive",
-                        format!("`{method}` spawns threads outside the spawn whitelist"),
-                    );
-                }
-            }
-        }
-    }
-    for pos in token_positions(line, "static") {
-        let rest = line.get(pos + "static".len()..).unwrap_or("").trim_start();
-        if rest.starts_with("mut ") {
-            emit(
-                "concurrency-primitive",
-                "`static mut` is an unsynchronized global".to_owned(),
-            );
-        }
-    }
-}
-
 /// Integer types an `as` cast may silently truncate into. `usize`/`u64`
 /// and the float types are widening (or at least platform-word) targets
 /// on every tier this workspace supports, and stay allowed.
@@ -878,84 +684,70 @@ fn check_unsafe(
     comment_lines: &[&str],
     emit: &mut impl FnMut(&'static str, String),
 ) {
-    if token_positions(line, "unsafe").is_empty() {
-        return;
+    for pos in token_positions(line, "unsafe") {
+        // Blocks and impls are clippy's `undocumented_unsafe_blocks`.
+        let rest = tail(line, pos + "unsafe".len()).trim_start();
+        if rest.starts_with('{') || rest.starts_with("impl") {
+            continue;
+        }
+        let lo = idx.saturating_sub(2);
+        let documented = comment_lines
+            .get(lo..=idx.min(comment_lines.len().saturating_sub(1)))
+            .unwrap_or(&[])
+            .iter()
+            .any(|c| c.contains("SAFETY:"));
+        if !documented {
+            emit(
+                "unsafe-hygiene",
+                "`unsafe` declaration without a `// SAFETY:` comment on or just above the line"
+                    .to_owned(),
+            );
+        }
     }
-    let lo = idx.saturating_sub(2);
-    let documented = comment_lines
-        .get(lo..=idx.min(comment_lines.len().saturating_sub(1)))
-        .unwrap_or(&[])
-        .iter()
-        .any(|c| c.contains("SAFETY:"));
-    if !documented {
-        emit(
-            "unsafe-hygiene",
-            "`unsafe` without a `// SAFETY:` comment on or just above the line".to_owned(),
-        );
+    for pos in token_positions(line, "static") {
+        if tail(line, pos + "static".len())
+            .trim_start()
+            .starts_with("mut ")
+        {
+            emit(
+                "unsafe-hygiene",
+                "`static mut` is an unsynchronized global".to_owned(),
+            );
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::files::{FileKind, SourceFile};
-    use crate::lexer::mask;
-
-    fn lib_file(src: &str) -> SourceFile {
-        let masked = mask(src);
-        let in_test = crate::files::cfg_test_lines(&masked);
-        SourceFile {
-            rel_path: "crates/sim/src/x.rs".into(),
-            crate_name: "scp-sim".into(),
-            kind: FileKind::Library,
-            in_test,
-            masked,
-            lines: src.lines().map(str::to_owned).collect(),
-        }
-    }
 
     fn rules_fired(src: &str) -> Vec<&'static str> {
-        check_file(&lib_file(src))
+        check_file(&SourceFile::from_source("crates/sim/src/x.rs", src))
             .into_iter()
             .filter(|f| !f.suppressed)
             .map(|f| f.rule)
             .collect()
     }
 
-    #[test]
-    fn unwrap_and_expect_fire() {
-        assert_eq!(rules_fired("let a = x.unwrap();"), vec!["panic-path"]);
-        assert_eq!(
-            rules_fired("let a = x.expect(\"must\");"),
-            vec!["panic-path"]
-        );
-        assert_eq!(rules_fired("panic!(\"boom\");"), vec!["panic-path"]);
-        assert_eq!(rules_fired("unreachable!();"), vec!["panic-path"]);
+    fn panic_lines(src: &str) -> Vec<usize> {
+        panic_site_lines(&SourceFile::from_source("crates/sim/src/x.rs", src))
     }
 
     #[test]
-    fn result_returning_expect_helper_is_not_a_panic() {
+    fn panic_sites_cover_unwrap_expect_macros_and_indexing() {
+        let src = "let a = x.unwrap();\nlet a = x.expect(\"must\");\npanic!(\"boom\");\n\
+                   unreachable!();\nlet a = xs[0];\nlet a = f()[i];\n";
+        assert_eq!(panic_lines(src), vec![1, 2, 3, 4, 5, 6]);
+    }
+
+    #[test]
+    fn lookalikes_are_not_panic_sites() {
         // scp-json's parser has a private `expect(&mut self, b: u8) ->
         // Result<..>`; the `?` marks it as tried, not panicking.
-        assert!(rules_fired("self.expect(b\".\")?;").is_empty());
-        assert!(rules_fired("p.expect(b\".\")?.more();").is_empty());
-    }
-
-    #[test]
-    fn unwrap_or_variants_do_not_fire() {
-        assert!(rules_fired("let a = x.unwrap_or(0);").is_empty());
-        assert!(rules_fired("let a = x.unwrap_or_else(|| 0);").is_empty());
-        assert!(rules_fired("let a = x.unwrap_or_default();").is_empty());
-    }
-
-    #[test]
-    fn slice_index_fires_and_type_brackets_do_not() {
-        assert_eq!(rules_fired("let a = xs[0];"), vec!["slice-index"]);
-        assert_eq!(rules_fired("let a = f()[i];"), vec!["slice-index"]);
-        assert!(rules_fired("let a: [f64; 4] = make();").is_empty());
-        assert!(rules_fired("let v = vec![0.0; n];").is_empty());
-        assert!(rules_fired("#[derive(Debug)]").is_empty());
-        assert!(rules_fired("let [a, b] = pair;").is_empty());
+        let src = "self.expect(b\".\")?;\nlet a = x.unwrap_or(0);\nlet a = x.unwrap_or_default();\n\
+                   let a: [f64; 4] = make();\nlet v = vec![0.0; n];\n#[derive(Debug)]\nlet [a, b] = pair;\n\
+                   // call .unwrap() here\nlet s = \".unwrap()\";\n";
+        assert!(panic_lines(src).is_empty());
     }
 
     #[test]
@@ -971,139 +763,36 @@ mod tests {
     }
 
     #[test]
-    fn hash_iteration_tracks_bindings() {
-        let src = "let mut m: HashMap<u64, u64> = HashMap::new();\nfor k in m.keys() {\n}\n";
-        assert!(rules_fired(src).contains(&"hash-iteration"));
-        let direct =
-            "let m = std::collections::HashMap::new();\nlet v: Vec<_> = m.into_iter().collect();\n";
-        assert!(rules_fired(direct).contains(&"hash-iteration"));
-        let for_loop = "let s: HashSet<u32> = HashSet::new();\nfor x in &s {\n}\n";
-        assert!(rules_fired(for_loop).contains(&"hash-iteration"));
-        // Membership tests never fire.
-        let member = "let s: HashSet<u32> = HashSet::new();\nif s.contains(&1) { s.len(); }\n";
-        assert!(rules_fired(member).is_empty());
-    }
-
-    #[test]
-    fn hash_iteration_scope_is_limited_to_result_crates() {
-        let masked = mask("let m: HashMap<u64,u64> = HashMap::new();\nfor k in m.keys() {}\n");
-        let n = masked.code.lines().count();
-        let file = SourceFile {
-            rel_path: "crates/workload/src/x.rs".into(),
-            crate_name: "scp-workload".into(),
-            kind: FileKind::Library,
-            masked,
-            in_test: vec![false; n],
-            lines: vec![],
-        };
-        assert!(check_file(&file).is_empty());
-    }
-
-    #[test]
-    fn wall_clock_fires_outside_whitelist() {
-        assert_eq!(rules_fired("let t = Instant::now();"), vec!["wall-clock"]);
-        assert_eq!(
-            rules_fired("let t = SystemTime::now();"),
-            vec!["wall-clock"]
+    fn unsafe_declarations_need_a_safety_comment_and_blocks_are_clippys() {
+        assert_eq!(rules_fired("unsafe fn f() {}"), vec!["unsafe-hygiene"]);
+        assert_eq!(rules_fired("pub unsafe trait T {}"), vec!["unsafe-hygiene"]);
+        assert!(
+            rules_fired("// SAFETY: callers uphold the contract\nunsafe fn f() {}\n").is_empty()
         );
-        assert_eq!(rules_fired("let d = start.elapsed();"), vec!["wall-clock"]);
-        assert!(rules_fired("use std::time::Instant;").is_empty());
-    }
-
-    #[test]
-    fn wall_clock_whitelist_applies() {
-        let masked = mask("let t = Instant::now();\n");
-        let file = SourceFile {
-            rel_path: "crates/sim/src/runner.rs".into(),
-            crate_name: "scp-sim".into(),
-            kind: FileKind::Library,
-            in_test: vec![false; 1],
-            masked,
-            lines: vec!["let t = Instant::now();".into()],
-        };
-        assert!(check_file(&file).is_empty());
-        let masked = mask("let t = Instant::now();\n");
-        let bench = SourceFile {
-            rel_path: "crates/bench/src/harness.rs".into(),
-            crate_name: "scp-bench".into(),
-            kind: FileKind::Library,
-            in_test: vec![false; 1],
-            masked,
-            lines: vec!["let t = Instant::now();".into()],
-        };
-        assert!(check_file(&bench).is_empty());
-        let masked = mask("let t = Instant::now();\n");
-        let clock = SourceFile {
-            rel_path: "crates/serve/src/clock.rs".into(),
-            crate_name: "scp-serve".into(),
-            kind: FileKind::Library,
-            in_test: vec![false; 1],
-            masked,
-            lines: vec!["let t = Instant::now();".into()],
-        };
-        assert!(check_file(&clock).is_empty());
-        // Only the clock module is exempt — the rest of the serving
-        // engine must route wall-clock reads through it.
-        let masked = mask("let t = Instant::now();\n");
-        let engine = SourceFile {
-            rel_path: "crates/serve/src/engine.rs".into(),
-            crate_name: "scp-serve".into(),
-            kind: FileKind::Library,
-            in_test: vec![false; 1],
-            masked,
-            lines: vec!["let t = Instant::now();".into()],
-        };
-        assert_eq!(check_file(&engine).len(), 1);
-    }
-
-    #[test]
-    fn env_entropy_fires() {
+        assert!(rules_fired("let p = unsafe { *ptr };").is_empty());
+        assert!(rules_fired("unsafe impl Send for S {}").is_empty());
         assert_eq!(
-            rules_fired("let h: HashMap<K, V, RandomState> = x;"),
-            vec!["env-entropy"]
-        );
-        assert_eq!(
-            rules_fired("let v = std::env::var(\"SEED\");"),
-            vec!["env-entropy"]
-        );
-        assert!(rules_fired("let a = std::env::args();").is_empty());
-    }
-
-    #[test]
-    fn unsafe_requires_safety_comment() {
-        assert_eq!(
-            rules_fired("let p = unsafe { *ptr };"),
+            rules_fired("static mut N: u64 = 0;"),
             vec!["unsafe-hygiene"]
         );
-        let documented = "// SAFETY: ptr is valid for the whole call\nlet p = unsafe { *ptr };\n";
-        assert!(rules_fired(documented).is_empty());
     }
 
     #[test]
     fn pragmas_suppress_and_unused_pragmas_fire() {
-        let ok = "let a = x.unwrap(); // scp-allow(panic-path): checked above\n";
-        let f = check_file(&lib_file(ok));
+        let same = "if x == 0.0 {} // scp-allow(float-eq): exact zero is the sentinel\n";
+        let f = check_file(&SourceFile::from_source("crates/sim/src/x.rs", same));
         assert!(f.iter().all(|f| f.suppressed));
-        let above = "// scp-allow(slice-index): len checked by caller\nlet a = xs[0];\n";
-        let f = check_file(&lib_file(above));
-        assert!(f.iter().all(|f| f.suppressed));
-        let unused = "// scp-allow(panic-path): nothing here\nlet a = 1;\n";
+        let unused = "// scp-allow(float-eq): nothing here\nlet a = 1;\n";
         assert_eq!(rules_fired(unused), vec!["unused-allow"]);
-        let bad = "// scp-allow(not-a-rule): x\nlet a = 1;\n";
-        assert_eq!(rules_fired(bad), vec!["invalid-pragma"]);
+        let retired = "// scp-allow(panic-path): now an #[expect]\nlet a = x.unwrap();\n";
+        assert_eq!(rules_fired(retired), vec!["invalid-pragma"]);
     }
 
     #[test]
-    fn test_regions_are_exempt() {
-        let src =
-            "fn live() {}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { x.unwrap(); }\n}\n";
+    fn test_regions_and_literals_never_fire() {
+        let src = "fn live() {}\n#[cfg(test)]\nmod tests {\n    fn t() { x == 0.0; }\n}\n";
         assert!(rules_fired(src).is_empty());
-    }
-
-    #[test]
-    fn comments_and_strings_never_fire() {
-        assert!(rules_fired("// call .unwrap() here\n").is_empty());
-        assert!(rules_fired("let s = \".unwrap()\";").is_empty());
-        assert!(rules_fired("let s = r#\"panic!(\"x\")\"#;").is_empty());
+        assert!(rules_fired("// x == 0.0\n").is_empty());
+        assert!(rules_fired("let s = \"x == 0.0\";").is_empty());
     }
 }

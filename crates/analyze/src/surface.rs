@@ -1,19 +1,18 @@
 //! Ratcheted call-graph surface reports.
 //!
-//! Where [`crate::baseline`] ratchets per-line finding *counts*, this
-//! module ratchets *sets* of `pub` function identities computed over the
-//! [`crate::callgraph`]. Two surfaces share the machinery:
+//! This module ratchets *sets* of `pub` function identities computed over
+//! the [`crate::callgraph`]. Two surfaces share the machinery:
 //!
-//! * the **panic surface** (`panic-surface.json`) — every `pub` library
-//!   function that can transitively reach a panic-capable site
-//!   (`unwrap`/`expect`/`panic!`/indexing — the `panic-path` and
-//!   `slice-index` rules, counted pre-suppression);
-//! * the **determinism surface** (`determinism-surface.json`) — every
-//!   `pub` library function whose results nondeterminism can transitively
-//!   reach (see [`crate::taint`]).
+//! * the **panic surface** — every `pub` library function that can
+//!   transitively reach a panic-capable site
+//!   (`unwrap`/`expect`/`panic!`/indexing, see
+//!   [`crate::rules::panic_site_lines`], counted whether or not an
+//!   `#[expect]` justifies the site);
+//! * the **determinism surface** — every `pub` library function whose
+//!   results nondeterminism can transitively reach (see [`crate::taint`]).
 //!
-//! Each set is committed at the workspace root; the gate enforces that it
-//! can only shrink:
+//! Both sets are committed in one file at the workspace root
+//! ([`SURFACE_FILE`]); the gate enforces that each can only shrink:
 //!
 //! * a `pub` function **entering** the surface fails `--deny` (new
 //!   panic-reachable API is rejected);
@@ -35,13 +34,8 @@ use crate::callgraph::{CallGraph, FnNode};
 use scp_json::Json;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// File name of the committed panic surface, relative to the workspace
-/// root.
-pub const SURFACE_FILE: &str = "panic-surface.json";
-
-/// File name of the committed determinism surface, relative to the
-/// workspace root.
-pub const DET_SURFACE_FILE: &str = "determinism-surface.json";
+/// File name of the committed surfaces, relative to the workspace root.
+pub const SURFACE_FILE: &str = "analyze-surface.json";
 
 /// Schema version written into the file.
 pub const SURFACE_VERSION: u64 = 1;
@@ -70,7 +64,7 @@ pub struct CrateSurface {
 pub struct SurfaceReport {
     /// What the call graph computed this run.
     pub observed: Surface,
-    /// What `panic-surface.json` promised.
+    /// What the committed file promised.
     pub committed: Surface,
     /// Functions that entered the surface (regressions — fail `--deny`).
     pub added: Vec<String>,
@@ -109,8 +103,8 @@ impl Surface {
         surface
     }
 
-    /// Serializes to the committed JSON form: the function list and the
-    /// per-crate `summary` counts.
+    /// Serializes one surface: the function list and the per-crate
+    /// `summary` counts.
     pub fn to_json(&self) -> Json {
         let summary: BTreeMap<String, Json> = self
             .summary
@@ -126,7 +120,6 @@ impl Surface {
             })
             .collect();
         Json::obj([
-            ("version", Json::Num(SURFACE_VERSION as f64)),
             ("summary", Json::Obj(summary)),
             (
                 "functions",
@@ -135,22 +128,12 @@ impl Surface {
         ])
     }
 
-    /// Parses the committed JSON form.
+    /// Parses one surface.
     ///
     /// # Errors
     ///
     /// Returns a description of the first malformed construct.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let json = Json::parse(text).map_err(|e| e.to_string())?;
-        let version = json
-            .get("version")
-            .and_then(Json::as_u64)
-            .ok_or("surface missing numeric `version`")?;
-        if version != SURFACE_VERSION {
-            return Err(format!(
-                "surface version {version} unsupported (expected {SURFACE_VERSION})"
-            ));
-        }
+    pub fn from_json(json: &Json) -> Result<Self, String> {
         let items = json
             .get("functions")
             .and_then(Json::as_array)
@@ -183,6 +166,40 @@ impl Surface {
         }
         Ok(Self { functions, summary })
     }
+
+    /// Parses the committed file into its `(panic, determinism)`
+    /// surfaces.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first malformed construct.
+    pub fn parse(text: &str) -> Result<(Self, Self), String> {
+        let json = Json::parse(text).map_err(|e| e.to_string())?;
+        let version = json
+            .get("version")
+            .and_then(Json::as_u64)
+            .ok_or("surface missing numeric `version`")?;
+        if version != SURFACE_VERSION {
+            return Err(format!(
+                "surface version {version} unsupported (expected {SURFACE_VERSION})"
+            ));
+        }
+        let surface = |name: &str| {
+            json.get(name)
+                .ok_or(format!("surface file missing `{name}`"))
+                .and_then(Self::from_json)
+        };
+        Ok((surface("panic")?, surface("determinism")?))
+    }
+}
+
+/// Serializes both surfaces to the committed file form.
+pub fn surfaces_to_json(panic: &Surface, determinism: &Surface) -> Json {
+    Json::obj([
+        ("version", Json::Num(SURFACE_VERSION as f64)),
+        ("panic", panic.to_json()),
+        ("determinism", determinism.to_json()),
+    ])
 }
 
 impl SurfaceReport {
@@ -275,13 +292,20 @@ mod tests {
         );
     }
 
+    fn parse(text: &str) -> Result<Surface, String> {
+        Json::parse(text)
+            .map_err(|e| e.to_string())
+            .and_then(|j| Surface::from_json(&j))
+    }
+
     #[test]
     fn roundtrips_through_json() {
         let g = graph();
         let report = SurfaceReport::build(&g, &Surface::default());
-        let text = report.observed.to_json().to_pretty_string();
-        let back = Surface::parse(&text).expect("parse");
+        let text = surfaces_to_json(&report.observed, &Surface::default()).to_pretty_string();
+        let (back, det) = Surface::parse(&text).expect("parse");
         assert_eq!(report.observed, back);
+        assert_eq!(det, Surface::default());
         assert_eq!(
             SurfaceReport::build(&g, &back).drifted,
             Vec::<String>::new()
@@ -323,29 +347,34 @@ mod tests {
         let text = Surface::from_graph(&g).to_json().to_pretty_string();
         let drifted = text.replace("\"reachable\": 2", "\"reachable\": 3");
         assert_ne!(text, drifted, "the fixture names the count");
-        let committed = Surface::parse(&drifted).expect("parse");
+        let committed = parse(&drifted).expect("parse");
         let report = SurfaceReport::build(&g, &committed);
         assert!(report.added.is_empty() && report.removed.is_empty());
         assert!(report.no_regressions());
         assert!(!report.in_sync(), "a drifted count must fail sync");
         assert_eq!(report.drifted, vec!["scp-sim: 3/3 → 2/3"]);
         // A file without a summary is out of sync as well.
-        let bare = Surface::parse("{\"version\":1,\"functions\":[\"crates/sim/src/g.rs::risky\",\"crates/sim/src/g.rs::wraps\"]}")
-            .expect("parse");
+        let bare = parse(
+            "{\"functions\":[\"crates/sim/src/g.rs::risky\",\"crates/sim/src/g.rs::wraps\"]}",
+        )
+        .expect("parse");
         assert_eq!(bare.functions, committed.functions);
         assert!(!SurfaceReport::build(&g, &bare).in_sync());
     }
 
     #[test]
     fn rejects_bad_versions_and_shapes() {
+        let empty = "{\"functions\":[]}";
+        let file = |v: u64, panic: &str| {
+            format!("{{\"version\":{v},\"panic\":{panic},\"determinism\":{empty}}}")
+        };
+        assert!(Surface::parse(&file(1, empty)).is_ok());
         assert!(Surface::parse("{}").is_err());
-        assert!(Surface::parse("{\"version\":99,\"functions\":[]}").is_err());
-        assert!(Surface::parse("{\"version\":1,\"functions\":[3]}").is_err());
-        assert!(Surface::parse("{\"version\":1,\"functions\":[]}").is_ok());
-        assert!(Surface::parse("{\"version\":1,\"functions\":[],\"summary\":[]}").is_err());
-        assert!(Surface::parse(
-            "{\"version\":1,\"functions\":[],\"summary\":{\"a\":{\"reachable\":1}}}"
-        )
-        .is_err());
+        assert!(Surface::parse(&file(99, empty)).is_err());
+        assert!(Surface::parse(&format!("{{\"version\":1,\"panic\":{empty}}}")).is_err());
+        assert!(Surface::parse(&file(1, "{\"functions\":[3]}")).is_err());
+        assert!(parse("{}").is_err());
+        assert!(parse("{\"functions\":[],\"summary\":[]}").is_err());
+        assert!(parse("{\"functions\":[],\"summary\":{\"a\":{\"reachable\":1}}}").is_err());
     }
 }

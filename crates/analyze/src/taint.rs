@@ -1,10 +1,11 @@
 //! Transitive nondeterminism taint over the call graph.
 //!
-//! The line rules police nondeterminism *sources* where they stand; this
-//! pass follows their **values**. A function is *tainted* when it
-//! lexically contains a source site (`crate::rules::taint_site_lines`:
-//! wall-clock reads — including whitelisted ones — env entropy,
-//! `HashMap`/`HashSet` iteration, fully-`Relaxed` atomic loads) or calls
+//! Clippy's disallowed-path lints police nondeterminism *sources* where
+//! they stand; this pass follows their **values**, and is the only check
+//! on hash iteration. A function is *tainted* when it lexically contains
+//! a source site ([`crate::rules::taint_site_lines`]: wall-clock reads —
+//! including ones clippy lets stand — env entropy, `HashMap`/`HashSet`
+//! iteration, fully-`Relaxed` atomic loads) or calls
 //! a tainted function, transitively along the (overapproximate) call
 //! graph. Overapproximation is the right polarity here for the same
 //! reason as the panic surface: a false edge can only keep a function
@@ -21,10 +22,11 @@
 //! same hygiene the `scp-allow` machinery enforces.
 //!
 //! Every `pub` library function left tainted forms the **determinism
-//! surface**, committed as `determinism-surface.json` and set-ratcheted
-//! exactly like `panic-surface.json`: entering fails `--deny` (emitted as
-//! a `nondet-taint` finding at the declaration), drift fails
-//! `--check-baseline`, improvements re-lock with `--update-baseline`.
+//! surface**, committed beside the panic surface in
+//! `analyze-surface.json` and set-ratcheted the same way: entering fails
+//! `--deny` (emitted as a `nondet-taint` finding at the declaration),
+//! drift fails `--check-baseline`, improvements re-lock with
+//! `--update-baseline`.
 
 use crate::callgraph::CallGraph;
 use crate::files::SourceFile;

@@ -9,6 +9,8 @@
 //! Xoshiro256** (any failure reproduces exactly from the printed case
 //! number).
 
+#![allow(clippy::restriction, clippy::disallowed_methods)]
+
 use scp_analyze::atomics::{check_file, index_file, OpKind};
 use scp_analyze::files::SourceFile;
 use scp_workload::rng::{next_below, Rng, Xoshiro256StarStar};

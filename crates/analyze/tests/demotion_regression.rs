@@ -8,6 +8,8 @@
 //! demoted line. CI runs this file as its own named step, so the
 //! pipeline output shows the demotion being caught by name.
 
+#![allow(clippy::restriction, clippy::disallowed_methods)]
+
 use scp_analyze::atomics::check_file;
 use scp_analyze::files::{find_workspace_root, SourceFile};
 use std::path::Path;

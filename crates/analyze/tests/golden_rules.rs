@@ -1,10 +1,16 @@
-//! Golden tests: one positive and one negative example per rule, plus
-//! every accepted `scp-allow` suppression form. These pin down the rule
+//! Golden tests: one positive and one negative example per line rule,
+//! every accepted `scp-allow` suppression form, and the site detectors
+//! behind the panic surface and the taint pass. These pin down the rule
 //! semantics the workspace relies on, so a lexer or rule-engine change
-//! that silently widens or narrows a rule fails here first.
+//! that silently widens or narrows a rule fails here first. Panic paths,
+//! indexing, clock reads, entropy, threads and locks are clippy lints;
+//! `crates/analyze/tests/fixtures/clippy_seeded.rs` seeds one violation
+//! of each for CI.
+
+#![allow(clippy::restriction, clippy::disallowed_methods)]
 
 use scp_analyze::files::SourceFile;
-use scp_analyze::rules::{check_file, Finding};
+use scp_analyze::rules::{check_file, panic_site_lines, taint_site_lines, Finding};
 
 /// Runs the rule engine over `src` as if it were non-test library code in
 /// `scp-sim` (a crate in scope for every rule).
@@ -22,112 +28,100 @@ fn active_rules(src: &str) -> Vec<&'static str> {
     rules
 }
 
-// --- hash-iteration -----------------------------------------------------
-
-#[test]
-fn golden_hash_iteration_method_call() {
-    let src = "use std::collections::HashMap;\n\
-               fn f() {\n\
-               \x20   let m: HashMap<u64, u64> = HashMap::new();\n\
-               \x20   for (k, v) in m.iter() { let _ = (k, v); }\n\
-               }\n";
-    assert_eq!(active_rules(src), vec!["hash-iteration"]);
+/// Lines of `src` (as `scp-sim` library code) the panic surface counts.
+fn panic_sites(src: &str) -> Vec<usize> {
+    panic_site_lines(&SourceFile::from_source("crates/sim/src/golden.rs", src))
 }
 
-#[test]
-fn golden_hash_iteration_for_loop() {
-    let src = "use std::collections::HashSet;\n\
-               fn f(s: HashSet<u64>) {\n\
-               \x20   for k in &s { let _ = k; }\n\
-               }\n";
-    assert_eq!(active_rules(src), vec!["hash-iteration"]);
+/// Lines of `src` (as `scp-sim` library code) that seed taint.
+fn taint_sites(src: &str) -> Vec<usize> {
+    taint_site_lines(&SourceFile::from_source("crates/sim/src/golden.rs", src))
+        .into_iter()
+        .map(|s| s.line)
+        .collect()
 }
 
-#[test]
-fn golden_hash_iteration_ignores_btreemap() {
-    let src = "use std::collections::BTreeMap;\n\
-               fn f(m: BTreeMap<u64, u64>) -> u64 {\n\
-               \x20   m.values().sum()\n\
-               }\n";
-    assert!(active_rules(src).is_empty());
-}
-
-#[test]
-fn golden_hash_iteration_out_of_scope_crate() {
-    // Only scp-core/scp-cluster/scp-sim/scp-cache are in scope.
-    let src = "use std::collections::HashMap;\n\
-               fn f(m: HashMap<u64, u64>) -> u64 { m.values().sum() }\n";
-    let f = check_file(&SourceFile::from_source("crates/json/src/golden.rs", src));
-    assert!(f.iter().all(|f| f.rule != "hash-iteration"), "{f:?}");
-}
-
-// --- wall-clock ---------------------------------------------------------
+// --- taint sources: wall clock and ambient entropy ----------------------
 
 #[test]
 fn golden_wall_clock_instant_now() {
     let src = "fn f() { let _t = std::time::Instant::now(); }\n";
-    assert_eq!(active_rules(src), vec!["wall-clock"]);
+    assert_eq!(taint_sites(src), vec![1]);
 }
 
 #[test]
 fn golden_wall_clock_elapsed() {
     let src = "fn f(t: std::time::Instant) -> f64 { t.elapsed().as_secs_f64() }\n";
-    assert_eq!(active_rules(src), vec!["wall-clock"]);
-}
-
-#[test]
-fn golden_wall_clock_whitelisted_file() {
-    let src = "fn f() { let _t = std::time::Instant::now(); }\n";
-    let f = check_file(&SourceFile::from_source("crates/sim/src/runner.rs", src));
-    assert!(f.iter().all(|f| f.rule != "wall-clock"), "{f:?}");
+    assert_eq!(taint_sites(src), vec![1]);
 }
 
 #[test]
 fn golden_wall_clock_type_position_ok() {
     let src = "fn f(deadline: std::time::Instant) -> bool { deadline.checked_add(D).is_some() }\n";
-    assert!(active_rules(src).is_empty());
+    assert!(taint_sites(src).is_empty());
 }
-
-// --- env-entropy --------------------------------------------------------
 
 #[test]
 fn golden_env_entropy_randomstate() {
     let src = "fn f() { let _s = std::collections::hash_map::RandomState::new(); }\n";
-    assert_eq!(active_rules(src), vec!["env-entropy"]);
+    assert_eq!(taint_sites(src), vec![1]);
 }
 
 #[test]
 fn golden_env_entropy_env_var() {
     let src = "fn f() -> Option<String> { std::env::var(\"SCP_SEED\").ok() }\n";
-    assert_eq!(active_rules(src), vec!["env-entropy"]);
+    assert_eq!(taint_sites(src), vec![1]);
 }
 
 // --- unsafe-hygiene -----------------------------------------------------
 
 #[test]
-fn golden_unsafe_without_safety_comment() {
-    let src = "fn f(p: *const u8) -> u8 {\n\
+fn golden_unsafe_fn_without_safety_comment() {
+    // Blocks and impls are clippy's `undocumented_unsafe_blocks`; the
+    // declarations it does not check stay here.
+    let src = "unsafe fn f(p: *const u8) -> u8 {\n\
+               \x20   // SAFETY: the caller's contract makes p valid\n\
                \x20   unsafe { *p }\n\
                }\n";
     assert_eq!(active_rules(src), vec!["unsafe-hygiene"]);
 }
 
 #[test]
-fn golden_unsafe_with_safety_comment() {
+fn golden_unsafe_fn_with_safety_comment() {
+    let src = "// SAFETY: callers pass a pointer valid for reads\n\
+               unsafe fn f(p: *const u8) -> u8 {\n\
+               \x20   *p\n\
+               }\n";
+    assert!(active_rules(src).is_empty());
+}
+
+#[test]
+fn golden_unsafe_block_is_left_to_clippy() {
     let src = "fn f(p: *const u8) -> u8 {\n\
-               \x20   // SAFETY: caller guarantees p is valid for reads\n\
                \x20   unsafe { *p }\n\
                }\n";
     assert!(active_rules(src).is_empty());
 }
 
-// --- panic-path ---------------------------------------------------------
+#[test]
+fn golden_static_mut_fires_everywhere() {
+    // `static mut` has no whitelist — even the explorer may not use it.
+    let src = "static mut COUNTER: u64 = 0;\n";
+    assert_eq!(active_rules(src), vec!["unsafe-hygiene"]);
+    let f = check_file(&SourceFile::from_source(
+        "crates/analyze/src/interleave.rs",
+        src,
+    ));
+    assert!(f.iter().any(|f| f.rule == "unsafe-hygiene"), "{f:?}");
+}
+
+// --- panic sites --------------------------------------------------------
 
 #[test]
 fn golden_panic_path_unwrap_expect_panic() {
     for stmt in ["x.unwrap();", "x.expect(\"boom\");", "panic!(\"boom\");"] {
         let src = format!("fn f(x: Option<u64>) {{ {stmt} }}\n");
-        assert_eq!(active_rules(&src), vec!["panic-path"], "{stmt}");
+        assert_eq!(panic_sites(&src), vec![1], "{stmt}");
     }
 }
 
@@ -139,14 +133,14 @@ fn golden_panic_path_skips_cfg_test() {
                \x20   #[test]\n\
                \x20   fn t() { Some(1).unwrap(); }\n\
                }\n";
-    assert!(active_rules(src).is_empty());
+    assert!(panic_sites(src).is_empty());
 }
 
 #[test]
 fn golden_panic_path_skips_integration_tests() {
     let src = "fn t() { Some(1).unwrap(); }\n";
-    let f = check_file(&SourceFile::from_source("crates/sim/tests/golden.rs", src));
-    assert!(f.is_empty(), "{f:?}");
+    let file = SourceFile::from_source("crates/sim/tests/golden.rs", src);
+    assert!(panic_site_lines(&file).is_empty());
 }
 
 #[test]
@@ -154,7 +148,7 @@ fn golden_panic_path_expect_method_on_result_type_ok() {
     // `.expect(..)?` is a Result-returning helper (scp-json's parser), not
     // a panic.
     let src = "fn f(p: &mut P) -> Result<(), E> { p.expect(b'{')?; Ok(()) }\n";
-    assert!(active_rules(src).is_empty());
+    assert!(panic_sites(src).is_empty());
 }
 
 #[test]
@@ -163,15 +157,13 @@ fn golden_panic_path_in_comment_or_string_ok() {
                \x20   // calling unwrap() here would be wrong\n\
                \x20   \"do not unwrap() me\"\n\
                }\n";
-    assert!(active_rules(src).is_empty());
+    assert!(panic_sites(src).is_empty());
 }
-
-// --- slice-index --------------------------------------------------------
 
 #[test]
 fn golden_slice_index_direct() {
     let src = "fn f(v: &[u64]) -> u64 { v[0] }\n";
-    assert_eq!(active_rules(src), vec!["slice-index"]);
+    assert_eq!(panic_sites(src), vec![1]);
 }
 
 #[test]
@@ -179,7 +171,7 @@ fn golden_slice_index_ignores_macros_attrs_types() {
     let src = "#[derive(Debug)]\n\
                struct S { xs: Vec<[u8; 4]> }\n\
                fn f() -> Vec<u64> { vec![1, 2, 3] }\n";
-    assert!(active_rules(src).is_empty());
+    assert!(panic_sites(src).is_empty());
 }
 
 // --- float-eq -----------------------------------------------------------
@@ -260,92 +252,6 @@ fn golden_ordering_exempt_file() {
     assert!(f.iter().all(|f| f.rule != "ordering-comment"), "{f:?}");
 }
 
-// --- concurrency-primitive ----------------------------------------------
-
-#[test]
-fn golden_concurrency_mutex() {
-    let src = "use std::sync::Mutex;\n\
-               fn f() -> u64 { *Mutex::new(7u64).lock().unwrap_or_else(|e| e.into_inner()) }\n";
-    let rules = active_rules(src);
-    assert!(rules.contains(&"concurrency-primitive"), "{rules:?}");
-}
-
-#[test]
-fn golden_concurrency_thread_spawn() {
-    let src = "fn f() { std::thread::spawn(|| {}); }\n";
-    assert_eq!(active_rules(src), vec!["concurrency-primitive"]);
-}
-
-#[test]
-fn golden_concurrency_static_mut() {
-    let src = "static mut COUNTER: u64 = 0;\n";
-    assert_eq!(active_rules(src), vec!["concurrency-primitive"]);
-}
-
-#[test]
-fn golden_concurrency_lock_whitelisted_file() {
-    // The interleaving explorer models a scheduler with a real
-    // Mutex/Condvar pair; it is the only file on the lock whitelist.
-    let src = "use std::sync::Mutex;\n\
-               fn f() { let _m = Mutex::new(0u64); }\n";
-    let f = check_file(&SourceFile::from_source(
-        "crates/analyze/src/interleave.rs",
-        src,
-    ));
-    assert!(f.iter().all(|f| f.rule != "concurrency-primitive"), "{f:?}");
-}
-
-#[test]
-fn golden_concurrency_mutex_in_loadgen_fires() {
-    // PR 8 replaced the loadgen's `Mutex<VecDeque> + Condvar` intake with
-    // lock-free batch rings; the spawn whitelist still covers its worker
-    // fan-out, but a returning lock must fire.
-    let src = "use std::sync::Mutex;\n\
-               fn f() { let _m = Mutex::new(0u64); }\n";
-    let f = check_file(&SourceFile::from_source("crates/serve/src/loadgen.rs", src));
-    assert!(
-        f.iter().any(|f| f.rule == "concurrency-primitive"),
-        "a Mutex returning to loadgen.rs must fire: {f:?}"
-    );
-}
-
-#[test]
-fn golden_concurrency_spawn_in_loadgen_allowed() {
-    let src = "fn f() { std::thread::spawn(|| {}); }\n";
-    let f = check_file(&SourceFile::from_source("crates/serve/src/loadgen.rs", src));
-    assert!(f.iter().all(|f| f.rule != "concurrency-primitive"), "{f:?}");
-}
-
-#[test]
-fn golden_concurrency_spawn_whitelist_does_not_cover_locks() {
-    // The runner fans out worker threads but holds no locks; its spawn
-    // whitelisting must not quietly license lock types.
-    let src = "use std::sync::RwLock;\n\
-               fn f() { let _m = RwLock::new(0u64); }\n";
-    let f = check_file(&SourceFile::from_source("crates/sim/src/runner.rs", src));
-    assert!(f.iter().any(|f| f.rule == "concurrency-primitive"), "{f:?}");
-}
-
-#[test]
-fn golden_concurrency_static_mut_fires_everywhere() {
-    // `static mut` has no whitelist — even the explorer may not use it.
-    let src = "static mut COUNTER: u64 = 0;\n";
-    let f = check_file(&SourceFile::from_source(
-        "crates/analyze/src/interleave.rs",
-        src,
-    ));
-    assert!(f.iter().any(|f| f.rule == "concurrency-primitive"), "{f:?}");
-}
-
-#[test]
-fn golden_concurrency_lookalike_names_ok() {
-    // `spawn`/`scope` only count with a `thread::` or method receiver,
-    // and `Mutex` must be the whole token.
-    let src = "fn spawner() {}\n\
-               fn f(scope_id: u64) -> u64 { spawner(); scope_id }\n";
-    assert!(active_rules(src).is_empty());
-}
-
 // --- narrow-cast --------------------------------------------------------
 
 #[test]
@@ -372,9 +278,9 @@ fn golden_narrow_cast_try_from_ok() {
 
 #[test]
 fn golden_allow_on_preceding_line() {
-    let src = "fn f(v: &[u64]) -> u64 {\n\
-               \x20   // scp-allow(slice-index): validated non-empty by caller\n\
-               \x20   v[0]\n\
+    let src = "fn f(x: f64) -> bool {\n\
+               \x20   // scp-allow(float-eq): exact zero is the sentinel\n\
+               \x20   x == 0.0\n\
                }\n";
     let f = findings(src);
     assert!(f.iter().all(|f| f.suppressed), "{f:?}");
@@ -383,20 +289,54 @@ fn golden_allow_on_preceding_line() {
 
 #[test]
 fn golden_allow_on_same_line() {
-    let src = "fn f(v: &[u64]) -> u64 { v[0] } // scp-allow(slice-index): caller checks\n";
+    let src = "fn f(x: f64) -> bool { x == 0.0 } // scp-allow(float-eq): exact sentinel\n";
     let f = findings(src);
     assert!(f.iter().all(|f| f.suppressed), "{f:?}");
 }
 
 #[test]
 fn golden_allow_requires_reason() {
-    let src = "fn f(v: &[u64]) -> u64 {\n\
-               \x20   // scp-allow(slice-index)\n\
-               \x20   v[0]\n\
+    let src = "fn f(x: f64) -> bool {\n\
+               \x20   // scp-allow(float-eq)\n\
+               \x20   x == 0.0\n\
                }\n";
     let rules = active_rules(src);
     assert!(rules.contains(&"invalid-pragma"), "{rules:?}");
-    assert!(rules.contains(&"slice-index"), "not suppressed: {rules:?}");
+    assert!(rules.contains(&"float-eq"), "not suppressed: {rules:?}");
+}
+
+#[test]
+fn golden_allow_suppressing_nothing_is_flagged() {
+    let src = "// scp-allow(float-eq): nothing here\nfn f() {}\n";
+    assert_eq!(active_rules(src), vec!["unused-allow"]);
+}
+
+#[test]
+fn golden_allow_only_covers_named_rule() {
+    let src = "fn f(x: u64) -> bool {\n\
+               \x20   // scp-allow(narrow-cast): masked to 32 bits above\n\
+               \x20   x as u32 as f64 == 0.0\n\
+               }\n";
+    let f = findings(src);
+    let active: Vec<_> = f.iter().filter(|f| !f.suppressed).map(|f| f.rule).collect();
+    assert_eq!(active, vec!["float-eq"], "float-eq must survive: {f:?}");
+}
+
+#[test]
+fn golden_allow_retired_rule_is_invalid() {
+    // The rules that moved to clippy are suppressed by `#[expect]`; their
+    // old pragma names no longer parse.
+    for rule in [
+        "panic-path",
+        "slice-index",
+        "wall-clock",
+        "env-entropy",
+        "concurrency-primitive",
+        "hash-iteration",
+    ] {
+        let src = format!("// scp-allow({rule}): old form\nfn f() {{}}\n");
+        assert_eq!(active_rules(&src), vec!["invalid-pragma"], "{rule}");
+    }
 }
 
 #[test]
@@ -404,25 +344,6 @@ fn golden_allow_unknown_rule_is_invalid() {
     let src = "// scp-allow(no-such-rule): because\nfn f() {}\n";
     assert_eq!(active_rules(src), vec!["invalid-pragma"]);
 }
-
-#[test]
-fn golden_allow_suppressing_nothing_is_flagged() {
-    let src = "// scp-allow(slice-index): nothing here\nfn f() {}\n";
-    assert_eq!(active_rules(src), vec!["unused-allow"]);
-}
-
-#[test]
-fn golden_allow_only_covers_named_rule() {
-    let src = "fn f(v: &[f64]) -> bool {\n\
-               \x20   // scp-allow(slice-index): length checked\n\
-               \x20   v[0] == 0.0\n\
-               }\n";
-    let f = findings(src);
-    let active: Vec<_> = f.iter().filter(|f| !f.suppressed).map(|f| f.rule).collect();
-    assert_eq!(active, vec!["float-eq"], "float-eq must survive: {f:?}");
-}
-
-// --- suppression forms for the new rule families ------------------------
 
 #[test]
 fn golden_allow_narrow_cast_preceding_line() {
@@ -445,16 +366,6 @@ fn golden_allow_ordering_comment_same_line() {
 }
 
 #[test]
-fn golden_allow_concurrency_primitive_with_reason() {
-    let src = "fn f() {\n\
-               \x20   // scp-allow(concurrency-primitive): test fixture thread\n\
-               \x20   std::thread::spawn(|| {});\n\
-               }\n";
-    let f = findings(src);
-    assert!(f.iter().all(|f| f.suppressed), "{f:?}");
-}
-
-#[test]
 fn golden_allow_new_rule_requires_reason() {
     let src = "fn f(x: u64) -> u32 {\n\
                \x20   // scp-allow(narrow-cast)\n\
@@ -466,10 +377,15 @@ fn golden_allow_new_rule_requires_reason() {
 }
 
 #[test]
-fn golden_allow_new_rule_names_are_known_to_the_meta_rules() {
-    // A new-rule pragma that suppresses nothing is `unused-allow`, not
+fn golden_allow_rule_names_are_known_to_the_meta_rules() {
+    // A pragma that suppresses nothing is `unused-allow`, not
     // `invalid-pragma` — the name itself is recognized.
-    for rule in ["ordering-comment", "concurrency-primitive", "narrow-cast"] {
+    for rule in [
+        "float-eq",
+        "ordering-comment",
+        "narrow-cast",
+        "unsafe-hygiene",
+    ] {
         let src = format!("// scp-allow({rule}): nothing here\nfn f() {{}}\n");
         assert_eq!(active_rules(&src), vec!["unused-allow"], "{rule}");
     }

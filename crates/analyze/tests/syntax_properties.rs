@@ -20,6 +20,8 @@
 //! The generator is the workspace's own deterministic Xoshiro256**, so
 //! any failure reproduces exactly from the printed case number.
 
+#![allow(clippy::restriction, clippy::disallowed_methods)]
+
 use scp_analyze::lexer::mask;
 use scp_analyze::syntax::{parse, ItemKind, ParsedFile};
 use scp_workload::rng::{next_below, Rng, Xoshiro256StarStar};

@@ -1,13 +1,16 @@
 //! The tier-1 gate: the workspace itself must analyze clean.
 //!
-//! "Clean" means (a) zero deny-rule violations and zero ratchet
-//! regressions beyond the committed `analyze-baseline.json`, and (b) the
-//! committed baseline exactly matches what the analyzer observes (so a
-//! debt *improvement* must be locked in with `--update-baseline` before
-//! it can merge — the ratchet only turns one way).
+//! "Clean" means (a) zero violations of the analyzer's rules, and (b)
+//! both committed surfaces in `analyze-surface.json` exactly match what
+//! the call graph observes (so an *improvement* must be locked in with
+//! `--update-baseline` before it can merge — the ratchet only turns one
+//! way).
 
-use scp_analyze::analyze_workspace;
+#![allow(clippy::restriction, clippy::disallowed_methods)]
+
+use scp_analyze::analyze_all;
 use scp_analyze::files::find_workspace_root;
+use scp_analyze::surface::SurfaceReport;
 use std::path::Path;
 
 fn workspace_root() -> std::path::PathBuf {
@@ -17,7 +20,9 @@ fn workspace_root() -> std::path::PathBuf {
 
 #[test]
 fn workspace_has_no_violations() {
-    let report = analyze_workspace(&workspace_root()).expect("analysis runs");
+    let report = analyze_all(&workspace_root())
+        .expect("analysis runs")
+        .report;
     assert!(report.files_scanned > 50, "workspace walk looks truncated");
     assert!(
         report.deny_clean(),
@@ -27,59 +32,46 @@ fn workspace_has_no_violations() {
     );
 }
 
-#[test]
-fn committed_baseline_is_in_sync() {
-    let report = analyze_workspace(&workspace_root()).expect("analysis runs");
+fn assert_locked(name: &str, surface: &SurfaceReport) {
     assert!(
-        report.baseline_in_sync(),
-        "analyze-baseline.json is out of sync with the tree; run \
-         `cargo run -p scp-analyze -- --update-baseline` and commit the \
-         result:\n{}",
-        report.baseline_diff.join("\n")
+        surface.no_regressions(),
+        "pub fns entered the {name} surface:\n{}",
+        surface.added.join("\n")
+    );
+    assert!(
+        surface.in_sync(),
+        "the {name} surface in analyze-surface.json is out of sync with the tree; \
+         run `cargo run -p scp-analyze -- --update-baseline` and commit the \
+         result:\nadded: {}\nremoved: {}\ndrifted: {}",
+        surface.added.join(", "),
+        surface.removed.join(", "),
+        surface.drifted.join(", ")
     );
 }
 
 #[test]
 fn committed_panic_surface_is_in_sync_and_never_grows() {
-    // The set-based ratchet: a pub fn may leave the committed
-    // `panic-surface.json` freely, but entering it (or drifting out of
-    // sync) must be an explicit `--update-baseline` commit.
-    let root = workspace_root();
-    let surface = scp_analyze::analyze_panic_surface(&root).expect("call graph builds");
-    assert!(
-        surface.no_regressions(),
-        "pub fns entered the panic surface:\n{}",
-        surface.added.join("\n")
-    );
-    assert!(
-        surface.in_sync(),
-        "panic-surface.json is out of sync with the tree; run \
-         `cargo run -p scp-analyze -- --update-baseline` and commit the \
-         result:\nadded: {}\nremoved: {}",
-        surface.added.join(", "),
-        surface.removed.join(", ")
+    // The set-based ratchet: a pub fn may leave the committed panic
+    // surface freely, but entering it (or drifting out of sync) must be
+    // an explicit `--update-baseline` commit.
+    assert_locked(
+        "panic",
+        &analyze_all(&workspace_root())
+            .expect("analysis runs")
+            .panic_surface,
     );
 }
 
 #[test]
 fn committed_determinism_surface_is_in_sync_and_never_grows() {
-    // Same set-ratchet as the panic surface, for nondeterminism taint:
-    // a pub fn entering `determinism-surface.json` fails the deny gate,
-    // drift fails here, improvements re-lock with `--update-baseline`.
-    let root = workspace_root();
-    let surface = scp_analyze::analyze_det_surface(&root).expect("call graph builds");
-    assert!(
-        surface.no_regressions(),
-        "pub fns entered the determinism surface:\n{}",
-        surface.added.join("\n")
-    );
-    assert!(
-        surface.in_sync(),
-        "determinism-surface.json is out of sync with the tree; run \
-         `cargo run -p scp-analyze -- --update-baseline` and commit the \
-         result:\nadded: {}\nremoved: {}",
-        surface.added.join(", "),
-        surface.removed.join(", ")
+    // Same set-ratchet for nondeterminism taint: a pub fn entering the
+    // determinism surface fails the deny gate, drift fails here,
+    // improvements re-lock with `--update-baseline`.
+    assert_locked(
+        "determinism",
+        &analyze_all(&workspace_root())
+            .expect("analysis runs")
+            .det_surface,
     );
 }
 
@@ -91,7 +83,7 @@ fn determinism_surface_is_empty() {
     // this is stronger than the ratchet, which would tolerate re-locked
     // additions.
     let root = workspace_root();
-    let surface = scp_analyze::analyze_det_surface(&root).expect("call graph builds");
+    let surface = analyze_all(&root).expect("analysis runs").det_surface;
     assert!(
         surface.observed.functions.is_empty(),
         "pub fns reachable by unlaundered nondeterminism:\n{}",
@@ -121,55 +113,7 @@ fn panic_surface_stays_at_or_below_its_pr9_size() {
     // slice-index burndown shrank the panic surface below its previous
     // 115 entries; the count must never silently climb back.
     let root = workspace_root();
-    let surface = scp_analyze::analyze_panic_surface(&root).expect("call graph builds");
+    let surface = analyze_all(&root).expect("analysis runs").panic_surface;
     let n = surface.observed.functions.len();
     assert!(n <= 115, "panic surface grew to {n} entries (cap 115)");
-}
-
-#[test]
-fn new_analyzer_code_carries_no_ratcheted_debt() {
-    // Everything added by the flow-aware analyzer (parser, call graph,
-    // surface ratchet, interleaving explorer, taint and atomics passes)
-    // was written index-free and unwrap-free; keep it that way.
-    let report = analyze_workspace(&workspace_root()).expect("analysis runs");
-    let fresh: Vec<_> = report
-        .observed
-        .counts
-        .iter()
-        .filter(|(file, _)| {
-            [
-                "crates/analyze/src/syntax.rs",
-                "crates/analyze/src/callgraph.rs",
-                "crates/analyze/src/surface.rs",
-                "crates/analyze/src/interleave.rs",
-                "crates/analyze/src/taint.rs",
-                "crates/analyze/src/atomics.rs",
-                "crates/analyze/src/lexer.rs",
-                "crates/analyze/src/pragma.rs",
-                "crates/analyze/src/files.rs",
-                "crates/analyze/src/rules.rs",
-            ]
-            .contains(&file.as_str())
-        })
-        .collect();
-    assert!(
-        fresh.is_empty(),
-        "new analyzer modules regained ratcheted debt: {fresh:?}"
-    );
-}
-
-#[test]
-fn scp_core_carries_no_ratcheted_debt() {
-    // PR-2 burned scp-core's panic-safety debt to zero; keep it there.
-    let report = analyze_workspace(&workspace_root()).expect("analysis runs");
-    let core_debt: Vec<_> = report
-        .observed
-        .counts
-        .iter()
-        .filter(|(file, _)| file.starts_with("crates/core/"))
-        .collect();
-    assert!(
-        core_debt.is_empty(),
-        "scp-core regained ratcheted debt: {core_debt:?}"
-    );
 }

@@ -1,6 +1,8 @@
 //! Macro-benchmarks for the design-choice ablations: replica-selection
 //! policies on the rate-engine hot path, and a full rebalancing pass.
 
+#![allow(clippy::restriction, clippy::disallowed_methods)]
+
 use scp_bench::bench_baseline;
 use scp_bench::harness::Criterion;
 use scp_bench::{criterion_group, criterion_main};

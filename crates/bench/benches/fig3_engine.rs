@@ -1,6 +1,8 @@
 //! Macro-benchmark: one Figure-3 rate-propagation run (x-sweep hot path),
 //! at the small-x and large-x extremes and for both panels' cache sizes.
 
+#![allow(clippy::restriction, clippy::disallowed_methods)]
+
 use scp_bench::harness::{Criterion, Throughput};
 use scp_bench::{adversarial_pattern, bench_baseline};
 use scp_bench::{criterion_group, criterion_main};

@@ -1,6 +1,8 @@
 //! Macro-benchmark: one Figure-4 rate run per access pattern
 //! (uniform / Zipf(1.01) / adversarial) at the scaled baseline.
 
+#![allow(clippy::restriction, clippy::disallowed_methods)]
+
 use scp_bench::bench_baseline;
 use scp_bench::harness::{Criterion, Throughput};
 use scp_bench::{criterion_group, criterion_main};

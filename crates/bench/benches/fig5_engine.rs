@@ -2,6 +2,8 @@
 //! size (both candidate plays of the adversary), plus the theory-side
 //! provisioning computation for contrast.
 
+#![allow(clippy::restriction, clippy::disallowed_methods)]
+
 use scp_bench::harness::Criterion;
 use scp_bench::{adversarial_pattern, bench_baseline};
 use scp_bench::{criterion_group, criterion_main};

@@ -14,6 +14,8 @@
 //!
 //! [`rebuild`]: scp_cluster::Partitioner::rebuild
 
+#![allow(clippy::restriction, clippy::disallowed_methods)]
+
 use scp_bench::harness::{Criterion, Throughput};
 use scp_bench::{criterion_group, criterion_main};
 use scp_cluster::select::LeastLoadedSelector;

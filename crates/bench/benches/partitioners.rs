@@ -1,5 +1,7 @@
 //! Micro-benchmarks: replica-group lookups per partitioning scheme.
 
+#![allow(clippy::restriction, clippy::disallowed_methods)]
+
 use scp_bench::harness::{Criterion, Throughput};
 use scp_bench::{criterion_group, criterion_main};
 use scp_cluster::ids::KeyId;

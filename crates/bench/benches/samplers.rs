@@ -4,6 +4,8 @@
 //! JSON — `BENCH_samplers.json` at the repo root is the committed
 //! trajectory.
 
+#![allow(clippy::restriction, clippy::disallowed_methods)]
+
 use scp_bench::harness::{Criterion, Throughput};
 use scp_bench::{criterion_group, criterion_main};
 use scp_workload::alias::AliasSampler;

@@ -8,6 +8,8 @@
 //! policy must sustain at least 1M queries/minute, or the process exits
 //! non-zero.
 
+#![allow(clippy::restriction, clippy::disallowed_methods)]
+
 use scp_bench::harness::{Criterion, Throughput};
 use scp_bench::{criterion_group, criterion_main};
 use scp_serve::{run_deterministic, PowShield, ServeConfig};

@@ -12,6 +12,8 @@
 //! With `SCP_BENCH_BASELINE=1` (or a path) the results are written as
 //! JSON — the committed `BENCH_serve.json` trajectory.
 
+#![allow(clippy::restriction, clippy::disallowed_methods)]
+
 use scp_bench::harness::{Criterion, Throughput};
 use scp_bench::{criterion_group, criterion_main};
 use scp_serve::{run_deterministic, run_threaded, ServeConfig};

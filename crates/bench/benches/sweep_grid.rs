@@ -11,6 +11,8 @@
 //! With `SCP_BENCH_BASELINE=1` (or a path) the results are written as
 //! JSON — the committed `BENCH_sweep.json` trajectory.
 
+#![allow(clippy::restriction, clippy::disallowed_methods)]
+
 use scp_bench::harness::{Criterion, Throughput};
 use scp_bench::{adversarial_pattern, bench_baseline, criterion_group, criterion_main};
 use scp_sim::rate_engine::run_rate_simulation;

@@ -43,6 +43,10 @@ pub struct Bencher {
 impl Bencher {
     /// Times `routine`, recording per-iteration nanoseconds over
     /// `sample_size` batches (batch size auto-calibrated).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a bench harness: measured wall time is the deliverable"
+    )]
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
         // DETERMINISM: a bench harness — measured wall time IS the
         // deliverable, not a result any journal replays.

@@ -20,6 +20,10 @@ use scp_workload::AccessPattern;
 
 /// Scaled-down paper baseline shared by the engine benches: 1000 nodes,
 /// d = 3, 100k keys, perfect cache.
+#[expect(
+    clippy::expect_used,
+    reason = "fixture inputs are compile-time constants; an invalid baseline must abort the bench run loudly"
+)]
 pub fn bench_baseline(cache: usize, pattern: AccessPattern) -> SimConfig {
     SimConfig::builder()
         .cache_capacity(cache)
@@ -27,8 +31,6 @@ pub fn bench_baseline(cache: usize, pattern: AccessPattern) -> SimConfig {
         .pattern(pattern)
         .seed(0xBEAC4)
         .build()
-        // scp-allow(panic-path): fixture inputs are compile-time constants;
-        // an invalid baseline must abort the bench run loudly
         .expect("bench baseline is valid")
 }
 

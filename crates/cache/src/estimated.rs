@@ -100,8 +100,6 @@ impl<K: Copy + Eq + Hash + Ord> EstimatedOracleCache<K> {
             .map(|e| e.key)
             .collect();
         // Account churn as insertions/evictions for observability.
-        // scp-allow(hash-iteration): only the cardinality of the
-        // intersection is used, which is invariant to iteration order
         // DETERMINISM: the intersection is reduced to its cardinality,
         // which does not depend on hash iteration order.
         let kept = next.intersection(&self.resident).count();

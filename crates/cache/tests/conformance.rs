@@ -13,6 +13,8 @@
 //! * a just-requested key is resident while capacity > 0;
 //! * requesting one key twice in a row yields a hit.
 
+#![allow(clippy::restriction, clippy::disallowed_methods)]
+
 use scp_cache::arc::ArcCache;
 use scp_cache::clock::ClockCache;
 use scp_cache::estimated::EstimatedOracleCache;

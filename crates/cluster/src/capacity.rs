@@ -91,6 +91,10 @@ impl Capacities {
     ///
     /// Loads beyond `rates.len()` are ignored (caller mismatch is a bug,
     /// but saturation reporting should not panic mid-experiment).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "take(self.rates.len()) keeps every index below rates.len()"
+    )]
     pub fn saturated_nodes(&self, snapshot: &LoadSnapshot) -> Vec<NodeId> {
         snapshot
             .loads()
@@ -106,6 +110,10 @@ impl Capacities {
     ///
     /// Values above 1 mean every node has slack; below 1 means at least one
     /// node is over capacity. Returns `f64::INFINITY` if nothing is loaded.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "take(self.rates.len()) keeps every index below rates.len()"
+    )]
     pub fn headroom(&self, snapshot: &LoadSnapshot) -> f64 {
         snapshot
             .loads()

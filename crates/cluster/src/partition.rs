@@ -143,11 +143,13 @@ impl FromIterator<NodeId> for ReplicaGroup {
     /// Panics if the iterator yields more than [`MAX_REPLICATION`]
     /// nodes; collect into a `Vec` and use [`ReplicaGroup::try_push`]
     /// when the length is not statically bounded.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented contract; the bound is statically known at every in-tree call site"
+    )]
     fn from_iter<T: IntoIterator<Item = NodeId>>(iter: T) -> Self {
         let mut g = ReplicaGroup::new();
         for n in iter {
-            // scp-allow(panic-path): documented contract; the bound is
-            // statically known at every in-tree call site
             g.try_push(n).expect("replica group overflow");
         }
         g

@@ -98,22 +98,33 @@ impl RebalanceOutcome {
 /// Each step takes the currently most loaded node, scans its keys for the
 /// move yielding the biggest drop in the pairwise max (key to the least
 /// loaded live member of its group), and executes it if it strictly
-/// improves. Keys whose groups offer no lighter replica stay put.
+/// improves. Keys whose groups offer no lighter replica stay put. A node
+/// an assignment names at or beyond `node_count` gets a load slot of its
+/// own, so both snapshots cover every node the input mentions.
 pub fn rebalance(
     assignments: &[KeyAssignment],
     node_count: usize,
     cfg: &RebalanceConfig,
 ) -> RebalanceOutcome {
-    let mut loads = vec![0.0f64; node_count];
+    let slots = assignments
+        .iter()
+        .flat_map(|a| std::iter::once(&a.node).chain(a.group.as_slice()))
+        .map(|n| n.index() + 1)
+        .fold(node_count, usize::max);
+    let mut loads = vec![0.0f64; slots];
+    // Keys per node for fast "who lives here" lookups, and each key's
+    // current serving replica.
+    let mut keys_on: Vec<Vec<usize>> = vec![Vec::new(); slots];
     let mut owner: Vec<NodeId> = Vec::with_capacity(assignments.len());
-    // Keys per node for fast "who lives here" lookups.
-    let mut keys_on: Vec<Vec<usize>> = vec![Vec::new(); node_count];
     for (idx, a) in assignments.iter().enumerate() {
-        loads[a.node.index()] += a.rate;
+        add(&mut loads, a.node.index(), a.rate);
+        if let Some(keys) = keys_on.get_mut(a.node.index()) {
+            keys.push(idx);
+        }
         owner.push(a.node);
-        keys_on[a.node.index()].push(idx);
     }
     let before = LoadSnapshot::new(loads.clone());
+    let load = |loads: &[f64], node: usize| loads.get(node).copied().unwrap_or(0.0);
 
     let mut migrations = Vec::new();
     let mut converged = false;
@@ -127,60 +138,69 @@ pub fn rebalance(
 
     while migrations.len() < cfg.max_moves {
         let total: f64 = loads.iter().sum();
-        let mean = total / node_count as f64;
+        let mean = total / slots as f64;
         // Find the live maximum.
         let hot = loop {
             match heap.pop() {
-                Some((l, node)) if (l.0 - loads[node]).abs() < 1e-12 => break Some(node),
+                Some((l, node)) if (l.0 - load(&loads, node)).abs() < 1e-12 => break Some(node),
                 Some(_) => continue, // stale entry
                 None => break None,
             }
         };
         let Some(hot) = hot else { break };
-        if loads[hot] <= cfg.target_ratio * mean || scp_core::is_negligible(loads[hot]) {
+        let hot_load = load(&loads, hot);
+        if hot_load <= cfg.target_ratio * mean || scp_core::is_negligible(hot_load) {
             converged = true;
             break;
         }
 
         // Best move: the key on `hot` whose relocation minimizes
         // max(new hot load, new destination load).
-        let mut best: Option<(usize, NodeId, f64)> = None;
-        for &idx in &keys_on[hot] {
-            let a = &assignments[idx];
-            if owner[idx].index() != hot {
+        let mut best: Option<(usize, &KeyAssignment, NodeId, f64)> = None;
+        for &idx in keys_on.get(hot).into_iter().flatten() {
+            let (Some(a), Some(serving)) = (assignments.get(idx), owner.get(idx)) else {
+                continue;
+            };
+            if serving.index() != hot {
                 continue; // stale membership entry
             }
             for &candidate in a.group.as_slice() {
                 if candidate.index() == hot {
                     continue;
                 }
-                let new_pair_max = (loads[hot] - a.rate).max(loads[candidate.index()] + a.rate);
-                if new_pair_max < loads[hot] - 1e-12
-                    && best.is_none_or(|(_, _, b)| new_pair_max < b)
+                let new_pair_max =
+                    (hot_load - a.rate).max(load(&loads, candidate.index()) + a.rate);
+                if new_pair_max < hot_load - 1e-12
+                    && best.is_none_or(|(_, _, _, b)| new_pair_max < b)
                 {
-                    best = Some((idx, candidate, new_pair_max));
+                    best = Some((idx, a, candidate, new_pair_max));
                 }
             }
         }
-        let Some((idx, to, _)) = best else {
+        let Some((idx, a, to, _)) = best else {
             // Hottest node cannot improve: global fixed point (any other
             // node's max is lower, so moving elsewhere cannot reduce max).
             break;
         };
-        let a = assignments[idx];
-        loads[hot] -= a.rate;
-        loads[to.index()] += a.rate;
-        owner[idx] = to;
-        keys_on[hot].retain(|&i| i != idx);
-        keys_on[to.index()].push(idx);
+        let hot_after = add(&mut loads, hot, -a.rate);
+        let to_after = add(&mut loads, to.index(), a.rate);
+        if let Some(serving) = owner.get_mut(idx) {
+            *serving = to;
+        }
+        if let Some(keys) = keys_on.get_mut(hot) {
+            keys.retain(|&i| i != idx);
+        }
+        if let Some(keys) = keys_on.get_mut(to.index()) {
+            keys.push(idx);
+        }
         migrations.push(Migration {
             key: a.key,
             from: NodeId::from_index(hot),
             to,
             rate: a.rate,
         });
-        heap.push((ord(loads[hot]), hot));
-        heap.push((ord(loads[to.index()]), to.index()));
+        heap.push((ord(hot_after), hot));
+        heap.push((ord(to_after), to.index()));
     }
 
     RebalanceOutcome {
@@ -190,6 +210,14 @@ pub fn rebalance(
         migrations,
         converged,
     }
+}
+
+/// Adds `delta` to node `node`'s load and returns the new load.
+fn add(loads: &mut [f64], node: usize, delta: f64) -> f64 {
+    loads.get_mut(node).map_or(0.0, |l| {
+        *l += delta;
+        *l
+    })
 }
 
 // f64 max-heap key: totally ordered wrapper.
@@ -301,6 +329,19 @@ mod tests {
         assert!(out.converged);
         assert!(out.migrations.is_empty());
         assert_eq!(out.before, out.after);
+    }
+
+    #[test]
+    fn nodes_past_node_count_get_their_own_slot() {
+        // Node 5 is beyond `node_count`; it is counted, not a panic.
+        let assignments = vec![
+            assignment(1, 5, 2.0, &[5, 0]),
+            assignment(2, 5, 2.0, &[5, 0]),
+        ];
+        let out = rebalance(&assignments, 3, &RebalanceConfig::default());
+        assert_eq!(out.before.loads().len(), 6);
+        assert_eq!(out.migrations.len(), 1);
+        assert!((out.after.total() - 4.0).abs() < 1e-12);
     }
 
     #[test]

@@ -451,8 +451,6 @@ impl ReplicaSelector for LeastLoadedSelector {
         // The tag wraps: every pin drops to tag 0, which only the first
         // epoch carries.
         self.dense.mask(CODE_MASK);
-        // scp-allow(hash-iteration): every entry gets the same write, so
-        // the order of the pass is unobservable
         // DETERMINISM: every entry gets the same write, so the order of
         // the pass is unobservable.
         for (_, tag) in self.pins.values_mut() {

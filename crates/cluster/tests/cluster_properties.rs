@@ -5,6 +5,8 @@
 //! property-testing framework, so every failure reproduces exactly from the
 //! constants below.
 
+#![allow(clippy::restriction, clippy::disallowed_methods)]
+
 use scp_cluster::capacity::Capacities;
 use scp_cluster::cluster::Cluster;
 use scp_cluster::partition::{

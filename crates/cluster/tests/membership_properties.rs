@@ -5,6 +5,8 @@
 //! seeded xoshiro stream, so every failure reproduces exactly from the
 //! case number printed in its assertion message.
 
+#![allow(clippy::restriction, clippy::disallowed_methods)]
+
 use scp_cluster::ids::{KeyId, NodeId};
 use scp_cluster::topology::{MigrationPlan, Topology};
 use scp_cluster::{PartitionerKind, PartitionerSpec};

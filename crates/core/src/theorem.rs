@@ -46,6 +46,10 @@ pub fn is_negligible(v: f64) -> bool {
 ///
 /// Returns an error unless `i < j`, both indices are in range, and the
 /// precondition `h >= p[i] >= p[j] > 0` holds.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "i < j < probs.len() is verified before any index"
+)]
 pub fn shift_once(probs: &mut [f64], h: f64, i: usize, j: usize) -> Result<f64> {
     if i >= j || j >= probs.len() {
         return Err(CoreError::InvalidParameter {
@@ -53,7 +57,6 @@ pub fn shift_once(probs: &mut [f64], h: f64, i: usize, j: usize) -> Result<f64> 
             reason: format!("need i < j < len, got i={i}, j={j}, len={}", probs.len()),
         });
     }
-    // scp-allow(slice-index): i < j < probs.len() verified above
     let (pi, pj) = (probs[i], probs[j]);
     if !(h >= pi && pi >= pj && pj > 0.0) {
         return Err(CoreError::InvalidParameter {
@@ -62,9 +65,7 @@ pub fn shift_once(probs: &mut [f64], h: f64, i: usize, j: usize) -> Result<f64> 
         });
     }
     let delta = (h - pi).min(pj);
-    // scp-allow(slice-index): i < j < probs.len() verified above
     probs[i] += delta;
-    // scp-allow(slice-index): i < j < probs.len() verified above
     probs[j] -= delta;
     Ok(delta)
 }
@@ -92,6 +93,10 @@ pub struct CanonicalAttack {
 /// # Errors
 ///
 /// Returns an error if the input is unsorted or `c` exceeds its length.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "Pmf is non-empty, c <= len is checked, and fill < drain < probs.len() by the loop bound"
+)]
 pub fn canonicalize(pmf: &Pmf, c: usize) -> Result<CanonicalAttack> {
     if !pmf.is_sorted_descending() {
         return Err(CoreError::InvalidParameter {
@@ -106,7 +111,6 @@ pub fn canonicalize(pmf: &Pmf, c: usize) -> Result<CanonicalAttack> {
         });
     }
     let mut probs = pmf.as_slice().to_vec();
-    // scp-allow(slice-index): Pmf is non-empty and c <= len checked above
     let h = if c == 0 { probs[0] } else { probs[c - 1] };
 
     // Two-pointer sweep: fill each uncached key up to h from the lightest
@@ -116,12 +120,10 @@ pub fn canonicalize(pmf: &Pmf, c: usize) -> Result<CanonicalAttack> {
     let mut fill = c;
     let mut drain = probs.len() - 1;
     while fill < drain {
-        // scp-allow(slice-index): fill < drain < probs.len() by the loop bound
         if probs[fill] >= h {
             fill += 1;
             continue;
         }
-        // scp-allow(slice-index): fill < drain < probs.len() by the loop bound
         if probs[drain] <= 0.0 {
             drain -= 1;
             continue;

@@ -6,6 +6,8 @@
 //! property-testing framework, so every failure reproduces exactly from the
 //! constants below.
 
+#![allow(clippy::restriction, clippy::disallowed_methods)]
+
 use scp_core::bounds::{
     attack_gain_bound, critical_cache_size, optimal_subset_size, BestSubsetSize, KParam,
 };

@@ -273,6 +273,10 @@ impl<'a> Parser<'a> {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the parser keeps pos <= bytes.len()"
+    )]
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
@@ -346,6 +350,10 @@ impl<'a> Parser<'a> {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "start <= pos <= bytes.len(): pos only advances past peeked bytes"
+    )]
     fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
         let mut out = String::new();
@@ -405,6 +413,10 @@ impl<'a> Parser<'a> {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "end <= bytes.len() is checked above"
+    )]
     fn hex4(&mut self) -> Result<u32, JsonError> {
         let end = self.pos + 4;
         if end > self.bytes.len() {
@@ -417,6 +429,10 @@ impl<'a> Parser<'a> {
         Ok(cp)
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "start <= pos <= bytes.len(): pos only advances past peeked bytes"
+    )]
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {

@@ -7,7 +7,7 @@ use scp_repro::Opts;
 
 fn main() {
     let opts = Opts::from_env();
-    if !emit(&opts, "ablations", run_all_journaled(&opts)) {
+    if !emit(&opts, "ablations", Ok(run_all_journaled(&opts))) {
         std::process::exit(1);
     }
 }

@@ -9,7 +9,7 @@ fn main() {
     let outcome = Fig3Config::paper(200, &opts).and_then(|cfg| {
         let mut book = JournalBook::new();
         let rows = run_journaled(&cfg, &mut book)?;
-        Ok((vec![("fig3a".to_owned(), table(&cfg, &rows))], book))
+        Ok((vec![("fig3a".to_owned(), Ok(table(&cfg, &rows)))], book))
     });
     if !emit(&opts, "fig3a", outcome) {
         std::process::exit(1);

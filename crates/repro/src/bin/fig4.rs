@@ -9,7 +9,7 @@ fn main() {
     let outcome = Fig4Config::paper(&opts).and_then(|cfg| {
         let mut book = JournalBook::new();
         let rows = run_journaled(&cfg, &mut book)?;
-        Ok((vec![("fig4".to_owned(), table(&cfg, &rows))], book))
+        Ok((vec![("fig4".to_owned(), Ok(table(&cfg, &rows)))], book))
     });
     if !emit(&opts, "fig4", outcome) {
         std::process::exit(1);

@@ -11,8 +11,8 @@ fn main() {
         let mut book = JournalBook::new();
         let outcome = run_journaled(&cfg, &mut book)?;
         let tables = vec![
-            ("fig5a".to_owned(), table_panel_a(&cfg, &outcome)),
-            ("fig5b".to_owned(), table_panel_b(&cfg, &outcome)),
+            ("fig5a".to_owned(), Ok(table_panel_a(&cfg, &outcome))),
+            ("fig5b".to_owned(), Ok(table_panel_b(&cfg, &outcome))),
         ];
         Ok((tables, book))
     });

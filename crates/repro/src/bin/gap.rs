@@ -12,13 +12,13 @@ fn main() {
         let tables = vec![
             (
                 "gap_margin".to_owned(),
-                table_margin(&cfg, &outcome.margins),
+                Ok(table_margin(&cfg, &outcome.margins)),
             ),
             (
                 "gap_rotation".to_owned(),
-                table_rotation(&cfg, &outcome.rotations),
+                Ok(table_rotation(&cfg, &outcome.rotations)),
             ),
-            ("gap_pow".to_owned(), table_pow(&cfg, &outcome.pow)),
+            ("gap_pow".to_owned(), Ok(table_pow(&cfg, &outcome.pow))),
         ];
         Ok((tables, JournalBook::new()))
     });

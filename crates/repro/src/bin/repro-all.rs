@@ -3,10 +3,12 @@
 use scp_repro::output::{emit, JournalBook};
 use scp_repro::{ablation, fig3, fig4, fig5, gap, reshard, Opts};
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the wall clock is progress display only; it never enters tables, CSVs or journals"
+)]
 fn main() {
     let opts = Opts::from_env();
-    // scp-allow(wall-clock): progress display only; never enters tables,
-    // CSVs or journals, so replays stay bit-for-bit identical
     let started = std::time::Instant::now();
 
     let mut ran = Vec::new();
@@ -14,7 +16,7 @@ fn main() {
         let outcome = fig3::Fig3Config::paper(cache, &opts).and_then(|cfg| {
             let mut book = JournalBook::new();
             let rows = fig3::run_journaled(&cfg, &mut book)?;
-            Ok((vec![(name.to_owned(), fig3::table(&cfg, &rows))], book))
+            Ok((vec![(name.to_owned(), Ok(fig3::table(&cfg, &rows)))], book))
         });
         ran.push(emit(&opts, name, outcome));
     }
@@ -22,7 +24,10 @@ fn main() {
     let outcome = fig4::Fig4Config::paper(&opts).and_then(|cfg| {
         let mut book = JournalBook::new();
         let rows = fig4::run_journaled(&cfg, &mut book)?;
-        Ok((vec![("fig4".to_owned(), fig4::table(&cfg, &rows))], book))
+        Ok((
+            vec![("fig4".to_owned(), Ok(fig4::table(&cfg, &rows)))],
+            book,
+        ))
     });
     ran.push(emit(&opts, "fig4", outcome));
 
@@ -30,50 +35,51 @@ fn main() {
         let mut book = JournalBook::new();
         let outcome = fig5::run_journaled(&cfg, &mut book)?;
         let tables = vec![
-            ("fig5a".to_owned(), fig5::table_panel_a(&cfg, &outcome)),
-            ("fig5b".to_owned(), fig5::table_panel_b(&cfg, &outcome)),
+            ("fig5a".to_owned(), Ok(fig5::table_panel_a(&cfg, &outcome))),
+            ("fig5b".to_owned(), Ok(fig5::table_panel_b(&cfg, &outcome))),
         ];
         Ok((tables, book))
     });
     ran.push(emit(&opts, "fig5", outcome));
 
-    ran.push(emit(&opts, "ablations", ablation::run_all_journaled(&opts)));
+    ran.push(emit(
+        &opts,
+        "ablations",
+        Ok(ablation::run_all_journaled(&opts)),
+    ));
 
     let outcome = gap::GapConfig::paper(&opts).and_then(|cfg| {
         let outcome = gap::run(&cfg)?;
         let tables = vec![
             (
                 "gap_margin".to_owned(),
-                gap::table_margin(&cfg, &outcome.margins),
+                Ok(gap::table_margin(&cfg, &outcome.margins)),
             ),
             (
                 "gap_rotation".to_owned(),
-                gap::table_rotation(&cfg, &outcome.rotations),
+                Ok(gap::table_rotation(&cfg, &outcome.rotations)),
             ),
-            ("gap_pow".to_owned(), gap::table_pow(&cfg, &outcome.pow)),
+            ("gap_pow".to_owned(), Ok(gap::table_pow(&cfg, &outcome.pow))),
         ];
         Ok((tables, JournalBook::new()))
     });
     ran.push(emit(&opts, "gap", outcome));
 
-    let outcome = reshard::ReshardConfig::paper(&opts).and_then(|cfg| {
-        let outcome = reshard::run(&cfg)?;
+    let outcome = reshard::ReshardConfig::paper(&opts).map(|cfg| {
         let tables = vec![
             (
                 "reshard_disruption".to_owned(),
-                reshard::table_disruption(&cfg, &outcome.disruption),
+                reshard::run_disruption(&cfg).map(|rows| reshard::table_disruption(&cfg, &rows)),
             ),
             (
                 "reshard_cstar_drift".to_owned(),
-                reshard::table_drift(&cfg, &outcome.drift),
+                reshard::run_drift(&cfg).map(|rows| reshard::table_drift(&cfg, &rows)),
             ),
         ];
-        Ok((tables, JournalBook::new()))
+        (tables, JournalBook::new())
     });
     ran.push(emit(&opts, "reshard", outcome));
 
-    // scp-allow(wall-clock): progress display only; never enters tables,
-    // CSVs or journals, so replays stay bit-for-bit identical
     println!("done in {:.1}s", started.elapsed().as_secs_f64());
     let failures = ran.iter().filter(|&&ok| !ok).count();
     if failures > 0 {

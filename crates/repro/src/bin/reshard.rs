@@ -3,24 +3,23 @@
 //! of a join→leave schedule (see `scp_repro::reshard`).
 
 use scp_repro::output::{emit, JournalBook};
-use scp_repro::reshard::{run, table_disruption, table_drift, ReshardConfig};
+use scp_repro::reshard::{run_disruption, run_drift, table_disruption, table_drift, ReshardConfig};
 use scp_repro::Opts;
 
 fn main() {
     let opts = Opts::from_env();
-    let outcome = ReshardConfig::paper(&opts).and_then(|cfg| {
-        let outcome = run(&cfg)?;
+    let outcome = ReshardConfig::paper(&opts).map(|cfg| {
         let tables = vec![
             (
                 "reshard_disruption".to_owned(),
-                table_disruption(&cfg, &outcome.disruption),
+                run_disruption(&cfg).map(|rows| table_disruption(&cfg, &rows)),
             ),
             (
                 "reshard_cstar_drift".to_owned(),
-                table_drift(&cfg, &outcome.drift),
+                run_drift(&cfg).map(|rows| table_drift(&cfg, &rows)),
             ),
         ];
-        Ok((tables, JournalBook::new()))
+        (tables, JournalBook::new())
     });
     if !emit(&opts, "reshard", outcome) {
         std::process::exit(1);

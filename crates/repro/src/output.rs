@@ -216,13 +216,15 @@ pub fn save_journals(dir: Option<&Path>, name: &str, book: &JournalBook) {
     }
 }
 
-/// The named tables of one experiment group plus the journals of its
-/// repeated runs (empty for groups without repetitions).
-pub type GroupOutput = (Vec<(String, Table)>, JournalBook);
+/// The named tables of one experiment group, each its study's outcome,
+/// plus the journals of its repeated runs (empty for groups without
+/// repetitions).
+pub type GroupOutput = (Vec<(String, Result<Table>)>, JournalBook);
 
-/// Prints one experiment group's tables and saves each as
-/// `--out/<name>.csv` and its journals as `--journal/<group>.*`, or
-/// reports the group's failure. Returns whether the group ran.
+/// Prints each table of one experiment group and saves it as
+/// `--out/<name>.csv`, names each failed study (or the whole group, when
+/// it could not start) on stderr, and saves the journals as
+/// `--journal/<group>.*`. Returns whether every study ran.
 pub fn emit(opts: &Opts, group: &str, outcome: Result<GroupOutput>) -> bool {
     let (tables, book) = match outcome {
         Ok(output) => output,
@@ -231,7 +233,16 @@ pub fn emit(opts: &Opts, group: &str, outcome: Result<GroupOutput>) -> bool {
             return false;
         }
     };
+    let mut ran = true;
     for (name, table) in &tables {
+        let table = match table {
+            Ok(table) => table,
+            Err(e) => {
+                eprintln!("{group}: {name} failed: {e}");
+                ran = false;
+                continue;
+            }
+        };
         table.print();
         println!();
         match table.save_csv(&opts.out, name) {
@@ -242,7 +253,7 @@ pub fn emit(opts: &Opts, group: &str, outcome: Result<GroupOutput>) -> bool {
     if !book.is_empty() {
         save_journals(opts.journal.as_deref(), group, &book);
     }
-    true
+    ran
 }
 
 /// Formats a float with sensible experiment precision.

@@ -150,15 +150,6 @@ pub struct DriftRow {
     pub gain_at: f64,
 }
 
-/// Everything the study produced.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Outcome {
-    /// Disruption rows, every scheme × {join, leave}.
-    pub disruption: Vec<DisruptionRow>,
-    /// `c*` at each epoch of the join→leave schedule.
-    pub drift: Vec<DriftRow>,
-}
-
 fn spec(cfg: &ReshardConfig, kind: PartitionerKind, topology: Topology) -> PartitionerSpec {
     PartitionerSpec::new(kind)
         .topology(topology)
@@ -265,19 +256,6 @@ pub fn run_drift(cfg: &ReshardConfig) -> Result<Vec<DriftRow>> {
         });
     }
     Ok(rows)
-}
-
-/// Runs the whole study (disruption for every scheme, drift under the
-/// base's partitioner).
-///
-/// # Errors
-///
-/// Propagates any simulation or construction error.
-pub fn run(cfg: &ReshardConfig) -> Result<Outcome> {
-    Ok(Outcome {
-        disruption: run_disruption(cfg)?,
-        drift: run_drift(cfg)?,
-    })
 }
 
 /// The disruption table.

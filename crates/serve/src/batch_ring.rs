@@ -221,6 +221,7 @@ mod tests {
     /// mid-stream close; the consumer must observe exactly the sequence,
     /// in order (per-producer FIFO + exact conservation across shutdown).
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "test code: a producer thread")]
     fn seeded_threaded_conservation_and_fifo() {
         for seed in [1u64, 42, 0xDEAD_BEEF] {
             let (mut tx, mut rx) = intake_channel::<u64>(4);

@@ -23,6 +23,10 @@ pub struct Stopwatch {
 
 impl Stopwatch {
     /// Starts timing now.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the serving engine reads wall time only here; shedding and reports use logical time"
+    )]
     pub fn started() -> Self {
         // DETERMINISM: wall time here is run-duration metadata only;
         // results are driven by logical time (see the module docs).
@@ -32,6 +36,10 @@ impl Stopwatch {
     }
 
     /// Seconds elapsed since [`Stopwatch::started`].
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the serving engine reads wall time only here; shedding and reports use logical time"
+    )]
     pub fn elapsed_secs(&self) -> f64 {
         // DETERMINISM: elapsed wall time feeds duration/throughput
         // metadata fields, never a result the journals replay.

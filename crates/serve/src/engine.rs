@@ -96,11 +96,6 @@ impl TokenBucket {
         }
     }
 
-    /// Tokens currently available.
-    pub fn available(&self) -> f64 {
-        self.tokens
-    }
-
     /// Re-provisions the bucket for a new per-shard rate (a topology
     /// epoch changed `r_i = h·R/n`). Accumulated tokens survive, clamped
     /// to the new burst, and the refill clock is untouched.

@@ -434,6 +434,10 @@ fn join_thread<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> Result<T> {
 ///
 /// Returns an error on invalid configuration or a panicked engine
 /// thread.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the load generator's audited client/admission/shard fan-out"
+)]
 pub fn run_threaded(cfg: &ServeConfig) -> Result<crate::report::ServeReport> {
     cfg.validate()?;
     if cfg.client_window < cfg.submit_batch {

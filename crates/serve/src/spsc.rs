@@ -467,6 +467,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "test code: a producer thread")]
     fn cross_thread_transfer_is_lossless_and_ordered() {
         const N: u64 = 200_000;
         let (mut tx, mut rx) = channel(64);
@@ -551,6 +552,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "test code: a producer thread")]
     fn pop_many_cross_thread_is_lossless() {
         const N: u64 = 100_000;
         let (mut tx, mut rx) = channel(16);

@@ -61,6 +61,10 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Timing lives here (and not at call sites) because wall-clock reads are
 /// confined to this module by the repo's determinism lint: results must
 /// never depend on time, only observability records may.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the runner measures wall time for journal metadata explicitly"
+)]
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     // DETERMINISM: the measured seconds are observability metadata
     // (progress display, journal duration fields); `f`'s value is
@@ -78,6 +82,10 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
 /// If `job` panics for some run, the panic is re-raised on the calling
 /// thread as `"simulation run {i} panicked: {message}"` (the lowest such
 /// run index wins when several fail, so the report is deterministic).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the audited run fan-out: threads write disjoint, pre-distributed slots"
+)]
 pub fn repeat<T, F>(runs: usize, threads: usize, job: F) -> Vec<T>
 where
     T: Send,

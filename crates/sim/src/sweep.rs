@@ -402,6 +402,10 @@ fn report_at(
 /// results are independent of the worker count (`threads = 0` uses all
 /// cores). This is what makes a critical-size bisection probe cheap: the
 /// expensive [`RunSweep`]s are built once and interrogated per probe.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the audited sweep fan-out: threads write disjoint output slots"
+)]
 pub fn evaluate_many(
     sweeps: &mut [RunSweep],
     threads: usize,

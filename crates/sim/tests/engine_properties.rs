@@ -6,6 +6,8 @@
 //! property-testing framework, so every failure reproduces exactly from the
 //! constants below.
 
+#![allow(clippy::restriction, clippy::disallowed_methods)]
+
 use scp_sim::config::{AdmissionKind, CacheKind, PartitionerKind, SelectorKind, SimConfig};
 use scp_sim::query_engine::run_query_simulation;
 use scp_sim::rate_engine::run_rate_simulation;

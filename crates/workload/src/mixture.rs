@@ -169,6 +169,7 @@ pub struct MixtureSampler {
 
 impl MixtureSampler {
     /// Draws the next rank.
+    #[expect(clippy::expect_used, reason = "Mixture::new rejects empty lists")]
     pub fn sample(&mut self) -> u64 {
         let mut u = next_f64(&mut self.rng);
         for (w, s) in &mut self.samplers {
@@ -180,7 +181,6 @@ impl MixtureSampler {
         // Float round-off: fall back to the last component.
         self.samplers
             .last_mut()
-            // scp-allow(panic-path): Mixture::new rejects empty lists
             .expect("mixture has components")
             .1
             .sample()

@@ -104,6 +104,10 @@ impl Pmf {
     /// # Panics
     ///
     /// Panics if `i >= self.len()`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented panic contract; see `# Panics`"
+    )]
     pub fn get(&self, i: usize) -> f64 {
         self.probs[i]
     }
@@ -124,12 +128,17 @@ impl Pmf {
     /// **if** the pmf is sorted in decreasing order (see
     /// [`Pmf::is_sorted_descending`]); otherwise it is just the mass of the
     /// first `c` ranks.
+    #[expect(clippy::indexing_slicing, reason = "c is clamped to probs.len()")]
     pub fn head_mass(&self, c: usize) -> f64 {
         let c = c.min(self.probs.len());
         kahan_sum(&self.probs[..c])
     }
 
     /// Whether probabilities are monotonically non-increasing in rank.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "windows(2) yields slices of exactly two elements"
+    )]
     pub fn is_sorted_descending(&self) -> bool {
         self.probs.windows(2).all(|w| w[0] >= w[1])
     }

@@ -25,6 +25,10 @@ pub trait Rng {
     }
 
     /// Fills `dest` with random bytes, 8 at a time.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the remainder of chunks_exact_mut(8) is shorter than the 8 bytes drawn"
+    )]
     fn fill_bytes(&mut self, dest: &mut [u8]) {
         let mut chunks = dest.chunks_exact_mut(8);
         for chunk in &mut chunks {

@@ -6,6 +6,8 @@
 //! cargo run --release --example attack_simulation
 //! ```
 
+#![allow(clippy::restriction, clippy::disallowed_methods)]
+
 use secure_cache_provision::core::bounds::{critical_cache_size, KParam};
 use secure_cache_provision::prelude::*;
 use secure_cache_provision::sim::critical::best_response_gain;

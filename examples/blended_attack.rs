@@ -10,6 +10,8 @@
 //! cargo run --release --example blended_attack
 //! ```
 
+#![allow(clippy::restriction, clippy::disallowed_methods)]
+
 use secure_cache_provision::prelude::*;
 use secure_cache_provision::sim::detector::{AttackDetector, DetectorConfig};
 use secure_cache_provision::workload::mixture::MixturePattern;

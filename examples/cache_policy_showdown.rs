@@ -6,6 +6,8 @@
 //! cargo run --release --example cache_policy_showdown
 //! ```
 
+#![allow(clippy::restriction, clippy::disallowed_methods)]
+
 use secure_cache_provision::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -6,6 +6,8 @@
 //! cargo run --release --example capacity_planning
 //! ```
 
+#![allow(clippy::restriction, clippy::disallowed_methods)]
+
 use secure_cache_provision::core::bounds::KParam;
 use secure_cache_provision::core::params::SystemParams;
 use secure_cache_provision::core::provision::Provisioner;

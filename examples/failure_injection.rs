@@ -6,6 +6,8 @@
 //! cargo run --release --example failure_injection
 //! ```
 
+#![allow(clippy::restriction, clippy::disallowed_methods)]
+
 use secure_cache_provision::cluster::capacity::Capacities;
 use secure_cache_provision::cluster::{Cluster, NodeId};
 use secure_cache_provision::prelude::*;

@@ -9,6 +9,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
+#![allow(clippy::restriction, clippy::disallowed_methods)]
+
 use secure_cache_provision::core::adversary::{AdversaryStrategy, ReplicatedClusterAdversary};
 use secure_cache_provision::prelude::*;
 use secure_cache_provision::workload::AccessPattern as Pattern;

@@ -7,6 +7,8 @@
 //! cargo run --release --example run_journal
 //! ```
 
+#![allow(clippy::restriction, clippy::disallowed_methods)]
+
 use secure_cache_provision::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

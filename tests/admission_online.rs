@@ -8,6 +8,8 @@
 //! `k`-th most popular key, so the true top-`c` set is `0..c` and the
 //! oracle's stationary hit ratio on an equal-rate `x`-subset is `c/x`.
 
+#![allow(clippy::restriction, clippy::disallowed_methods)]
+
 use secure_cache_provision::cache::tinylfu::TinyLfuCache;
 use secure_cache_provision::cache::Cache;
 use secure_cache_provision::workload::rng::mix;

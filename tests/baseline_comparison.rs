@@ -4,6 +4,8 @@
 //! interior-optimal subset and *always* wins; with `d >= 2` a finite O(n)
 //! cache flips the game.
 
+#![allow(clippy::restriction, clippy::disallowed_methods)]
+
 use secure_cache_provision::core::adversary::{
     AdversaryStrategy, ReplicatedClusterAdversary, SmallCacheAdversary,
 };

@@ -1,6 +1,8 @@
 //! Reproducibility guarantees: every engine is a pure function of its
 //! seed, and parallel repetition never leaks thread scheduling.
 
+#![allow(clippy::restriction, clippy::disallowed_methods)]
+
 use secure_cache_provision::prelude::*;
 use secure_cache_provision::sim::des::{run_des, DesConfig};
 use secure_cache_provision::sim::runner::{repeat, repeat_rate_simulation};

@@ -4,6 +4,8 @@
 //! sizes the cache, an adversary plans its best attack, and the simulated
 //! cluster (cache + partitioner + replica selection) confirms the verdict.
 
+#![allow(clippy::restriction, clippy::disallowed_methods)]
+
 use secure_cache_provision::core::adversary::{AdversaryStrategy, ReplicatedClusterAdversary};
 use secure_cache_provision::core::bounds::KParam;
 use secure_cache_provision::prelude::*;

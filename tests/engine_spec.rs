@@ -15,6 +15,8 @@
 //! were rewritten onto one front end and one rate loop; any change to an
 //! outcome moves one.
 
+#![allow(clippy::restriction, clippy::disallowed_methods)]
+
 mod golden;
 
 use golden::Digest;

@@ -2,6 +2,8 @@
 //! sticky selectors re-pin, crash losses are accounted, and the detector
 //! distinguishes attack hotspots from failure-induced imbalance.
 
+#![allow(clippy::restriction, clippy::disallowed_methods)]
+
 use secure_cache_provision::cluster::{Cluster, NodeId};
 use secure_cache_provision::prelude::*;
 use secure_cache_provision::sim::des::{run_des_with_events, DesConfig, FailAction, NodeEvent};

@@ -19,6 +19,8 @@
 //! Two more tests pin which streams draw directly, and that their keys
 //! are uniform (chi-square at p = 10^-6 on fixed seeds).
 
+#![allow(clippy::restriction, clippy::disallowed_methods)]
+
 mod golden;
 
 use golden::Digest;

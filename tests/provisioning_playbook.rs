@@ -1,6 +1,8 @@
 //! The operator's playbook end-to-end: SLO-driven cache sizing and
 //! replication planning, validated against the simulated cluster.
 
+#![allow(clippy::restriction, clippy::disallowed_methods)]
+
 use secure_cache_provision::core::bounds::KParam;
 use secure_cache_provision::prelude::*;
 use secure_cache_provision::sim::runner::repeat_rate_simulation;

@@ -27,6 +27,8 @@
 //! at commit `6713e17`, whose cluster still computed every group after the
 //! first reshard.
 
+#![allow(clippy::restriction, clippy::disallowed_methods)]
+
 mod golden;
 
 use golden::Digest;

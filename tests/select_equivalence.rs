@@ -15,6 +15,8 @@
 //! A second pair of tests checks that `items` cannot size the table into
 //! an allocator abort.
 
+#![allow(clippy::restriction, clippy::disallowed_methods)]
+
 use secure_cache_provision::cluster::select::{
     LeastLoadedSelector, RateAssignment, ReplicaSelector, RoundRobinSelector, DENSE_KEY_CAP,
 };

@@ -2,6 +2,8 @@
 //! simulator, sheds exactly when a shard is driven past its capacity, and
 //! never loses an accounted request on shutdown.
 
+#![allow(clippy::restriction, clippy::disallowed_methods)]
+
 use secure_cache_provision::prelude::*;
 
 /// The paper's Section IV baseline under the optimal x = c + 1 attack,

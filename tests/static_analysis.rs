@@ -1,37 +1,121 @@
-//! Root-suite mirror of the `scp-analyze` gate, so a plain `cargo test`
+//! Root-suite mirror of the static-analysis gates, so a plain `cargo test`
 //! from the workspace root fails on determinism/panic-safety violations
-//! even when nobody runs the analyzer binary. See `crates/analyze` for
-//! the rule set and README for the ratchet workflow.
+//! even when nobody runs the analyzer binary or clippy. The analyzer's
+//! rules and surfaces run here directly; the rules that moved to clippy
+//! are checked through their configuration, since `cargo test` does not
+//! run clippy. See `crates/analyze` for the rule set and README for the
+//! workflow.
 
-use scp_analyze::analyze_workspace;
-use scp_analyze::files::{find_workspace_root, SourceFile};
-use scp_analyze::{analyze_sources, baseline::Baseline, surface::Surface};
-use std::path::Path;
+#![allow(clippy::restriction, clippy::disallowed_methods)]
+
+use scp_analyze::files::{find_workspace_root, FileKind, SourceFile};
+use scp_analyze::{analyze_all, analyze_sources, surface::Surface};
+use std::path::{Path, PathBuf};
+
+/// The deny-level clippy lints that replaced the analyzer's
+/// `panic-path`, `slice-index`, `wall-clock`, `env-entropy`,
+/// `concurrency-primitive` and `unsafe-hygiene` line rules.
+const MOVED_LINTS: &[&str] = &[
+    "unwrap_used",
+    "expect_used",
+    "panic",
+    "unreachable",
+    "todo",
+    "unimplemented",
+    "indexing_slicing",
+    "disallowed_methods",
+    "disallowed_types",
+    "undocumented_unsafe_blocks",
+];
+
+/// Every path the retired `wall-clock`, `env-entropy` and
+/// `concurrency-primitive` rules checked, by `clippy.toml` key.
+const DISALLOWED: &[(&str, &[&str])] = &[
+    (
+        "disallowed-methods",
+        &[
+            "std::time::Instant::now",
+            "std::time::Instant::elapsed",
+            "std::time::SystemTime::now",
+            "std::time::SystemTime::elapsed",
+            "std::env::var",
+            "std::env::var_os",
+            "std::env::vars",
+            "std::env::vars_os",
+            "std::thread::spawn",
+            "std::thread::scope",
+            "std::thread::Scope::spawn",
+            "std::thread::Builder::spawn",
+            "std::thread::Builder::spawn_scoped",
+        ],
+    ),
+    (
+        "disallowed-types",
+        &[
+            "std::sync::Mutex",
+            "std::sync::RwLock",
+            "std::sync::Condvar",
+            "std::hash::RandomState",
+        ],
+    ),
+];
+
+fn root() -> PathBuf {
+    find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("workspace root")
+}
+
+fn read(path: &Path) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// The `key = value` lines of TOML table `[name]`, up to the next header.
+fn toml_table<'a>(text: &'a str, name: &str) -> Vec<(&'a str, &'a str)> {
+    let header = format!("[{name}]");
+    text.lines()
+        .skip_while(|l| l.trim() != header)
+        .skip(1)
+        .take_while(|l| !l.trim_start().starts_with('['))
+        .filter_map(|l| l.split_once('='))
+        .map(|(k, v)| (k.trim(), v.trim().trim_matches('"')))
+        .collect()
+}
+
+/// The `path = "..."` entries of `clippy.toml` array `key = [ ... ]`.
+fn clippy_paths<'a>(text: &'a str, key: &str) -> Vec<&'a str> {
+    text.lines()
+        .skip_while(|l| !l.starts_with(&format!("{key} = [")))
+        .skip(1)
+        .take_while(|l| l.trim() != "]")
+        .filter_map(|l| l.split("path = \"").nth(1))
+        .filter_map(|rest| rest.split('"').next())
+        .collect()
+}
 
 #[test]
 fn static_analysis_gate() {
-    let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("workspace root");
-    let report = analyze_workspace(&root).expect("analysis runs");
+    let analysis = analyze_all(&root()).expect("analysis runs");
     assert!(
-        report.deny_clean(),
+        analysis.report.deny_clean(),
         "static-analysis violations:\n{}",
-        report.render_human(true)
+        analysis.report.render_human(true)
     );
+    let panic = &analysis.panic_surface;
     assert!(
-        report.baseline_in_sync(),
-        "analyze-baseline.json out of sync; run \
-         `cargo run -p scp-analyze -- --update-baseline`:\n{}",
-        report.baseline_diff.join("\n")
+        panic.no_regressions() && panic.in_sync(),
+        "the panic surface in analyze-surface.json is out of sync; run \
+         `cargo run -p scp-analyze -- --update-baseline`:\nadded: {}\nremoved: {}\ndrifted: {}",
+        panic.added.join(", "),
+        panic.removed.join(", "),
+        panic.drifted.join(", ")
     );
 }
 
 #[test]
 fn determinism_surface_gate() {
-    // The taint-pass twin of the gate above: the committed
-    // `determinism-surface.json` must match what the call graph observes,
-    // and nothing may have entered it.
-    let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("workspace root");
-    let surface = scp_analyze::analyze_det_surface(&root).expect("call graph builds");
+    // The taint-pass twin of the gate above: the committed determinism
+    // surface must match what the call graph observes, and nothing may
+    // have entered it.
+    let surface = analyze_all(&root()).expect("analysis runs").det_surface;
     assert!(
         surface.no_regressions(),
         "pub fns entered the determinism surface:\n{}",
@@ -39,7 +123,7 @@ fn determinism_surface_gate() {
     );
     assert!(
         surface.in_sync(),
-        "determinism-surface.json out of sync; run \
+        "the determinism surface in analyze-surface.json is out of sync; run \
          `cargo run -p scp-analyze -- --update-baseline`:\nadded: {}\nremoved: {}",
         surface.added.join(", "),
         surface.removed.join(", ")
@@ -55,12 +139,7 @@ fn a_new_tainted_pub_fn_would_fail_the_deny_gate() {
         "crates/cluster/src/synthetic.rs",
         "pub fn leaky() -> f64 { std::time::Instant::now().elapsed().as_secs_f64() }\n",
     )];
-    let analysis = analyze_sources(
-        &sources,
-        &Baseline::default(),
-        &Surface::default(),
-        &Surface::default(),
-    );
+    let analysis = analyze_sources(&sources, &Surface::default(), &Surface::default());
     assert!(
         !analysis.report.deny_clean(),
         "a fresh tainted pub fn must fail --deny"
@@ -86,8 +165,82 @@ fn a_ghost_surface_entry_would_fail_the_sync_gate() {
     ghost
         .functions
         .insert("crates/cluster/src/synthetic.rs::gone".to_owned());
-    let analysis = analyze_sources(&sources, &Baseline::default(), &Surface::default(), &ghost);
+    let analysis = analyze_sources(&sources, &Surface::default(), &ghost);
     assert!(analysis.report.deny_clean(), "removals alone are not deny");
     assert!(!analysis.det_surface.in_sync(), "drift must fail sync");
     assert_eq!(analysis.det_surface.removed.len(), 1);
+}
+
+#[test]
+fn moved_lints_are_denied_for_every_crate() {
+    let root = root();
+    let manifest = read(&root.join("Cargo.toml"));
+    let levels = toml_table(&manifest, "workspace.lints.clippy");
+    for lint in MOVED_LINTS {
+        let level = levels.iter().find(|(k, _)| k == lint).map(|(_, v)| *v);
+        assert!(
+            matches!(level, Some("deny" | "forbid")),
+            "clippy::{lint} must be deny in [workspace.lints.clippy], found {level:?}"
+        );
+    }
+    let clippy = read(&root.join("clippy.toml"));
+    for (key, paths) in DISALLOWED {
+        let listed = clippy_paths(&clippy, key);
+        for path in *paths {
+            assert!(listed.contains(path), "clippy.toml `{key}` lost `{path}`");
+        }
+    }
+    let mut manifests = vec![root.join("Cargo.toml")];
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates/ lists") {
+        let dir = entry.expect("crates/ entry").path();
+        if dir.join("Cargo.toml").is_file() {
+            manifests.push(dir.join("Cargo.toml"));
+        }
+    }
+    assert!(manifests.len() > 10, "crate walk looks truncated");
+    for path in manifests {
+        let opted_in = toml_table(&read(&path), "lints").contains(&("workspace", "true"));
+        assert!(
+            opted_in,
+            "{} does not opt into the workspace lints",
+            path.display()
+        );
+    }
+}
+
+#[test]
+fn moved_lint_suppressions_in_library_code_are_item_expects() {
+    // A suppression of a moved lint must be an item-level `#[expect]`
+    // with a reason, so an unneeded one fails clippy: no `allow` of a
+    // moved lint, no crate- or file-wide `#![...]` attribute naming one,
+    // and no `#[expect]` without `reason`.
+    let sources = scp_analyze::files::collect_sources(&root()).expect("sources load");
+    let mut offenders = Vec::new();
+    for file in sources
+        .iter()
+        .filter(|f| matches!(f.kind, FileKind::Library | FileKind::Binary))
+    {
+        let code = &file.masked.code;
+        for opener in ["#[allow(", "#![allow(", "#![expect(", "#[expect("] {
+            for (at, _) in code.match_indices(opener) {
+                let line = code.get(..at).map_or(0, |s| s.matches('\n').count()) + 1;
+                let attr = code.get(at..).and_then(|s| s.split(")]").next());
+                let names: Vec<&str> = attr
+                    .unwrap_or_default()
+                    .split(|c: char| !(c.is_alphanumeric() || c == '_' || c == ':'))
+                    .collect();
+                let moved = MOVED_LINTS
+                    .iter()
+                    .any(|l| names.contains(&format!("clippy::{l}").as_str()));
+                let reasoned = opener == "#[expect(" && names.contains(&"reason");
+                if moved && !reasoned && !file.is_test_line(line) {
+                    offenders.push(format!("{}:{line}", file.rel_path));
+                }
+            }
+        }
+    }
+    assert!(
+        offenders.is_empty(),
+        "moved lints suppressed by allow, file-wide or reasonless attributes: {offenders:?}"
+    );
 }

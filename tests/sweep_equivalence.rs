@@ -9,6 +9,8 @@
 //! partitioners, seeds and the grid boundaries the paper's artifacts
 //! exercise — `x = c + 1` and `c = 0` included.
 
+#![allow(clippy::restriction, clippy::disallowed_methods)]
+
 use secure_cache_provision::prelude::*;
 use secure_cache_provision::sim::sweep::{repeat_sweep_journaled, RunSweep, SweepPoint};
 

@@ -1,6 +1,8 @@
 //! Empirical validation of Theorem 1: shifting query mass toward the
 //! Eq. (4) canonical shape never decreases the expected maximum load.
 
+#![allow(clippy::restriction, clippy::disallowed_methods)]
+
 use secure_cache_provision::core::theorem::{canonicalize, shift_once};
 use secure_cache_provision::prelude::*;
 use secure_cache_provision::sim::runner::repeat_rate_simulation;

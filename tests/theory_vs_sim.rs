@@ -1,5 +1,7 @@
 //! The Eq. (10) bound against simulation, across a parameter grid.
 
+#![allow(clippy::restriction, clippy::disallowed_methods)]
+
 use secure_cache_provision::core::bounds::{attack_gain_bound, critical_cache_size, KParam};
 use secure_cache_provision::prelude::*;
 use secure_cache_provision::sim::critical::find_critical_cache_size;

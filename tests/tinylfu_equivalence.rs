@@ -28,6 +28,8 @@
 //! per list). SLRU's `evictions` is left out because that layout dropped
 //! a full probation segment's LRU entry without counting it.
 
+#![allow(clippy::restriction, clippy::disallowed_methods)]
+
 mod golden;
 
 use golden::Digest;
