@@ -56,14 +56,23 @@ fn golden_wall_clock_elapsed() {
 }
 
 #[test]
+fn golden_wall_clock_system_time_now() {
+    let src = "fn f() { let _t = std::time::SystemTime::now(); }\n";
+    assert_eq!(taint_sites(src), vec![1]);
+}
+
+#[test]
 fn golden_wall_clock_type_position_ok() {
     let src = "fn f(deadline: std::time::Instant) -> bool { deadline.checked_add(D).is_some() }\n";
     assert!(taint_sites(src).is_empty());
+    assert!(taint_sites("use std::time::Instant;\n").is_empty());
 }
 
 #[test]
 fn golden_env_entropy_randomstate() {
     let src = "fn f() { let _s = std::collections::hash_map::RandomState::new(); }\n";
+    assert_eq!(taint_sites(src), vec![1]);
+    let src = "fn f(x: X) { let _h: HashMap<K, V, RandomState> = x; }\n";
     assert_eq!(taint_sites(src), vec![1]);
 }
 
@@ -71,6 +80,7 @@ fn golden_env_entropy_randomstate() {
 fn golden_env_entropy_env_var() {
     let src = "fn f() -> Option<String> { std::env::var(\"SCP_SEED\").ok() }\n";
     assert_eq!(taint_sites(src), vec![1]);
+    assert!(taint_sites("fn f() { let _a = std::env::args(); }\n").is_empty());
 }
 
 // --- unsafe-hygiene -----------------------------------------------------

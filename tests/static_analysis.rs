@@ -198,6 +198,19 @@ fn moved_lints_are_denied_for_every_crate() {
         }
     }
     assert!(manifests.len() > 10, "crate walk looks truncated");
+    // scp-e2e is a workspace of its own and cannot opt in: CI denies the
+    // moved lints on its clippy command line instead.
+    let ci = read(&root.join(".github/workflows/ci.yml"));
+    let e2e_step = ci
+        .split("- name: ")
+        .find(|step| step.contains("cargo clippy -q --manifest-path crates/bench/src/bin/scp-e2e"))
+        .expect("CI lints scp-e2e");
+    for lint in MOVED_LINTS {
+        assert!(
+            e2e_step.contains(&format!("-D clippy::{lint} ")),
+            "CI's scp-e2e clippy step does not deny clippy::{lint}"
+        );
+    }
     for path in manifests {
         let opted_in = toml_table(&read(&path), "lints").contains(&("workspace", "true"));
         assert!(
@@ -208,13 +221,16 @@ fn moved_lints_are_denied_for_every_crate() {
     }
 }
 
-#[test]
-fn moved_lint_suppressions_in_library_code_are_item_expects() {
-    // A suppression of a moved lint must be an item-level `#[expect]`
-    // with a reason, so an unneeded one fails clippy: no `allow` of a
-    // moved lint, no crate- or file-wide `#![...]` attribute naming one,
-    // and no `#[expect]` without `reason`.
-    let sources = scp_analyze::files::collect_sources(&root()).expect("sources load");
+/// The clippy lint groups that hold a moved lint (`restriction` the panic,
+/// indexing and unsafe lints, `style` and `all` the disallowed paths): an
+/// allow of one overrides the workspace deny as surely as the lint's name.
+const MOVED_LINT_GROUPS: &[&str] = &["restriction", "style", "all"];
+
+/// `path:line` of every attribute in library or binary code, outside
+/// `#[cfg(test)]`, that suppresses a moved lint other than by an
+/// item-level `#[expect]` with a reason: any `allow`, any crate- or
+/// file-wide `#![...]`, and any attribute naming a group that holds one.
+fn moved_lint_suppressions(sources: &[SourceFile]) -> Vec<String> {
     let mut offenders = Vec::new();
     for file in sources
         .iter()
@@ -229,18 +245,58 @@ fn moved_lint_suppressions_in_library_code_are_item_expects() {
                     .unwrap_or_default()
                     .split(|c: char| !(c.is_alphanumeric() || c == '_' || c == ':'))
                     .collect();
-                let moved = MOVED_LINTS
-                    .iter()
-                    .any(|l| names.contains(&format!("clippy::{l}").as_str()));
+                let named = |lints: &[&str]| {
+                    lints
+                        .iter()
+                        .any(|l| names.contains(&format!("clippy::{l}").as_str()))
+                };
                 let reasoned = opener == "#[expect(" && names.contains(&"reason");
-                if moved && !reasoned && !file.is_test_line(line) {
+                let bad = named(MOVED_LINT_GROUPS) || (named(MOVED_LINTS) && !reasoned);
+                if bad && !file.is_test_line(line) {
                     offenders.push(format!("{}:{line}", file.rel_path));
                 }
             }
         }
     }
+    offenders
+}
+
+#[test]
+fn moved_lint_suppressions_in_library_code_are_item_expects() {
+    // A suppression of a moved lint must be an item-level `#[expect]`
+    // with a reason, so an unneeded one fails clippy.
+    let sources = scp_analyze::files::collect_sources(&root()).expect("sources load");
+    let offenders = moved_lint_suppressions(&sources);
     assert!(
         offenders.is_empty(),
-        "moved lints suppressed by allow, file-wide or reasonless attributes: {offenders:?}"
+        "moved lints suppressed by allow, file-wide, group or reasonless attributes: {offenders:?}"
     );
+}
+
+#[test]
+fn seeded_moved_lint_suppressions_are_caught() {
+    let lib = |src: &str| {
+        vec![SourceFile::from_source(
+            "crates/cluster/src/synthetic.rs",
+            src,
+        )]
+    };
+    let item = "fn f(v: &[u8]) -> u8 { v[0] }\n";
+    let expected =
+        format!("#[expect(clippy::indexing_slicing, reason = \"v is non-empty\")]\n{item}");
+    assert!(moved_lint_suppressions(&lib(&expected)).is_empty());
+    for attr in [
+        "#[allow(clippy::indexing_slicing)]",
+        "#[expect(clippy::indexing_slicing)]",
+        "#![expect(clippy::indexing_slicing, reason = \"r\")]",
+        "#[allow(clippy::restriction)]",
+        "#[expect(clippy::restriction, reason = \"r\")]",
+        "#![allow(clippy::style)]",
+        "#[allow(clippy::all)]",
+    ] {
+        let seeded = moved_lint_suppressions(&lib(&format!("{attr}\n{item}")));
+        assert_eq!(seeded, ["crates/cluster/src/synthetic.rs:1"], "{attr}");
+    }
+    let test_roots = "#[cfg(test)]\n#[allow(clippy::restriction)]\nmod tests {}\n";
+    assert!(moved_lint_suppressions(&lib(test_roots)).is_empty());
 }
