@@ -359,7 +359,12 @@ fn check_slice_index(line: &str, emit: &mut impl FnMut(String)) {
             continue;
         }
         let prev = at(bytes, i - 1);
-        if is_ident(prev) || prev == b')' || prev == b']' {
+        // `x[..]` is the whole of `x` and cannot panic.
+        let full_range = tail(line, i + 1)
+            .trim_start()
+            .strip_prefix("..")
+            .is_some_and(|rest| rest.trim_start().starts_with(']'));
+        if (is_ident(prev) || prev == b')' || prev == b']') && !full_range {
             emit("indexing panics when out of bounds; prefer .get()".to_owned());
         }
     }

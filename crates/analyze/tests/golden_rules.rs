@@ -177,6 +177,15 @@ fn golden_slice_index_direct() {
 }
 
 #[test]
+fn golden_slice_index_full_range_cannot_panic() {
+    let src = "fn f() -> &'static [u64] { &[][..] }\n\
+               fn g(v: &[u64]) -> &[u64] { &v[ .. ] }\n\
+               fn h(v: &[u64], n: usize) -> &[u64] { &v[..n] }\n\
+               fn k(v: &[u64]) -> &[u64] { &v[..=2] }\n";
+    assert_eq!(panic_sites(src), vec![3, 4]);
+}
+
+#[test]
 fn golden_slice_index_ignores_macros_attrs_types() {
     let src = "#[derive(Debug)]\n\
                struct S { xs: Vec<[u8; 4]> }\n\

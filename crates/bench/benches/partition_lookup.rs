@@ -1,5 +1,6 @@
 //! Macro-benchmark: replica-group lookup throughput for every
-//! [`PartitionerSpec`] scheme at cluster scale, plus the cost of the
+//! [`PartitionerSpec`] scheme at cluster scale, and of the hash scheme's
+//! batch form ([`append_replica_groups`]), plus the cost of the
 //! live [`rebuild`] seam (the operation `scp-serve` performs at an
 //! epoch boundary, while queries are waiting), and of one whole routing
 //! decision through the sticky least-loaded selector.
@@ -13,6 +14,7 @@
 //! JSON — the committed `BENCH_partition.json` trajectory.
 //!
 //! [`rebuild`]: scp_cluster::Partitioner::rebuild
+//! [`append_replica_groups`]: scp_cluster::Partitioner::append_replica_groups
 
 #![allow(clippy::restriction, clippy::disallowed_methods)]
 
@@ -27,6 +29,9 @@ use std::hint::black_box;
 /// mode. Measured well above 1M/s on CI-class hardware; the floor
 /// leaves ample headroom for noisy runners.
 const SMOKE_FLOOR_LOOKUPS_PER_SEC: f64 = 100_000.0;
+
+/// Keys per call of the batched lookup row.
+const BATCH_KEYS: usize = 256;
 
 fn smoke() -> bool {
     std::env::var_os("SCP_BENCH_SMOKE").is_some_and(|v| v != "0")
@@ -62,6 +67,30 @@ fn bench_partition_lookup(c: &mut Criterion) {
             });
         });
     }
+    group.finish();
+
+    // The batch form on the hash partitioner: one call appends the
+    // groups of 256 keys (one `RunSweep::new` batch), walking the same
+    // key sequence as `replica_group/hash`; `per_sec` counts keys.
+    let mut group = c.benchmark_group("partition_lookup/replica_groups_batch");
+    group
+        .sample_size(samples)
+        .throughput(Throughput::Elements(BATCH_KEYS as u64));
+    let p = build(PartitionerKind::Hash);
+    group.bench_function("hash", |b| {
+        let mut keys = [0u64; BATCH_KEYS];
+        let mut groups = Vec::with_capacity(BATCH_KEYS * d);
+        let mut key = 0u64;
+        b.iter(|| {
+            for slot in &mut keys {
+                key = key.wrapping_add(0x9E37_79B9);
+                *slot = key;
+            }
+            groups.clear();
+            p.append_replica_groups(black_box(&keys), &mut groups);
+            black_box(&groups);
+        });
+    });
     group.finish();
 
     // The epoch-boundary path: one join applied through rebuild. This

@@ -20,7 +20,8 @@ use scp_sim::sweep::RunSweep;
 use std::hint::black_box;
 
 /// Grid points per second the full-run sweep must sustain in smoke mode.
-/// Measured ~2k/s on CI-class hardware; the floor leaves 10x headroom.
+/// Measured 4.0k–6.2k/s on a 2-vCPU 2.0 GHz Xeon (`BENCH_sweep.json`);
+/// the floor leaves 20x headroom.
 const SMOKE_FLOOR_POINTS_PER_SEC: f64 = 200.0;
 
 fn smoke() -> bool {

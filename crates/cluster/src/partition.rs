@@ -23,7 +23,7 @@ use crate::ids::{KeyId, NodeId};
 use crate::multiprobe::MultiProbePartitioner;
 use crate::topology::Topology;
 use crate::Result;
-use scp_workload::rng::mix;
+use scp_workload::rng::{mix, MixPrefix};
 use std::fmt;
 
 /// Maximum supported replication factor.
@@ -66,6 +66,19 @@ impl ReplicaGroup {
             }
             None => Err(ClusterError::ReplicaGroupFull(node)),
         }
+    }
+
+    /// A group of the first `len` slots, written in place by `fill`
+    /// (which sees exactly `len` slots). A `len` above
+    /// [`MAX_REPLICATION`] yields an empty group; every partitioner
+    /// validates `d` at construction.
+    fn filled(len: usize, fill: impl FnOnce(&mut [NodeId])) -> Self {
+        let mut group = Self::new();
+        if let (Some(slots), Ok(len)) = (group.nodes.get_mut(..len), u8::try_from(len)) {
+            fill(slots);
+            group.len = len;
+        }
+        group
     }
 
     /// Infallible append for callers that have already validated
@@ -176,6 +189,22 @@ pub trait Partitioner: Send + Sync + fmt::Debug {
     /// [`Partitioner::replication_factor`] distinct nodes.
     fn replica_group(&self, key: KeyId) -> ReplicaGroup;
 
+    /// Appends the replica groups of `keys` (raw key values) to `out`,
+    /// flattened in key order: key `i`'s group, exactly as
+    /// [`Partitioner::replica_group`] returns it, lands at
+    /// `out[start + i*d .. start + (i+1)*d]`, where `start` is `out`'s
+    /// length on entry. One call serves a whole batch, so a caller that
+    /// routes many keys pays one dynamic dispatch per batch, not per key.
+    ///
+    /// The default is the per-key loop; [`HashPartitioner`] overrides it
+    /// with a kernel that hashes a batch's attempts independently.
+    fn append_replica_groups(&self, keys: &[u64], out: &mut Vec<NodeId>) {
+        out.reserve(keys.len() * self.replication_factor());
+        for &key in keys {
+            out.extend_from_slice(self.replica_group(KeyId::new(key)).as_slice());
+        }
+    }
+
     /// Number of back-end nodes `n` (topology members, alive or not).
     fn node_count(&self) -> usize;
 
@@ -249,12 +278,25 @@ fn hash_to_index(hash: u64, n: usize) -> u32 {
 /// key-value store. The flip side: placement depends on the member
 /// *count*, so a membership change remaps nearly every key (the contrast
 /// the `reshard` experiment measures against multi-probe).
+///
+/// Attempt `a` for key `k` hashes `mix(&[seed, k, a])` to a position in
+/// the sorted member list, and the group is the first `d` distinct
+/// members the attempts `0, 1, 2, ...` name, in attempt order. The seed
+/// is absorbed once, at construction, and each key once per lookup
+/// ([`MixPrefix`]). The first `d` attempts are then hashed independently
+/// of each other, with no loop-carried dependency, so the attempts of a
+/// batch of keys ([`Partitioner::append_replica_groups`]) overlap in the
+/// pipeline. When they name `d` distinct members they *are* the group;
+/// only a key whose first `d` attempts collide (about `d(d−1)/2n` of keys)
+/// takes the sequential attempt loop, from attempt 0. Both lookup forms
+/// share that one routine, so their groups are equal member for member.
 #[derive(Debug, Clone)]
 pub struct HashPartitioner {
     // Sorted member ids; placement hashes into positions of this list.
     members: Vec<NodeId>,
     d: usize,
-    seed: u64,
+    // `mix`'s state after absorbing the placement seed.
+    seed: MixPrefix,
 }
 
 impl HashPartitioner {
@@ -268,7 +310,7 @@ impl HashPartitioner {
         Ok(Self {
             members: (0..n).map(NodeId::from_index).collect(),
             d,
-            seed,
+            seed: MixPrefix::new(&[seed]),
         })
     }
 
@@ -282,26 +324,88 @@ impl HashPartitioner {
         Ok(Self {
             members: member_ids(topology),
             d,
-            seed,
+            seed: MixPrefix::new(&[seed]),
         })
+    }
+
+    /// The one placement routine: writes `key`'s group into `group`
+    /// (`d` slots). At the paper's d = 3 the group length is known at
+    /// compile time, which unrolls the attempt loop and the repeat check;
+    /// the runtime-length loop measured slower per key (EXPERIMENTS.md,
+    /// the batch routing plan). Other lengths take the same code with a
+    /// runtime length.
+    #[inline(always)]
+    fn place(&self, key: u64, group: &mut [NodeId]) {
+        match group.as_mut_array::<3>() {
+            Some(group) => self.place_attempts(key, group),
+            None => self.place_attempts(key, group),
+        }
+    }
+
+    /// [`Self::place`]'s body. The first `d` attempts are hashed
+    /// independently and checked for a repeat without an early exit; if
+    /// they name distinct members they are the group, in attempt order,
+    /// which is what the sequential loop picks too.
+    #[inline(always)]
+    fn place_attempts(&self, key: u64, group: &mut [NodeId]) {
+        let key = self.seed.extend(key);
+        let mut collided = false;
+        for (i, attempt) in (0..group.len()).zip(0u64..) {
+            let node = self.attempt(key, attempt);
+            collided |= node.is_none();
+            let node = node.unwrap_or_default();
+            for &prev in group.iter().take(i) {
+                collided |= prev == node;
+            }
+            if let Some(slot) = group.get_mut(i) {
+                *slot = node;
+            }
+        }
+        if collided {
+            self.place_sequentially(key, group);
+        }
+    }
+
+    /// The member attempt `attempt` of an absorbed key names.
+    #[inline(always)]
+    fn attempt(&self, key: MixPrefix, attempt: u64) -> Option<NodeId> {
+        let slot = hash_to_index(key.finish(attempt), self.members.len());
+        self.members.get(slot as usize).copied()
+    }
+
+    /// The sequential attempt loop, for a key whose first `d` attempts
+    /// collide: each attempt adds its member unless the group holds it.
+    #[cold]
+    #[inline(never)]
+    fn place_sequentially(&self, key: MixPrefix, group: &mut [NodeId]) {
+        let mut filled = 0;
+        let mut attempt = 0u64;
+        while filled < group.len() {
+            if let Some(node) = self.attempt(key, attempt) {
+                let (chosen, free) = group.split_at_mut(filled);
+                if let (false, Some(slot)) = (chosen.contains(&node), free.first_mut()) {
+                    *slot = node;
+                    filled += 1;
+                }
+            }
+            attempt += 1;
+        }
     }
 }
 
 impl Partitioner for HashPartitioner {
     fn replica_group(&self, key: KeyId) -> ReplicaGroup {
-        let mut group = ReplicaGroup::new();
-        let mut attempt = 0u64;
-        while group.len() < self.d {
-            let h = mix(&[self.seed, key.value(), attempt]);
-            let slot = hash_to_index(h, self.members.len()) as usize;
-            if let Some(&node) = self.members.get(slot) {
-                if !group.contains(node) {
-                    group.push_unchecked(node);
-                }
+        ReplicaGroup::filled(self.d, |group| self.place(key.value(), group))
+    }
+
+    fn append_replica_groups(&self, keys: &[u64], out: &mut Vec<NodeId>) {
+        let start = out.len();
+        out.resize(start + keys.len() * self.d, NodeId::default());
+        if let Some(groups) = out.get_mut(start..) {
+            for (&key, group) in keys.iter().zip(groups.chunks_exact_mut(self.d)) {
+                self.place(key, group);
             }
-            attempt += 1;
         }
-        group
     }
 
     fn node_count(&self) -> usize {
@@ -1186,6 +1290,80 @@ mod tests {
             );
             assert!(v.iter().all(|&i| i < n), "case {case}: node out of range");
         }
+    }
+
+    /// The batch form equals per-key `replica_group`, element for
+    /// element, for `kind` at every d in 1..=5 and MAX_REPLICATION and n
+    /// in {d, d+1, 7, 1000}, dense and sparse (after a join and a leave),
+    /// over 10^4 keys (small, random and just below `u64::MAX`). At n = d
+    /// almost every hash key collides within its first d attempts and
+    /// takes the sequential fallback.
+    fn assert_batch_groups_equal_per_key_groups(kind: PartitionerKind) {
+        let mut gen = Xoshiro256StarStar::seed_from_u64(0xBA7C);
+        let mut keys: Vec<u64> = (0..4_000).collect();
+        keys.extend((0..4_000).map(|_| gen.next_u64()));
+        keys.extend((0..2_000).map(|i| u64::MAX - i));
+        for d in [1, 2, 3, 4, 5, MAX_REPLICATION] {
+            for n in [d, d + 1, 7, 1000].into_iter().filter(|&n| n >= d) {
+                let dense = Topology::with_nodes(n).unwrap();
+                let mut sparse = dense.clone();
+                sparse.join(NodeId::from_index(n + 3)).unwrap();
+                sparse.leave(NodeId::new(0)).unwrap();
+                for (topology, shape) in [(dense, "dense"), (sparse, "sparse")] {
+                    let p = PartitionerSpec::new(kind)
+                        .topology(topology)
+                        .replication(d)
+                        .seed(gen.next_u64())
+                        .items(1_000_000)
+                        .build()
+                        .unwrap();
+                    // A prefix the batch form must append after.
+                    let mut batched = vec![NodeId::new(u32::MAX)];
+                    p.append_replica_groups(&[], &mut batched);
+                    for chunk in keys.chunks(251) {
+                        p.append_replica_groups(chunk, &mut batched);
+                    }
+                    let mut per_key = vec![NodeId::new(u32::MAX)];
+                    for &k in &keys {
+                        per_key.extend_from_slice(p.replica_group(KeyId::new(k)).as_slice());
+                    }
+                    assert_eq!(
+                        batched.len(),
+                        1 + keys.len() * d,
+                        "{kind} {shape} d={d} n={n}"
+                    );
+                    assert!(
+                        batched == per_key,
+                        "{kind} {shape} d={d} n={n}: batch form diverges"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn prop_batch_groups_equal_per_key_groups_hash() {
+        assert_batch_groups_equal_per_key_groups(PartitionerKind::Hash);
+    }
+
+    #[test]
+    fn prop_batch_groups_equal_per_key_groups_ring() {
+        assert_batch_groups_equal_per_key_groups(PartitionerKind::Ring);
+    }
+
+    #[test]
+    fn prop_batch_groups_equal_per_key_groups_rendezvous() {
+        assert_batch_groups_equal_per_key_groups(PartitionerKind::Rendezvous);
+    }
+
+    #[test]
+    fn prop_batch_groups_equal_per_key_groups_range() {
+        assert_batch_groups_equal_per_key_groups(PartitionerKind::Range);
+    }
+
+    #[test]
+    fn prop_batch_groups_equal_per_key_groups_multi_probe() {
+        assert_batch_groups_equal_per_key_groups(PartitionerKind::MultiProbe);
     }
 
     #[test]

@@ -197,6 +197,20 @@ impl<'a> RankedKeys<'a> {
             read: 0,
         }
     }
+
+    /// Maps the next batch of ranks and returns its keys, all of them
+    /// read; `None` once rank `end` is reached.
+    pub(crate) fn next_batch(&mut self) -> Option<&[u64]> {
+        let len = self.end.saturating_sub(self.rank).min(self.batch as u64) as usize;
+        let chunk = self.keys.get_mut(..len).filter(|chunk| !chunk.is_empty())?;
+        for (key, rank) in chunk.iter_mut().zip(self.rank..) {
+            *key = rank;
+        }
+        self.mapping.apply_batch(chunk);
+        self.rank += len as u64;
+        (self.len, self.read) = (len, len);
+        Some(chunk)
+    }
 }
 
 impl Iterator for RankedKeys<'_> {
@@ -204,14 +218,8 @@ impl Iterator for RankedKeys<'_> {
 
     fn next(&mut self) -> Option<u64> {
         if self.read == self.len {
-            let len = self.end.saturating_sub(self.rank).min(self.batch as u64) as usize;
-            let chunk = self.keys.get_mut(..len).filter(|chunk| !chunk.is_empty())?;
-            for (key, rank) in chunk.iter_mut().zip(self.rank..) {
-                *key = rank;
-            }
-            self.mapping.apply_batch(chunk);
-            self.rank += len as u64;
-            (self.len, self.read) = (len, 0);
+            self.next_batch()?;
+            self.read = 0;
         }
         let key = self.keys.get(self.read).copied();
         self.read += 1;

@@ -46,6 +46,25 @@
 //! exact state the per-point engine reaches for the pattern whose support
 //! is that prefix. Each grid `x` is a snapshot of the walk.
 //!
+//! # Building the plan
+//!
+//! [`RunSweep::new`] builds the plan a batch of 256 ranks at a time: one
+//! [`KeyMapping::apply_batch`] maps the batch's ranks to keys, and one
+//! [`Partitioner::append_replica_groups`] call appends their groups to
+//! the flat buffer, so the partitioner is dispatched once per batch, not
+//! once per rank. The hash partitioner's batch kernel absorbs the seed
+//! once and each key once, hashes the `d` attempts of a key
+//! independently, and falls back to the sequential attempt loop only for
+//! a key whose first `d` attempts collide. The plan is still
+//! bit-identical to the per-point engine: the batch form returns each
+//! key's group exactly as `replica_group` returns it, member for member
+//! (a property test in `scp-cluster` checks this for every partitioner),
+//! and the batch maps each rank to the key `apply` gives it. At d = 3
+//! the walk then reads each group as a fixed-length array.
+//!
+//! [`KeyMapping::apply_batch`]: scp_workload::permute::KeyMapping::apply_batch
+//! [`Partitioner::append_replica_groups`]: scp_cluster::Partitioner::append_replica_groups
+//!
 //! # Scope
 //!
 //! The sweep models a fully-alive cluster (no failed nodes) and the
@@ -71,7 +90,7 @@ use crate::runner::{
 };
 use crate::Result;
 use scp_cluster::load::LoadSnapshot;
-use scp_cluster::KeyId;
+use scp_cluster::NodeId;
 use scp_workload::AccessPattern;
 
 /// One run's precomputed routing structure: every rank's replica group,
@@ -87,9 +106,9 @@ pub struct RunSweep {
     /// Whether the selector pins each rank to one node (sticky
     /// least-loaded) or splits its rate evenly over the group.
     sticky: bool,
-    /// Flattened `x_max * d` node indices: rank `r`'s group occupies
+    /// Flattened `x_max * d` node ids: rank `r`'s group occupies
     /// `groups[r*d .. (r+1)*d]`, in partition order.
-    groups: Vec<u32>,
+    groups: Vec<NodeId>,
     /// Scratch: per-node addend counts for the current walk.
     counts: Vec<u32>,
     /// Scratch: reconstructed per-node loads.
@@ -103,12 +122,21 @@ impl RunSweep {
     /// configured partitioner and key mapping from `cfg.seed` (the same
     /// derivations as the per-point engine) and reads the replica groups
     /// of ranks `0..x_max` straight from the partitioner (every node is
-    /// alive, so each group is its live group).
+    /// alive, so each group is its live group). Ranks are mapped and
+    /// their groups fetched 256 at a time, through one
+    /// [`KeyMapping::apply_batch`] and one
+    /// [`Partitioner::append_replica_groups`] call per batch; both equal
+    /// their per-rank forms exactly, so the plan is the one a per-rank
+    /// `apply` + `replica_group` loop builds (module docs).
     ///
     /// # Errors
     ///
     /// Returns an error if the config is invalid, the pattern is not
-    /// equal-rate, or `x_max` is outside `[1, items]`.
+    /// equal-rate, `x_max` is outside `[1, items]`, or the partitioner
+    /// returns groups of other than `cfg.replication` members.
+    ///
+    /// [`KeyMapping::apply_batch`]: scp_workload::permute::KeyMapping::apply_batch
+    /// [`Partitioner::append_replica_groups`]: scp_cluster::Partitioner::append_replica_groups
     pub fn new(cfg: &SimConfig, x_max: u64) -> Result<Self> {
         cfg.validate()?;
         if !matches!(
@@ -139,24 +167,23 @@ impl RunSweep {
         let partitioner = cfg.build_partitioner()?;
         let mapping = cfg.key_mapping()?;
         let d = cfg.replication;
-        let mut groups = Vec::with_capacity(x_max as usize * d);
-        // Fetch each group straight into the flat buffer: a
-        // `Vec<ReplicaGroup>` in between would alone be several MB per
-        // run at paper scale.
-        for key in RankedKeys::new(&mapping, x_max, RANK_BATCH) {
-            let group = partitioner.replica_group(KeyId::new(key));
-            if group.len() != d {
-                return Err(SimError::InvalidConfig {
-                    field: "replication",
-                    reason: format!(
-                        "partitioner returned a {}-member group, want {d}",
-                        group.len()
-                    ),
-                });
-            }
-            for &node in group.as_slice() {
-                groups.push(node.value());
-            }
+        // Map ranks and fetch their groups a batch at a time, straight
+        // into the flat buffer: a `Vec<ReplicaGroup>` in between would
+        // alone be several MB per run at paper scale.
+        let want = x_max as usize * d;
+        let mut groups = Vec::with_capacity(want);
+        let mut ranked = RankedKeys::new(&mapping, x_max, RANK_BATCH);
+        while let Some(keys) = ranked.next_batch() {
+            partitioner.append_replica_groups(keys, &mut groups);
+        }
+        if groups.len() != want {
+            return Err(SimError::InvalidConfig {
+                field: "replication",
+                reason: format!(
+                    "partitioner returned {} members for {x_max} keys, want {d} per key",
+                    groups.len()
+                ),
+            });
         }
         Ok(Self {
             replication: d,
@@ -289,8 +316,8 @@ impl RunSweep {
         }
 
         self.counts.fill(0);
-        // Split the borrows: the group iterator holds `groups` across the
-        // whole walk while the scratch buffers are updated per point.
+        // Split the borrows: `groups` is read across the whole walk while
+        // the scratch buffers are updated per point.
         let Self {
             replication,
             offered,
@@ -304,41 +331,17 @@ impl RunSweep {
         let (d, offered, sticky) = (*replication, *offered, *sticky);
         let mut max_count: u32 = 0;
         let mut next_rank = skip_ranks as u64;
-        let mut group_iter = groups.chunks_exact(d).skip(skip_ranks);
         let mut out = Vec::with_capacity(x_values.len());
         for &x in x_values {
             // Route ranks `next_rank..x` — exactly the backend-visible
             // ranks the per-point engine routes for pattern support `x`,
             // in the same order, continuing from the previous grid point.
-            let todo = x.saturating_sub(next_rank) as usize;
-            for group in group_iter.by_ref().take(todo) {
-                if sticky {
-                    // argmin over counts with first-wins ties replays
-                    // `argmin_load` exactly: loads are strictly
-                    // increasing in the count (module docs).
-                    let mut best = usize::MAX;
-                    let mut best_count = u32::MAX;
-                    for &node in group {
-                        let count = counts.get(node as usize).copied().unwrap_or(u32::MAX);
-                        if count < best_count {
-                            best = node as usize;
-                            best_count = count;
-                        }
-                    }
-                    if let Some(slot) = counts.get_mut(best) {
-                        *slot = best_count + 1;
-                        max_count = max_count.max(*slot);
-                    }
-                } else {
-                    for &node in group {
-                        if let Some(slot) = counts.get_mut(node as usize) {
-                            *slot += 1;
-                            max_count = max_count.max(*slot);
-                        }
-                    }
-                }
-            }
-            next_rank = next_rank.max(x);
+            let end = x.max(next_rank);
+            let ranks = groups
+                .get(next_rank as usize * d..end as usize * d)
+                .unwrap_or_default();
+            max_count = max_count.max(route(ranks, d, sticky, counts));
+            next_rank = end;
             out.push(report_at(
                 counts,
                 table,
@@ -350,6 +353,62 @@ impl RunSweep {
         }
         Ok(out)
     }
+}
+
+/// Adds the routed ranks' groups (`groups`, `d` members each, in rank
+/// order) to `counts`, and returns the largest count it wrote. At the
+/// paper's d = 3 each group is read as a fixed-length array, so the
+/// member loop unrolls; the runtime-length loop measured slower per grid
+/// point (EXPERIMENTS.md, the batch routing plan). Other lengths take the
+/// same loop with a runtime length.
+fn route(groups: &[NodeId], d: usize, sticky: bool, counts: &mut [u32]) -> u32 {
+    if d == 3 {
+        let groups = groups
+            .as_chunks::<3>()
+            .0
+            .iter()
+            .map(|group| group.as_slice());
+        route_each(groups, sticky, counts)
+    } else {
+        route_each(groups.chunks_exact(d), sticky, counts)
+    }
+}
+
+#[inline(always)]
+fn route_each<'a>(
+    groups: impl Iterator<Item = &'a [NodeId]>,
+    sticky: bool,
+    counts: &mut [u32],
+) -> u32 {
+    let mut max_count = 0;
+    if sticky {
+        for group in groups {
+            // argmin over counts with first-wins ties replays
+            // `argmin_load` exactly: loads are strictly increasing in
+            // the count (module docs).
+            let mut best = usize::MAX;
+            let mut best_count = u32::MAX;
+            for node in group {
+                let count = counts.get(node.index()).copied().unwrap_or(u32::MAX);
+                if count < best_count {
+                    best = node.index();
+                    best_count = count;
+                }
+            }
+            if let Some(slot) = counts.get_mut(best) {
+                *slot = best_count + 1;
+                max_count = max_count.max(*slot);
+            }
+        }
+    } else {
+        for node in groups.flatten() {
+            if let Some(slot) = counts.get_mut(node.index()) {
+                *slot += 1;
+                max_count = max_count.max(*slot);
+            }
+        }
+    }
+    max_count
 }
 
 /// One grid point's load shape: the repeated addend each chosen node

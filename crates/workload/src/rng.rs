@@ -95,6 +95,20 @@ impl MixPrefix {
         Self(mix(words))
     }
 
+    /// The prefix extended by one more leading word.
+    ///
+    /// ```
+    /// use scp_workload::rng::{mix, MixPrefix};
+    ///
+    /// let prefix = MixPrefix::new(&[1]).extend(2);
+    /// assert_eq!(prefix, MixPrefix::new(&[1, 2]));
+    /// assert_eq!(prefix.finish(3), mix(&[1, 2, 3]));
+    /// ```
+    #[inline]
+    pub fn extend(self, word: u64) -> Self {
+        Self(absorb(self.0, word))
+    }
+
     /// `mix` of the leading words followed by `last`.
     #[inline]
     pub fn finish(self, last: u64) -> u64 {

@@ -20,9 +20,19 @@ fn base(
     cache: usize,
     seed: u64,
 ) -> SimConfig {
+    base_with_replication(selector, partitioner, 3, cache, seed)
+}
+
+fn base_with_replication(
+    selector: SelectorKind,
+    partitioner: PartitionerKind,
+    replication: usize,
+    cache: usize,
+    seed: u64,
+) -> SimConfig {
     SimConfig::builder()
         .nodes(60)
-        .replication(3)
+        .replication(replication)
         .items(3_000)
         .rate(1e4)
         .cache_capacity(cache)
@@ -43,40 +53,65 @@ fn per_point(cfg: &SimConfig, c: usize, x: u64) -> LoadReport {
     run_rate_simulation(&point).unwrap()
 }
 
+const SELECTORS: [SelectorKind; 4] = [
+    SelectorKind::LeastLoaded,
+    SelectorKind::Random,
+    SelectorKind::RoundRobin,
+    SelectorKind::PerQueryLeastLoaded,
+];
+
+/// Walks the `x = c + 1` boundary, interior points and `x = m` of one
+/// config at cache `cache` and asserts every report equals the per-point
+/// engine's.
+fn assert_sweep_matches_per_point(cfg: &SimConfig, cache: usize) {
+    let mut sweep = RunSweep::new(cfg, cfg.items).unwrap();
+    let grid: Vec<u64> = [cache as u64 + 1, 40, 500, 3_000]
+        .into_iter()
+        .filter(|&x| x > cache as u64)
+        .collect::<std::collections::BTreeSet<_>>()
+        .into_iter()
+        .collect();
+    let reports = sweep.evaluate(cache, &grid).unwrap();
+    for (&x, report) in grid.iter().zip(&reports) {
+        assert_eq!(
+            report,
+            &per_point(cfg, cache, x),
+            "mismatch at {:?}/{:?}/d={}/seed={}/c={cache}/x={x}",
+            cfg.selector,
+            cfg.partitioner,
+            cfg.replication,
+            cfg.seed
+        );
+    }
+}
+
 #[test]
 fn sweep_is_bit_identical_across_selectors_partitioners_and_seeds() {
-    let selectors = [
-        SelectorKind::LeastLoaded,
-        SelectorKind::Random,
-        SelectorKind::RoundRobin,
-        SelectorKind::PerQueryLeastLoaded,
-    ];
-    let partitioners = [
-        PartitionerKind::Hash,
-        PartitionerKind::Rendezvous,
-        PartitionerKind::Ring,
-    ];
-    for &selector in &selectors {
-        for &partitioner in &partitioners {
+    for &selector in &SELECTORS {
+        for partitioner in PartitionerKind::ALL {
             for seed in [0u64, 7, 0xDEAD_BEEF] {
                 for cache in [0usize, 25] {
-                    let cfg = base(selector, partitioner, cache, seed);
-                    let mut sweep = RunSweep::new(&cfg, cfg.items).unwrap();
-                    // x = c + 1 boundary, interior points, and x = m.
-                    let grid: Vec<u64> = [cache as u64 + 1, 40, 500, 3_000]
-                        .into_iter()
-                        .filter(|&x| x > cache as u64)
-                        .collect::<std::collections::BTreeSet<_>>()
-                        .into_iter()
-                        .collect();
-                    let reports = sweep.evaluate(cache, &grid).unwrap();
-                    for (&x, report) in grid.iter().zip(&reports) {
-                        assert_eq!(
-                            report,
-                            &per_point(&cfg, cache, x),
-                            "mismatch at {selector:?}/{partitioner:?}/seed={seed}/c={cache}/x={x}"
-                        );
-                    }
+                    assert_sweep_matches_per_point(
+                        &base(selector, partitioner, cache, seed),
+                        cache,
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn sweep_is_bit_identical_at_other_replication_factors() {
+    // The walk and the hash partitioner's batch kernel read groups of a
+    // length fixed at compile time at d = 3 and of a runtime length at
+    // every other d. Both must match the engine.
+    for replication in [2usize, 4, 5] {
+        for &selector in &SELECTORS {
+            for partitioner in PartitionerKind::ALL {
+                for cache in [0usize, 25] {
+                    let cfg = base_with_replication(selector, partitioner, replication, cache, 11);
+                    assert_sweep_matches_per_point(&cfg, cache);
                 }
             }
         }
